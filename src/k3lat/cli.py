@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, cm, enumeration, forms, genus
+from .census import SCHEMA, _gram_json
 from .lattice import Lattice, LatticeError
 
-SCHEMA = "k3lat/1"
 CACHE_ENV = "K3LAT_CACHE_DIR"
 
 _DOMAIN_ERRORS = (LatticeError, forms.FormError, enumeration.EnumerationError,
@@ -75,12 +75,15 @@ def parse_form(text: str) -> forms.BinaryForm:
         raise InputError(f"bad form {text!r}") from exc
 
 
-def parse_mu(text: str, field: cm.CMField) -> tuple[cm.CMElement, ...]:
+def parse_element(text: str, field: cm.CMField) -> cm.CMElement:
     try:
-        return tuple(field.element([Fraction(x) for x in row.split(",")])
-                     for row in text.split(";"))
+        return field.element([Fraction(x) for x in text.split(",")])
     except (ValueError, ZeroDivisionError, cm.CMError) as exc:
-        raise InputError(f"bad period coordinates {text!r}: {exc}") from exc
+        raise InputError(f"bad field element {text!r}: {exc}") from exc
+
+
+def parse_mu(text: str, field: cm.CMField) -> tuple[cm.CMElement, ...]:
+    return tuple(parse_element(row, field) for row in text.split(";"))
 
 
 def _field_from_args(args) -> cm.CMField:
@@ -92,10 +95,6 @@ def _field_from_args(args) -> cm.CMField:
 
 
 # -- JSON helpers --------------------------------------------------------------
-
-
-def _gram_json(lat: Lattice) -> list[list[int]]:
-    return [list(row) for row in lat.gram]
 
 
 def _emb_json(emb: enumeration.EmbeddingMatrix) -> list[list[int]]:
@@ -275,6 +274,8 @@ def _cmd_k3_twistor_count(args, cache):
 
 def _cmd_k3_minus_two(args, cache):
     lat = parse_gram(args.gram)
+    if args.bound < 0:
+        raise InputError(f"--bound must be nonnegative, got {args.bound}")
     res = census.has_minus_two_class(lat, search_bound=args.bound)
     return {"gram": _gram_json(lat), "found": res.found,
             "certified": res.certified,
@@ -292,7 +293,7 @@ def _cmd_cm_bound(args, cache):
 def _cmd_cm_roots(args, cache):
     field = _field_from_args(args)
     if args.element:
-        x = field.element([Fraction(c) for c in args.element.split(",")])
+        x = parse_element(args.element, field)
         return {"element": _elem_json(x), "order": cm.is_root_of_unity(x)}
     roots = field.roots_of_unity()
     return {"count": len(roots), "roots": [_elem_json(x) for x in roots]}
@@ -473,12 +474,6 @@ def render_human(res: CommandResult) -> str:
             lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
     lines.append(f"time: {res.timing_ms:.1f} ms")
     return "\n".join(lines)
-
-
-def emit_certificate(p: int, d0: int, path: str) -> CommandResult:
-    """Build, write and re-verify an unbounded-family certificate file."""
-    return run(["k3", "unbounded", "-p", str(p), "--d0", str(d0),
-                "--out", str(path), "--json"])
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -17,60 +17,11 @@ from sympy import Poly, Symbol, cyclotomic_poly, factorint, totient
 
 from .enumeration import EmbeddingMatrix, short_vectors_le
 from .lattice import Lattice
+from .linalg import rank, solve
 
 
 class CMError(ValueError):
     """A CM-field or period precondition was violated."""
-
-
-def _solve_rect(rows, rhs):
-    """Any rational solution x of rows * x = rhs, or None when inconsistent."""
-    m, k = len(rows), len(rows[0])
-    a = [[Fraction(rows[i][j]) for j in range(k)] + [Fraction(rhs[i])]
-         for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = a[i][k]
-    return x
-
-
-def _rational_rank(rows) -> int:
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
 
 
 def _reduction_table(min_poly: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
@@ -131,7 +82,7 @@ class CMField:
         basis = tuple(tuple(Fraction(c) for c in row) for row in self.integral_basis)
         if len(basis) != n or any(len(row) != n for row in basis):
             raise CMError("integral basis must be a square matrix")
-        if _rational_rank(basis) != n:
+        if rank(basis) != n:
             raise CMError("integral basis is not a basis")
         object.__setattr__(self, "min_poly", mp)
         object.__setattr__(self, "conj_gen", conj)
@@ -165,7 +116,7 @@ class CMField:
             raise CMError("conjugation must be an involution")
         if conj_theta == theta:
             raise CMError("conjugation must be nontrivial")
-        if not _totally_positive(theta * conj_theta):
+        if not _totally_nonneg(theta * conj_theta, strict=True):
             raise CMError("conjugation is not complex conjugation")
         if not self.one().is_integral() or not theta.is_integral():
             raise CMError("integral basis must contain 1 and the generator's order")
@@ -305,9 +256,7 @@ class CMElement:
         n = self.field.degree
         # columns of the multiplication-by-self matrix
         cols = [self.field._raw_mul(self.coords, self.field._red[j]) for j in range(n)]
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = _solve_rect(mat, rhs)
+        sol = solve(list(zip(*cols)), [1] + [0] * (n - 1))
         if sol is None:
             raise CMError("division by zero")
         return CMElement(self.field, tuple(sol))
@@ -329,7 +278,7 @@ class CMElement:
         return self.coords[0]
 
     def integral_coords(self) -> tuple[Fraction, ...]:
-        sol = _solve_rect(self.field._basis_cols, list(self.coords))
+        sol = solve(self.field._basis_cols, list(self.coords))
         assert sol is not None
         return tuple(sol)
 
@@ -350,7 +299,7 @@ class CMElement:
         for deg in range(1, n + 1):
             rows = [[powers[k][i] for k in range(deg)] for i in range(n)]
             rhs = [powers[deg][i] for i in range(n)]
-            sol = _solve_rect(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is not None:
                 return tuple(-c for c in sol) + (Fraction(1),)
         raise CMError("no minimal polynomial found")  # pragma: no cover
@@ -359,9 +308,10 @@ class CMElement:
         return f"CMElement({', '.join(str(c) for c in self.coords)})"
 
 
-def _totally_nonneg(y: CMElement) -> bool:
-    """Exact test that every embedding sends y to a nonnegative real."""
-    if y.conjugate() != y:
+def _totally_nonneg(y: CMElement, strict: bool = False) -> bool:
+    """Exact test that every embedding sends y to a real >= 0 (> 0 if strict;
+    a nonzero element has no zero embedding, so that just excludes y = 0)."""
+    if y.conjugate() != y or (strict and y == y.field.zero()):
         return False
     mp = y.min_poly_coeffs()
     if len(mp) == 2:
@@ -370,17 +320,6 @@ def _totally_nonneg(y: CMElement) -> bool:
     disc = c1 * c1 - 4 * c0
     # roots are (-c1 +- sqrt(disc)) / 2; both real and nonnegative
     return disc >= 0 and -c1 >= 0 and c0 >= 0
-
-
-def _totally_positive(y: CMElement) -> bool:
-    if y.conjugate() != y:
-        return False
-    mp = y.min_poly_coeffs()
-    if len(mp) == 2:
-        return -mp[0] > 0
-    c0, c1, _ = mp
-    disc = c1 * c1 - 4 * c0
-    return disc >= 0 and -c1 > 0 and c0 > 0
 
 
 def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
@@ -477,10 +416,10 @@ class PeriodVector:
                     iso = iso + mu[i] * mu[j] * g[i][j]
         if iso != field.zero():
             raise CMError("period is not isotropic")
-        if not _totally_positive(self._pairing()):
+        if not _totally_nonneg(self._pairing(), strict=True):
             raise CMError("(sigma.sigmabar) is not totally positive")
         rows = [m.coords for m in mu]
-        if _rational_rank(rows) != n:
+        if rank(rows) != n:
             raise CMError("period is not general: a proper primitive "
                           "sublattice contains it")
         if self.sigma1() == field.zero():
@@ -517,7 +456,7 @@ class PeriodVector:
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
     """Exact (sigma.sigmabar); raises unless it is totally positive."""
     out = pv._pairing()
-    if not _totally_positive(out):
+    if not _totally_nonneg(out, strict=True):
         raise CMError("(sigma.sigmabar) is not totally positive")
     return out
 
@@ -574,7 +513,7 @@ def _norm_equation_value(lam, lam_p, nu, d, ssb) -> CMElement:
 def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
                          d: int, ssb: CMElement) -> bool:
     """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1."""
-    if not _totally_positive(ssb):
+    if not _totally_nonneg(ssb, strict=True):
         raise CMError("(sigma.sigmabar) must be totally positive")
     return _norm_equation_value(lam, lam_p, nu, d, ssb) == lam.field.one()
 

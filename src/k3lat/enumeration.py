@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
-
 from .forms import BinaryForm, reduce_form
 from .lattice import Lattice, Vector
+from .linalg import inverse, ldl, smith_invariants
 
 
 class EnumerationError(ValueError):
@@ -36,25 +34,6 @@ def _interval(center: Fraction, radius_sq: Fraction) -> range:
     return range(lo, hi + 1)
 
 
-def _cholesky(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j] x_j)^2 for positive definite gram."""
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise EnumerationError("Gram matrix is not positive definite")
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / a[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= a[i][k] * a[i][l] / a[i][i]
-                a[l][k] = a[k][l]
-    return d, u
-
-
 def short_vectors_le(gram, bound) -> list[Vector]:
     """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
 
@@ -65,7 +44,9 @@ def short_vectors_le(gram, bound) -> list[Vector]:
     bound = Fraction(bound)
     if bound < 0:
         return []
-    d, u = _cholesky(gram)
+    d, u = ldl(gram)
+    if any(x <= 0 for x in d):
+        raise EnumerationError("Gram matrix is not positive definite")
     out: list[Vector] = []
     x = [0] * n
 
@@ -133,12 +114,29 @@ def identity_embedding(lat: Lattice) -> EmbeddingMatrix:
     return EmbeddingMatrix(lat, lat, tuple(cols))
 
 
-def _is_saturated(target_rank: int, columns: tuple[Vector, ...]) -> bool:
+def _is_saturated(columns: tuple[Vector, ...]) -> bool:
     """Whether the column span is a primitive (saturated) sublattice."""
-    m = Matrix([[c[r] for c in columns] for r in range(target_rank)])
-    d = smith_normal_form(m)
-    k = len(columns)
-    return all(abs(int(d[i, i])) == 1 for i in range(k))
+    return smith_invariants(columns) == [1] * len(columns)
+
+
+def _gram_compatible(source: Lattice, target: Lattice, vectors):
+    """Every tuple of target vectors with the source Gram matrix, in
+    backtracking order: column i runs through vectors(source.gram[i][i])
+    and is pruned on the first inner product that disagrees."""
+    g = source.gram
+    norms = dict.fromkeys(g[i][i] for i in range(len(g)))
+    candidates = {nrm: vectors(nrm) for nrm in norms}
+
+    def extend(chosen: tuple[Vector, ...]):
+        i = len(chosen)
+        if i == len(g):
+            yield chosen
+            return
+        for v in candidates[g[i][i]]:
+            if all(target.inner(c, v) == g[j][i] for j, c in enumerate(chosen)):
+                yield from extend(chosen + (v,))
+
+    return extend(())
 
 
 def embeddings(source: Lattice, target: Lattice,
@@ -153,30 +151,10 @@ def embeddings(source: Lattice, target: Lattice,
         raise EnumerationError("both lattices must be positive definite")
     if source.rank > target.rank:
         return []
-    norm_candidates = {}
-    for i in range(source.rank):
-        nrm = source.gram[i][i]
-        if nrm not in norm_candidates:
-            norm_candidates[nrm] = vectors_of_norm(target, nrm)
-    found: list[EmbeddingMatrix] = []
-    chosen: list[Vector] = []
-
-    def backtrack(i: int) -> None:
-        if i == source.rank:
-            cols = tuple(chosen)
-            if primitive_only and not _is_saturated(target.rank, cols):
-                return
-            found.append(EmbeddingMatrix(source, target, cols))
-            return
-        for v in norm_candidates[source.gram[i][i]]:
-            if all(target.inner(chosen[j], v) == source.gram[j][i]
-                   for j in range(i)):
-                chosen.append(v)
-                backtrack(i + 1)
-                chosen.pop()
-
-    backtrack(0)
-    return found
+    hits = _gram_compatible(source, target,
+                            lambda nrm: vectors_of_norm(target, nrm))
+    return [EmbeddingMatrix(source, target, cols) for cols in hits
+            if not primitive_only or _is_saturated(cols)]
 
 
 def is_isometric_definite(l1: Lattice, l2: Lattice):
@@ -275,29 +253,12 @@ def _bounded_norm_vectors(lat: Lattice, norm: int, bound: int) -> list[Vector]:
 
 
 def _box_witness(l1: Lattice, l2: Lattice, height_bound: int):
-    """First matrix with entries in the box conjugating l2's Gram to l1's."""
-    cache: dict[int, list[Vector]] = {}
-    for i in range(l1.rank):
-        nrm = l1.gram[i][i]
-        if nrm not in cache:
-            cache[nrm] = _bounded_norm_vectors(l2, nrm, height_bound)
-    chosen: list[Vector] = []
-
-    def backtrack(i: int):
-        if i == l1.rank:
-            return EmbeddingMatrix(l1, l2, tuple(chosen))
-        for v in cache[l1.gram[i][i]]:
-            if all(l2.inner(chosen[j], v) == l1.gram[j][i] for j in range(i)):
-                chosen.append(v)
-                # equal determinants force any full Gram-compatible matrix to
-                # be unimodular, so the first hit is already an isometry
-                hit = backtrack(i + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-        return None
-
-    return backtrack(0)
+    """First matrix with entries in the box conjugating l2's Gram to l1's.
+    Equal determinants make it unimodular, so it is already an isometry."""
+    hits = _gram_compatible(
+        l1, l2, lambda nrm: _bounded_norm_vectors(l2, nrm, height_bound))
+    cols = next(hits, None)
+    return None if cols is None else EmbeddingMatrix(l1, l2, cols)
 
 
 def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
@@ -335,9 +296,8 @@ def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
 
 
 def _invert_witness(w: EmbeddingMatrix) -> EmbeddingMatrix:
-    inv = Matrix(w.as_rows()).inv()
-    n = w.source.rank
-    cols = tuple(tuple(int(inv[i, j]) for i in range(n)) for j in range(n))
+    # rows of the inverse transpose are the columns of the inverse
+    cols = tuple(tuple(int(x) for x in row) for row in inverse(w.columns))
     return EmbeddingMatrix(w.target, w.source, cols)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from sympy import isprime, kronecker_symbol
+from sympy import factorint, isprime
 
-from .lattice import Lattice, xgcd
+from .lattice import Lattice
+from .linalg import xgcd
 
 Transform = tuple[tuple[int, int], tuple[int, int]]
 
@@ -272,26 +272,39 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
-    from sympy import factorint
-
     return all(e == 1 for e in factorint(n).values())
 
 
-def dirichlet_class_number(d: int, terms: int = 100_000) -> int:
-    """Analytic class number of a fundamental discriminant d < 0, rounded.
+_TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (x/2) = (2/x) by x mod 8
 
-    Evaluates h = w sqrt(|d|) L(1, chi_d) / (2 pi) with the L-series truncated
-    after ``terms`` summands.  Independent of the reduced-form scan; used as
-    its oracle.
-    """
+
+def _kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n) for n > 0, by quadratic reciprocity."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        result *= _TWO[d % 8]
+    d %= n  # the Jacobi symbol (d/n) for odd n depends only on d mod n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            result *= _TWO[n % 8]
+        if d % 4 == 3 and n % 4 == 3:
+            result = -result
+        d, n = n % d, d
+    return result if n == 1 else 0
+
+
+def dirichlet_class_number(d: int) -> int:
+    """Class number of a fundamental discriminant d < 0 by the finite class
+    number formula h = -(w / 2|d|) sum_{0<a<|d|} chi_d(a) a, in integers
+    (Cohen, GTM 138, Prop. 5.3.12); independent of the reduced-form scan,
+    whose oracle it is."""
     d = int(d)
-    if d >= 0 or d % 4 not in (0, 1):
-        raise FormError("d must be a negative discriminant")
+    if not is_fundamental_discriminant(d):
+        raise FormError("d must be a negative fundamental discriminant")
     q = -d
-    chi = np.zeros(q, dtype=np.float64)
-    for r in range(1, q):
-        chi[r] = int(kronecker_symbol(d, r))
-    n = np.arange(1, terms + 1)
-    lval = float(np.sum(chi[n % q] / n))
     w = 6 if d == -3 else 4 if d == -4 else 2
-    return round(w * math.sqrt(q) * lval / (2 * math.pi))
+    h, rem = divmod(-w * sum(_kronecker(d, a) * a for a in range(1, q)), 2 * q)
+    assert rem == 0
+    return h

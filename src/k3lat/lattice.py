@@ -10,103 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
-
-Vector = tuple[int, ...]
+from . import linalg
+from .linalg import Vector
 
 
 class LatticeError(ValueError):
     """A precondition on a lattice or vector was violated."""
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _sign_changes(coeffs: list[int]) -> int:
-    signs = [c for c in coeffs if c != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
-
-
-def hnf_columns(cols: list[Vector]) -> list[Vector]:
-    """Canonical basis of the column lattice spanned by ``cols``.
-
-    Column-style Hermite normal form with positive pivots; requires the
-    columns to be linearly independent.  Output is deterministic, which is
-    what downstream canonical forms rely on.
-    """
-    k = len(cols)
-    if k == 0:
-        return []
-    m = len(cols[0])
-    a = [[int(c[i]) for c in cols] for i in range(m)]  # m x k
-    piv = 0
-    pivots = []
-    for i in range(m):
-        if piv == k:
-            break
-        js = [j for j in range(piv, k) if a[i][j] != 0]
-        if not js:
-            continue
-        # sweep the pivot row to a single positive entry in column ``piv``
-        if js[0] != piv:
-            for r in range(m):
-                a[r][piv], a[r][js[0]] = a[r][js[0]], a[r][piv]
-        for j in range(piv + 1, k):
-            if a[i][j] == 0:
-                continue
-            g, s, t = xgcd(a[i][piv], a[i][j])
-            p, q = -(a[i][j] // g), a[i][piv] // g
-            for r in range(m):
-                x, y = a[r][piv], a[r][j]
-                a[r][piv] = s * x + t * y
-                a[r][j] = p * x + q * y
-        if a[i][piv] < 0:
-            for r in range(m):
-                a[r][piv] = -a[r][piv]
-        g = a[i][piv]
-        for j in range(piv):
-            q = a[i][j] // g
-            if q:
-                for r in range(m):
-                    a[r][j] -= q * a[r][piv]
-        pivots.append(i)
-        piv += 1
-    if piv != k:
-        raise LatticeError("columns are not linearly independent")
-    return [tuple(a[r][j] for r in range(m)) for j in range(k)]
-
-
-def _kernel_of_functional(w: list[int]) -> list[Vector]:
-    """Basis of the saturated sublattice {x in Z^n : w.x = 0}."""
-    n = len(w)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vals = list(w)
-    for j in range(1, n):
-        if vals[j] == 0:
-            continue
-        g, s, t = xgcd(vals[0], vals[j])
-        p, q = -(vals[j] // g), vals[0] // g
-        for i in range(n):
-            c0, cj = u[i][0], u[i][j]
-            u[i][0] = s * c0 + t * cj
-            u[i][j] = p * c0 + q * cj
-        vals[0], vals[j] = g, 0
-    if vals[0] == 0:
-        raise LatticeError("functional is zero")
-    return [tuple(u[i][j] for i in range(n)) for j in range(1, n)]
 
 
 @dataclass(frozen=True)
@@ -152,22 +61,15 @@ class Lattice:
         return self.inner(v, v)
 
     def determinant(self) -> int:
-        return int(Matrix(self.gram).det())
+        return linalg.determinant(self.gram)
 
     def signature(self) -> tuple[int, int]:
-        """Counts of positive and negative eigenvalues, computed exactly.
-
-        Descartes' rule of signs applied to the characteristic polynomial is
-        exact here because a symmetric matrix has only real eigenvalues.
-        """
-        coeffs = [int(c) for c in Matrix(self.gram).charpoly().all_coeffs()]
-        if coeffs[-1] == 0:
+        """Counts of positive and negative eigenvalues: the signs of the
+        LDL^T pivots (Sylvester's law of inertia)."""
+        pivots, _ = linalg.ldl(self.gram)
+        if 0 in pivots:
             raise LatticeError("degenerate Gram matrix")
-        deg = len(coeffs) - 1
-        pos = _sign_changes(coeffs)
-        neg = _sign_changes([c if (deg - i) % 2 == 0 else -c
-                             for i, c in enumerate(coeffs)])
-        return pos, neg
+        return sum(x > 0 for x in pivots), sum(x < 0 for x in pivots)
 
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.rank, 0)
@@ -181,10 +83,9 @@ class Lattice:
         Their product equals |det|; an empty tuple means the lattice is
         unimodular.
         """
-        if self.determinant() == 0:
+        factors = linalg.smith_invariants(self.gram)
+        if len(factors) < self.rank:
             raise LatticeError("degenerate Gram matrix")
-        d = smith_normal_form(Matrix(self.gram))
-        factors = sorted(abs(int(d[i, i])) for i in range(self.rank))
         return tuple(f for f in factors if f > 1)
 
     def direct_sum(self, other: "Lattice") -> "Lattice":
@@ -226,9 +127,13 @@ class Lattice:
             raise LatticeError("complement in a rank-1 lattice is trivial")
         if self.determinant() == 0:
             raise LatticeError("degenerate Gram matrix")
-        w = [sum(self.gram[i][j] * v[j] for j in range(self.rank))
-             for i in range(self.rank)]
-        basis = hnf_columns(_kernel_of_functional(w))
+        n = self.rank
+        w = [sum(self.gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+        # on the columns (w_j, e_j) the sweep of the first row leaves the
+        # canonical basis of the kernel of w in the other columns
+        hnf = linalg.hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n))
+                                  for j in range(n)])
+        basis = [c[1:] for c in hnf[1:]]
         gram = [[self.inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice(gram), tuple(basis)
 

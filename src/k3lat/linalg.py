@@ -1,0 +1,191 @@
+"""Exact linear algebra over Z and Q, the one module that eliminates matrices:
+Bareiss determinants, a symmetric LDL^T elimination, Smith invariant factors,
+Hermite bases, and one rational row reduction behind solve, rank and inverse.
+Inputs are sequences of rows and are never modified."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+Vector = tuple[int, ...]
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination; every
+    entry stays an integer minor, so each division is exact."""
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Pivots d and multipliers u of a symmetric elimination over Q.
+
+    Each step pivots on the first remaining nonzero diagonal entry; if none
+    is left, row and column j are added to i, making the diagonal 2*a_ij.
+    By Sylvester's law the signs of d are those of the eigenvalues, with
+    zero pivots at the end for a degenerate matrix.  If every pivot is
+    positive, x^T gram x = sum_i d[i] (x_i + sum_{j>i} u[i][j] x_j)^2.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d: list[Fraction] = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    rest = list(range(n))
+    while rest:
+        i = next((k for k in rest if a[k][k]), None)
+        if i is None:
+            pair = next(((k, j) for k in rest for j in rest if a[k][j]), None)
+            if pair is None:
+                return d + [Fraction(0)] * len(rest), u
+            i, j = pair
+            for k in rest:
+                a[i][k] += a[j][k]
+            for k in rest:
+                a[k][i] += a[k][j]
+        rest.remove(i)
+        pivot = a[i][i]
+        d.append(pivot)
+        for j in rest:
+            u[i][j] = a[i][j] / pivot
+        for k in rest:
+            if a[k][i]:
+                for j in rest:
+                    a[k][j] -= a[k][i] * u[i][j]
+    return d, u
+
+
+def smith_invariants(rows) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix (the
+    positive Smith form entries; fewer than min(m, n) means rank deficient)."""
+    a = [[int(x) for x in row] for row in rows]
+    factors: list[int] = []
+    while any(any(row) for row in a):
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a)
+                      for j, x in enumerate(row) if x)
+        p = a[i][j]
+        others = [r for r in range(len(a)) if r != i]
+        for r in others:
+            q = a[r][j] // p
+            a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+        for c in range(len(a[i])):
+            q = a[i][c] // p
+            if q and c != j:
+                for row in a:
+                    row[c] -= q * row[j]
+        if any(a[r][j] for r in others) or any(a[i][:j] + a[i][j + 1:]):
+            continue  # a remainder smaller than the pivot is left
+        bad = next((r for r in others if any(x % p for x in a[r])), None)
+        if bad is not None:
+            # pull an entry the pivot does not divide into the pivot row
+            a[i] = [x + y for x, y in zip(a[i], a[bad])]
+            continue
+        factors.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    return factors
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q and the list of its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def rank(rows) -> int:
+    return len(_row_reduce(rows)[1])
+
+
+def solve(rows, rhs) -> list[Fraction] | None:
+    """A rational x with rows * x = rhs (free unknowns 0), or None if inconsistent."""
+    k = len(rows[0])
+    a, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if k in pivots:
+        return None
+    x = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        x[c] = a[i][k]
+    return x
+
+
+def inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix over Q."""
+    n = len(rows)
+    a, pivots = _row_reduce([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in a]
+
+
+def hnf_columns(cols) -> list[Vector]:
+    """Canonical basis of the column lattice spanned by ``cols``.
+
+    Column-style Hermite normal form with positive pivots; requires the
+    columns to be linearly independent.  Output is deterministic, which is
+    what downstream canonical forms rely on.
+    """
+    a = [[int(x) for x in c] for c in cols]
+    piv = 0
+    for i in range(len(a[0]) if a else 0):
+        js = [j for j in range(piv, len(a)) if a[j][i]]
+        if not js:
+            continue
+        # sweep row i to a single positive entry in column ``piv``
+        a[piv], a[js[0]] = a[js[0]], a[piv]
+        for j in js[1:]:
+            g, s, t = xgcd(a[piv][i], a[j][i])
+            p, q = -(a[j][i] // g), a[piv][i] // g
+            a[piv], a[j] = ([s * x + t * y for x, y in zip(a[piv], a[j])],
+                            [p * x + q * y for x, y in zip(a[piv], a[j])])
+        if a[piv][i] < 0:
+            a[piv] = [-x for x in a[piv]]
+        for j in range(piv):
+            q = a[j][i] // a[piv][i]
+            a[j] = [x - q * y for x, y in zip(a[j], a[piv])]
+        piv += 1
+    if piv != len(a):
+        raise ValueError("columns are not linearly independent")
+    return [tuple(c) for c in a]

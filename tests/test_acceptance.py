@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  Every tolerance is exact; the only approximate quantity anywhere is
-the truncated L-series, which enters only through integer rounding.
+report.  Every comparison is exact: there is no tolerance and no floating
+point, and the analytic class numbers of criterion 01 come from the finite
+class number formula, computed in integers.
 """
 
 import random
@@ -36,10 +37,11 @@ def test_criterion_01_class_numbers_match_dirichlet():
     start = time.monotonic()
     primes = [p for p in range(3, 500) if isprime(p) and p % 4 == 3]
     for p in primes:
-        assert class_group(-p).order == dirichlet_class_number(-p, terms=10 ** 5), p
+        assert class_group(-p).order == dirichlet_class_number(-p), p
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    report(1, f"{len(primes)} primes, scan == rounded L-series, {elapsed:.2f}s")
+    report(1, f"{len(primes)} primes, scan == finite class number formula, "
+              f"{elapsed:.2f}s")
 
 
 def test_criterion_02_unbounded_family_certificates():

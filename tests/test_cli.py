@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from k3lat.cli import CommandResult, parse_gram, run
+import pytest
+
+from k3lat.cli import CommandResult, main, parse_gram, run
 
 
 def run_json(argv):
@@ -26,6 +28,20 @@ class TestParsing:
     def test_unknown_subcommand_exits_two(self):
         res = run(["qform", "no-such-thing"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["cm", "roots", "--disc", "3", "--element", "1/0,1"],
+        ["cm", "roots", "--disc", "3", "--element", "a,b"],
+        ["cm", "roots", "--disc", "3", "--element", "1,0;0,1"],
+        ["k3", "minus-two", "--gram", "2,1;1,2", "--bound", "-1"],
+    ])
+    def test_bad_values_exit_two_with_envelope(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "k3lat/1"
+        assert payload["status"] == "input-error"
 
 
 class TestCommands:

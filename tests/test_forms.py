@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -148,10 +150,25 @@ def test_form_to_lattice(form, gram):
 
 
 def test_dirichlet_matches_scan_on_fundamentals():
-    for d in range(-499, -3):
+    for d in range(-1999, -2):
         if not is_fundamental_discriminant(d):
             continue
         assert dirichlet_class_number(d) == class_group(d).order, d
+
+
+@pytest.mark.parametrize("d", [-12, -16, -27, -75, 5, 0])
+def test_dirichlet_rejects_non_fundamental(d):
+    with pytest.raises(FormError):
+        dirichlet_class_number(d)
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, k3lat; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @given(st.integers(1, 60), st.integers(-40, 40), st.integers(1, 60))

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
+from k3lat import linalg
 from k3lat.lattice import Lattice, LatticeError
-from util import change_basis, random_nondegenerate, random_unimodular
+from util import (change_basis, random_nondegenerate, random_positive_definite,
+                  random_symmetric, random_unimodular)
 
 A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
@@ -42,6 +47,13 @@ def test_norm_dimension_mismatch():
 ])
 def test_signature(gram, expected):
     assert Lattice(gram).signature() == expected
+
+
+def test_signature_zero_diagonal():
+    # no diagonal pivot exists, so the elimination has to fold
+    assert U.direct_sum(U).signature() == (2, 2)
+    assert U.direct_sum(Lattice([[-2]])).signature() == (1, 2)
+    assert Lattice([[0, 1, 1], [1, 0, 1], [1, 1, 0]]).signature() == (1, 2)
 
 
 def test_signature_degenerate():
@@ -156,3 +168,98 @@ def test_signature_counts_sum_to_rank(entries):
     assert pos + neg == 2
     # a negative determinant means exactly one eigenvalue of each sign
     assert (lat.determinant() > 0) == (pos % 2 == 0)
+
+
+# -- linalg against sympy's Matrix as the oracle --------------------------------
+
+ZERO_DIAGONAL_GRAMS = [
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # U + U
+    [[0, 1, 0], [1, 0, 0], [0, 0, -2]],                      # U + <-2>
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    [[0, 2, 0], [2, 0, 0], [0, 0, 0]],                       # degenerate
+    [[0, 0], [0, 0]],
+]
+
+
+def _sign_changes(coeffs):
+    signs = [c for c in coeffs if c != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
+
+
+def _descartes_inertia(gram):
+    """(positive, negative, zero) eigenvalue counts from the characteristic
+    polynomial; Descartes' rule is exact because every root is real."""
+    coeffs = [int(c) for c in Matrix(gram).charpoly().all_coeffs()]
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    deg = len(coeffs) - 1
+    flipped = [c if (deg - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return _sign_changes(coeffs), _sign_changes(flipped), zero
+
+
+def _sympy_invariants(rows):
+    d = smith_normal_form(Matrix(rows))
+    return sorted(abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
+def _random_grams(rng):
+    grams = [list(map(list, g)) for g in ZERO_DIAGONAL_GRAMS]
+    for _ in range(120):
+        g = random_symmetric(rng.randint(1, 8), rng, scale=rng.choice([1, 3, 6]))
+        if rng.random() < 0.2:
+            for i in range(len(g)):
+                g[i][i] = 0
+        grams.append(g)
+    return grams
+
+
+def test_linalg_matches_sympy_on_symmetric_grams(rng):
+    for g in _random_grams(rng):
+        m = Matrix(g)
+        assert linalg.determinant(g) == m.det(), g
+        pivots, _ = linalg.ldl(g)
+        inertia = (sum(x > 0 for x in pivots), sum(x < 0 for x in pivots),
+                   sum(x == 0 for x in pivots))
+        assert inertia == _descartes_inertia(g), g
+        assert linalg.smith_invariants(g) == _sympy_invariants(g), g
+        assert linalg.rank(g) == m.rank(), g
+        b = [rng.randint(-5, 5) for _ in g]
+        x = linalg.solve(g, b)
+        if m.rank() == Matrix([row + [bi] for row, bi in zip(g, b)]).rank():
+            assert x is not None and m * Matrix(x) == Matrix(b), g
+        else:
+            assert x is None, g
+        if m.det() != 0:
+            inv = linalg.inverse(g)
+            assert Matrix(inv) == m.inv(), g
+        else:
+            with pytest.raises(ZeroDivisionError):
+                linalg.inverse(g)
+
+
+def test_smith_invariants_rectangular_and_imprimitive(rng):
+    cases = [[[2, 4, 6], [6, 8, 10]], [[2, 4], [6, 8], [4, 4]], [[0, 0, 0]],
+             [[6], [10], [15]], [[4, 0], [0, 6]]]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        scale = rng.choice([1, 2, 3, 6])
+        cases.append([[scale * rng.randint(-6, 6) for _ in range(cols)]
+                      for _ in range(rows)])
+    for a in cases:
+        factors = linalg.smith_invariants(a)
+        assert factors == _sympy_invariants(a), a
+        assert all(f2 % f1 == 0 for f1, f2 in zip(factors, factors[1:])), a
+
+
+def test_ldl_is_rational_cholesky_on_definite_grams(rng):
+    for _ in range(40):
+        lat = random_positive_definite(rng.randint(1, 5), rng)
+        d, u = linalg.ldl(lat.gram)
+        n = lat.rank
+        assert all(x > 0 for x in d)
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        expand = sum(d[i] * (x[i] + sum(u[i][j] * x[j] for j in range(i + 1, n))) ** 2
+                     for i in range(n))
+        assert expand == Fraction(lat.norm(x))

@@ -28,16 +28,21 @@ def random_unimodular(n, rng, steps=12, special=False):
     return m
 
 
+def random_symmetric(n, rng, scale=6, two_power_bias=False):
+    """Random symmetric integer matrix as a list of rows; may be degenerate."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = rng.randint(-scale, scale)
+            if two_power_bias and rng.random() < 0.5:
+                v *= rng.choice([1, 2, 4])
+            g[i][j] = g[j][i] = v
+    return g
+
+
 def random_nondegenerate(n, rng, scale=6, two_power_bias=False):
     while True:
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                v = rng.randint(-scale, scale)
-                if two_power_bias and rng.random() < 0.5:
-                    v *= rng.choice([1, 2, 4])
-                g[i][j] = g[j][i] = v
-        lat = Lattice(g)
+        lat = Lattice(random_symmetric(n, rng, scale, two_power_bias))
         if lat.determinant() != 0:
             return lat
 
