@@ -10,8 +10,7 @@ import argparse
 import pathlib
 import time
 
-from sympy import isprime
-
+from k3lat.arith import is_prime
 from k3lat.census import build_unbounded_family, write_certificate
 from k3lat.census import CensusError
 
@@ -25,7 +24,7 @@ def main():
     args = ap.parse_args()
 
     primes = [p for p in range(3, args.max_prime + 1)
-              if isprime(p) and p % 4 == 3]
+              if is_prime(p) and p % 4 == 3]
     print(f"{'p':>5} {'h':>3} {'witnesses':>9} {'oriented':>8} "
           f"{'orbits>=':>8} {'time':>8}")
     for p in primes:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from sympy import factorint, isprime, primefactors
-
+from . import arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, identity_embedding,
                           indefinite_isometry_search, orbit_invariant,
                           vectors_of_norm, _bounded_norm_vectors)
@@ -39,7 +38,7 @@ def tau(d: int) -> int:
     d = int(d)
     if d <= 0 or d % 2 != 0:
         raise CensusError("d must be a positive even integer")
-    return len(primefactors(d // 2))
+    return len(arith.factor(d // 2))
 
 
 def fm_partner_count(d: int) -> int:
@@ -156,13 +155,15 @@ def build_unbounded_family(p: int, d0: int = 1,
     the ternaries are searched up to height_bound; pairs without a witness
     are recorded as gaps and their ambient classes omitted, never faked.
     """
-    p, d0 = int(p), int(d0)
-    if not isprime(p) or p % 4 != 3:
+    p, d0, height_bound = int(p), int(d0), int(height_bound)
+    if not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
     if d0 <= 0 or d0 % 2 == 0:
         raise CensusError("d0 must be a positive odd integer")
-    if any(e >= 3 for e in factorint(p * d0).values()):
+    if any(e >= 3 for e in arith.factor(p * d0).values()):
         raise CensusError("p*d0 must not be divisible by a cube")
+    if height_bound < 1:
+        raise CensusError("height bound must be positive")
 
     cl = class_group(-p)
     h = cl.order

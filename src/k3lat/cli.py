@@ -12,14 +12,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import census, cm, enumeration, forms, genus
+from . import arith, census, cm, enumeration, forms, genus
 from .census import SCHEMA, _gram_json
 from .lattice import Lattice, LatticeError
 
 CACHE_ENV = "K3LAT_CACHE_DIR"
 
 _DOMAIN_ERRORS = (LatticeError, forms.FormError, enumeration.EnumerationError,
-                  genus.GenusError, census.CensusError, cm.CMError)
+                  genus.GenusError, census.CensusError, cm.CMError,
+                  arith.RangeError)
 
 
 class InputError(ValueError):

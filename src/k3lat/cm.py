@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import Poly, Symbol, cyclotomic_poly, factorint, totient
-
+from . import arith
 from .enumeration import EmbeddingMatrix, short_vectors_le
 from .lattice import Lattice
 from .linalg import rank, solve
@@ -55,6 +54,72 @@ def _poly_mul(red, a, b) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+# ascending coefficients of the cyclotomic polynomials of degree 2 and 4
+_CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
+               8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1), 12: (1, 0, -1, 0, 1)}
+
+
+def _has_real_root(mp: tuple[int, ...]) -> bool:
+    """Whether a monic polynomial (ascending coefficients) has a real root.
+
+    Sturm's theorem: the number of distinct real roots is the drop in sign
+    changes of the Sturm sequence from -infinity to +infinity.
+    """
+    seq = [[Fraction(c) for c in mp], [Fraction(i * c) for i, c in enumerate(mp)][1:]]
+    while True:
+        rem = seq[-2][:]
+        while len(rem) >= len(seq[-1]):
+            q = rem[-1] / seq[-1][-1]
+            shift = len(rem) - len(seq[-1])
+            for i, c in enumerate(seq[-1]):
+                rem[shift + i] -= q * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def changes(at_minus_inf: bool) -> int:
+        signs = [(p[-1] > 0) != (at_minus_inf and len(p) % 2 == 0) for p in seq]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(True) > changes(False)
+
+
+def _is_irreducible(mp: tuple[int, ...]) -> bool:
+    """Irreducibility over Q of a monic integer polynomial of degree 2 or 4.
+
+    By Gauss's lemma a factorization may be taken monic over Z: a quadratic
+    splits exactly when its discriminant is a square; a quartic splits when
+    it has an integer root, which divides a0, or is (x^2+bx+c)(x^2+dx+e)
+    with c*e = a0, b+d = a3, bd = a2-c-e and be+cd = a1.  Running c over
+    all divisors of a0 covers both orders of the quadratic factors, so b
+    may be taken as the larger root of t^2 - a3*t + (a2-c-e).
+    """
+    if len(mp) == 3:
+        disc = mp[1] ** 2 - 4 * mp[0]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    a0, a1, a2, a3, _ = mp
+    if a0 == 0:
+        return False
+    divisors = [1]
+    for p, e in arith.factor(a0).items():
+        if p > 0:
+            divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    divisors += [-d for d in divisors]
+    if any(sum(c * r ** i for i, c in enumerate(mp)) == 0 for r in divisors):
+        return False
+    for c in divisors:
+        e = a0 // c
+        disc = a3 * a3 - 4 * (a2 - c - e)
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s == disc and (a3 + s) % 2 == 0:
+            b, d = (a3 + s) // 2, (a3 - s) // 2
+            if b * e + c * d == a1:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class CMField:
     """Totally imaginary field of degree 2 or 4 with a designated conjugation."""
@@ -70,11 +135,9 @@ class CMField:
             raise CMError("only degrees 2 and 4 are supported")
         if mp[-1] != 1:
             raise CMError("minimal polynomial must be monic")
-        x = Symbol("x")
-        poly = Poly(list(reversed(mp)), x)
-        if not poly.is_irreducible:
+        if not _is_irreducible(mp):
             raise CMError("minimal polynomial must be irreducible")
-        if poly.real_roots():
+        if _has_real_root(mp):
             raise CMError("field must be totally imaginary")
         conj = tuple(Fraction(c) for c in self.conj_gen)
         if len(conj) != n:
@@ -132,7 +195,7 @@ class CMField:
     def imaginary_quadratic(cls, m: int) -> "CMField":
         """Q(sqrt(-m)) for squarefree m > 0, with its maximal order."""
         m = int(m)
-        if m <= 0 or any(e > 1 for e in factorint(m).values()):
+        if m <= 0 or not arith.is_squarefree(m):
             raise CMError("m must be a positive squarefree integer")
         if m % 4 == 3:
             basis = ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)))
@@ -144,11 +207,10 @@ class CMField:
     def cyclotomic(cls, k: int) -> "CMField":
         """Q(zeta_k) for phi(k) in {2, 4}; conjugation sends zeta to zeta^(k-1)."""
         k = int(k)
-        n = int(totient(k))
-        if n not in (2, 4):
+        if k not in _CYCLOTOMIC:
             raise CMError("cyclotomic field must have degree 2 or 4")
-        x = Symbol("x")
-        mp = tuple(int(c) for c in reversed(Poly(cyclotomic_poly(k, x), x).all_coeffs()))
+        mp = _CYCLOTOMIC[k]
+        n = len(mp) - 1
         red = _reduction_table(mp)
         conj = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
         gen = tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(n))
@@ -351,7 +413,7 @@ def max_root_of_unity_order(degree: int) -> int:
     if degree < 1:
         raise CMError("degree must be positive")
     limit = 2 * degree * degree + 2
-    return max(m for m in range(1, limit + 1) if totient(m) <= degree)
+    return max(m for m in range(1, limit + 1) if arith.totient(m) <= degree)
 
 
 def is_root_of_unity(x: CMElement) -> int | None:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import factorint, isprime
-
+from . import arith
 from .lattice import Lattice
 from .linalg import xgcd
 
@@ -238,7 +237,7 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 def verify_principal_genus(p: int) -> bool:
     """Whether squaring is onto in Cl(-p), for a prime p = 3 mod 4."""
     p = int(p)
-    if not isprime(p) or p % 4 != 3:
+    if not arith.is_prime(p) or p % 4 != 3:
         raise FormError("p must be a prime congruent to 3 mod 4")
     cl = class_group(-p)
     squares = {compose(x, x) for x in cl.elements}
@@ -266,13 +265,9 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
     if d % 4 == 1:
-        return _squarefree(-d)
+        return arith.is_squarefree(-d)
     m = d // 4
-    return m % 4 in (2, 3) and _squarefree(-m)
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorint(n).values())
+    return m % 4 in (2, 3) and arith.is_squarefree(-m)
 
 
 _TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (x/2) = (2/x) by x mod 8

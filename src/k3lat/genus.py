@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime
-
+from . import arith
 from .lattice import Lattice, LatticeError
 
 
@@ -193,7 +192,7 @@ def _canonical_2adic(blocks: list[list]) -> list[GenusBlock]:
 def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
     """Canonical p-adic genus symbol of a nondegenerate lattice."""
     p = int(p)
-    if not isprime(p):
+    if not arith.is_prime(p):
         raise GenusError(f"{p} is not prime")
     if lat.determinant() == 0:
         raise GenusError("degenerate Gram matrix")
@@ -242,5 +241,5 @@ def same_genus(l1: Lattice, l2: Lattice) -> bool:
     if l1.rank != l2.rank or s1 != s2:
         return False
     d1, d2 = l1.determinant(), l2.determinant()
-    primes = {2} | set(factorint(abs(d1)).keys()) | set(factorint(abs(d2)).keys())
+    primes = {2} | set(arith.factor(abs(d1))) | set(arith.factor(abs(d2)))
     return all(padic_symbol(l1, p) == padic_symbol(l2, p) for p in sorted(primes))

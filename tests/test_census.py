@@ -118,6 +118,12 @@ class TestUnboundedFamily:
         with pytest.raises(CensusError):
             build_unbounded_family(p, d0)
 
+    @pytest.mark.parametrize("height_bound", [0, -1])
+    def test_rejects_nonpositive_height_bound(self, height_bound):
+        # h(-7) = 1, so no witness search runs that would reject the bound
+        with pytest.raises(CensusError, match="height bound must be positive"):
+            build_unbounded_family(7, 1, height_bound=height_bound)
+
     def test_roundtrip_and_file(self, tmp_path):
         cert = build_unbounded_family(23, 1)
         doc = json.loads(json.dumps(certificate_to_json(cert)))

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from k3lat.arith import PRIME_BOUND, is_prime
 from k3lat.cli import CommandResult, main, parse_gram, run
 
 
@@ -109,6 +115,20 @@ class TestCommands:
                                "--mu", "1,0;1/2,1/2", "-d", "2", "--disc", "3"])
         assert payload["result"]["count"] == 12
 
+    @pytest.mark.parametrize("argv,error", [
+        (["cm", "roots", "--cyclotomic", "0"], "degree 2 or 4"),
+        (["cm", "roots", "--cyclotomic", "-5"], "degree 2 or 4"),
+        (["genus", "symbol", "--gram", "2", "-p", str(PRIME_BOUND)],
+         "beyond the proven primality range"),
+    ])
+    def test_domain_errors_exit_one_with_envelope(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "k3lat/1"
+        assert payload["status"] == "error" and error in payload["error"]
+
     def test_computation_error_exits_one(self):
         res = run(["k3", "unbounded", "-p", "12", "--json"])
         assert res.status == "error" and res.exit_code == 1
@@ -180,3 +200,30 @@ def test_exit_code_property():
     assert CommandResult("ok", {}, 0.0).exit_code == 0
     assert CommandResult("error", {}, 0.0).exit_code == 1
     assert CommandResult("input-error", {}, 0.0).exit_code == 2
+
+
+# 0, negatives, small values and values up to 10^30, far past PRIME_BOUND
+_FUZZ_INTS = st.one_of(st.integers(-10 ** 30, 1000), st.integers(0, 10 ** 30))
+_FUZZ_COMMANDS = [
+    ["k3", "fm-count", "-d"],
+    ["qform", "genus-check", "-p"],
+    ["genus", "symbol", "--gram", "2", "-p"],
+    ["cm", "roots", "--disc"],
+    ["cm", "roots", "--cyclotomic"],
+]
+
+
+@given(st.sampled_from(_FUZZ_COMMANDS), _FUZZ_INTS)
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+def test_fuzz_integer_arguments_keep_the_envelope(prefix, value):
+    # genus-check scans Cl(-p) in time linear in p, with no work bound yet,
+    # so primes p = 3 mod 4 between 10^7 and the proven bound are left out
+    assume(prefix[1] != "genus-check" or not 10 ** 7 < value < PRIME_BOUND
+           or value % 4 != 3 or not is_prime(value))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(prefix + [str(value), "--json"])
+    assert exc.value.code in (0, 1, 2)
+    payload = json.loads(out.getvalue())
+    assert payload["schema"] == "k3lat/1"
+    assert payload["status"] == ("ok", "error", "input-error")[exc.value.code]

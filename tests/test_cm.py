@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Poly, Symbol, cyclotomic_poly
 
-from k3lat.cm import (CMError, CMField, PeriodVector,
+from k3lat.cm import (_CYCLOTOMIC, CMError, CMField, PeriodVector,
+                      _has_real_root, _is_irreducible,
                       enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
@@ -63,6 +67,50 @@ class TestFieldArithmetic:
         z8 = CMField.cyclotomic(8)
         sq = z8.gen() ** 2
         assert sq.min_poly_coeffs() == (Fraction(1), Fraction(0), Fraction(1))
+
+
+def _monic(degree):
+    return st.lists(st.integers(-20, 20), min_size=degree,
+                    max_size=degree).map(lambda c: tuple(c) + (1,))
+
+
+def _product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+# random quartics are almost all irreducible, so also draw products of a
+# linear or quadratic factor with a cofactor
+_SMALL = st.integers(-5, 5)
+_MONIC_POLYS = st.one_of(
+    _monic(2), _monic(4),
+    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(
+        lambda t: _product((t[0], t[1], 1), (t[2], t[3], 1))),
+    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(
+        lambda t: _product((t[0], 1), (t[1], t[2], t[3], 1))))
+
+
+class TestPolynomialChecks:
+    @given(_MONIC_POLYS)
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_match_sympy(self, mp):
+        poly = Poly(list(reversed(mp)), Symbol("x"))
+        assert _is_irreducible(mp) == poly.is_irreducible
+        assert _has_real_root(mp) == bool(poly.real_roots())
+
+    @pytest.mark.parametrize("k", sorted(_CYCLOTOMIC))
+    def test_cyclotomic_table(self, k):
+        x = Symbol("x")
+        coeffs = Poly(cyclotomic_poly(k, x), x).all_coeffs()
+        assert _CYCLOTOMIC[k] == tuple(int(c) for c in reversed(coeffs))
+
+    @pytest.mark.parametrize("k", [-5, 0, 1, 2, 7, 9, 16, 10 ** 30])
+    def test_cyclotomic_rejects_other_degrees(self, k):
+        with pytest.raises(CMError, match="degree 2 or 4"):
+            CMField.cyclotomic(k)
 
 
 class TestBoundedIntegers:

@@ -162,10 +162,12 @@ def test_dirichlet_rejects_non_fundamental(d):
         dirichlet_class_number(d)
 
 
-def test_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["numpy", "sympy"])
+def test_import_does_not_load(module):
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, k3lat; print('numpy' in sys.modules)"],
+         "import sys, k3lat.cli; "
+         f"print(any(m.split('.')[0] == {module!r} for m in sys.modules))"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
