@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .enumeration import EmbeddingMatrix, short_vectors_le
+from .enumeration import EmbeddingMatrix, embeddings, short_vectors_le
 from .lattice import Lattice
 from .linalg import rank, solve
 
@@ -331,14 +331,6 @@ class CMElement:
                     out[i] += a * pw[i]
         return CMElement(self.field, tuple(out))
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise CMError("element is not rational")
-        return self.coords[0]
-
     def integral_coords(self) -> tuple[Fraction, ...]:
         sol = solve(self.field._basis_cols, list(self.coords))
         assert sol is not None
@@ -588,21 +580,22 @@ class PeriodEmbedding:
     nu: CMElement
 
 
-def _denominator_lcm(x: CMElement) -> int:
-    return math.lcm(*(c.denominator for c in x.integral_coords()))
-
-
 def enumerate_period_embeddings(pv: PeriodVector, d: int,
                                 overlattice_index: int = 1) -> list[PeriodEmbedding]:
     """Complete list of isometric embeddings of the period lattice into
     itself plus Z(d) that map sigma into the span of sigma, sigmabar and e.
 
-    The scaling integer N clears the denominators any solution's lambda and
-    lambda' can have, the candidates are the algebraic integers bounded by N
-    (times the overlattice index), and each admissible pair is lifted back to
-    a matrix and re-verified exactly.  With overlattice_index = k > 1 the
-    returned matrices represent k * phi for embeddings phi into an index-k
-    overlattice, so their source carries the form scaled by k^2.
+    At rank 2 that span condition holds for every embedding: a valid period
+    has det(mu, mubar) != 0, so (mu, mubar) is a K-basis of K^2 and any
+    integral phi has phi(sigma) = lambda sigma + lambda' sigmabar + nu e with
+    lambda and lambda' unique.  As sigma.sigma = 0, isometry then forces
+    |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = k^2 for the
+    overlattice index k.  So the list is the lattice embedding search, with
+    lambda, lambda' and nu read off by solve_lambda; both facts are
+    re-checked exactly, and a failure raises CMError.  With
+    overlattice_index = k > 1 the returned matrices represent k * phi for
+    embeddings phi into an index-k overlattice, so their source carries the
+    form scaled by k^2.
     """
     d = int(d)
     nn = int(overlattice_index)
@@ -613,84 +606,15 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     t = pv.lattice
     if t.rank != 2:
         raise CMError("only rank-2 period lattices are supported")
-    field = pv.field
-    mu1, mu2 = pv.mu
-    mub1, mub2 = mu1.conjugate(), mu2.conjugate()
-    det_p = mu1 * mub2 - mu2 * mub1
-    assert det_p != field.zero()  # guaranteed by period validity
-    pinv = ((mub2 / det_p, -mub1 / det_p), (-mu2 / det_p, mu1 / det_p))
-    nden = 1
-    for row in pinv:
-        for entry in row:
-            for m in (mu1, mu2):
-                nden = math.lcm(nden, _denominator_lcm(entry * m))
     target = t.direct_sum(Lattice([[d]]))
     source = t if nn == 1 else t.twist(nn * nn)
     ssb = pv._pairing()
-    goal = field.rational(nn * nn)
-    candidates = [x / nden for x in enumerate_bounded_integers(field, nden * nn)]
-    norms = [x * x.conjugate() for x in candidates]
-    g = t.gram
+    goal = pv.field.rational(nn * nn)
     out: list[PeriodEmbedding] = []
-    for lam, nlam in zip(candidates, norms):
-        for lam_p, nlam_p in zip(candidates, norms):
-            rest = goal - nlam - nlam_p
-            if not _totally_nonneg(rest):
-                continue
-            # psi = P [[lam, conj(lam')], [lam', conj(lam)]] P^-1 must be integral
-            m2 = ((lam, lam_p.conjugate()), (lam_p, lam.conjugate()))
-            psi = [[field.zero(), field.zero()], [field.zero(), field.zero()]]
-            p = ((mu1, mub1), (mu2, mub2))
-            for r in range(2):
-                for c in range(2):
-                    acc = field.zero()
-                    for k in range(2):
-                        for l in range(2):
-                            acc = acc + p[r][k] * m2[k][l] * pinv[l][c]
-                    psi[r][c] = acc
-            if not all(e.is_rational() and e.as_rational().denominator == 1
-                       for row in psi for e in row):
-                continue
-            pz = [[int(e.as_rational()) for e in row] for row in psi]
-            # residual form must be d * b b^T for an integer vector b
-            gp = [[sum(pz[a][i] * g[a][b] * pz[b][j] for a in range(2) for b in range(2))
-                   for j in range(2)] for i in range(2)]
-            r00 = nn * nn * g[0][0] - gp[0][0]
-            r01 = nn * nn * g[0][1] - gp[0][1]
-            r11 = nn * nn * g[1][1] - gp[1][1]
-            bs = _rank_one_factor(r00, r01, r11, d)
-            for b in bs:
-                cols = ((pz[0][0], pz[1][0], b[0]), (pz[0][1], pz[1][1], b[1]))
-                try:
-                    emb = EmbeddingMatrix(source, target, cols)
-                except ValueError:
-                    continue
-                solved = solve_lambda(pv, emb)
-                if solved is None:
-                    continue
-                lam2, lam_p2, nu = solved
-                if (lam2, lam_p2) != (lam, lam_p):
-                    continue
-                if _norm_equation_value(lam2, lam_p2, nu, d, ssb) != goal:
-                    continue
-                out.append(PeriodEmbedding(emb, lam2, lam_p2, nu))
+    for emb in embeddings(source, target):
+        solved = solve_lambda(pv, emb)
+        if solved is None or _norm_equation_value(*solved, d, ssb) != goal:
+            raise CMError("embedding breaks the rank-2 period identity")
+        out.append(PeriodEmbedding(emb, *solved))
     out.sort(key=lambda pe: pe.embedding.columns)
     return out
-
-
-def _rank_one_factor(r00: int, r01: int, r11: int, d: int) -> list[tuple[int, int]]:
-    """Integer vectors b with d * b b^T = ((r00, r01), (r01, r11))."""
-    if r00 == 0 and r01 == 0 and r11 == 0:
-        return [(0, 0)]
-    if r00 % d or r11 % d or r00 < 0 or r11 < 0:
-        return []
-    b0 = math.isqrt(r00 // d)
-    b1 = math.isqrt(r11 // d)
-    if d * b0 * b0 != r00 or d * b1 * b1 != r11:
-        return []
-    sols = []
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            if d * (s0 * b0) * (s1 * b1) == r01:
-                sols.append((s0 * b0, s1 * b1))
-    return sorted(set(sols))

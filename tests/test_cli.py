@@ -204,22 +204,29 @@ def test_exit_code_property():
 
 # 0, negatives, small values and values up to 10^30, far past PRIME_BOUND
 _FUZZ_INTS = st.one_of(st.integers(-10 ** 30, 1000), st.integers(0, 10 ** 30))
+_HEX_FIBERS = ["cm", "fibers", "--gram", "2,-1;-1,2", "--mu", "1,0;1/2,1/2",
+               "--disc", "3"]
 _FUZZ_COMMANDS = [
     ["k3", "fm-count", "-d"],
     ["qform", "genus-check", "-p"],
     ["genus", "symbol", "--gram", "2", "-p"],
     ["cm", "roots", "--disc"],
     ["cm", "roots", "--cyclotomic"],
+    _HEX_FIBERS + ["-d"],
+    _HEX_FIBERS + ["-d", "2", "--overlattice-index"],
 ]
 
 
 @given(st.sampled_from(_FUZZ_COMMANDS), _FUZZ_INTS)
-@settings(max_examples=60, deadline=timedelta(seconds=2))
+@settings(max_examples=84, deadline=timedelta(seconds=2))
 def test_fuzz_integer_arguments_keep_the_envelope(prefix, value):
     # genus-check scans Cl(-p) in time linear in p, with no work bound yet,
     # so primes p = 3 mod 4 between 10^7 and the proven bound are left out
     assume(prefix[1] != "genus-check" or not 10 ** 7 < value < PRIME_BOUND
            or value % 4 != 3 or not is_prime(value))
+    # the fibre search grows about like the cube of the overlattice index,
+    # again with no work bound yet
+    assume(prefix[-1] != "--overlattice-index" or value <= 3)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
         main(prefix + [str(value), "--json"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from k3lat.cm import (_CYCLOTOMIC, CMError, CMField, PeriodVector,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
                       twistor_fiber_bound, verify_norm_equation)
-from k3lat.enumeration import EmbeddingMatrix, embeddings
+from k3lat.enumeration import EmbeddingMatrix
+from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
+from util import box_embeddings, period_image_matches
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
@@ -217,19 +220,48 @@ class TestSolveLambda:
         assert not verify_norm_equation(one, one, zero, 2, ssb)
 
 
+def assert_matches_box_oracle(pv, d, index=1):
+    """The enumeration equals the box-scan embedding list, and every entry's
+    lambda, lambda' and nu pass substitution and the norm equation."""
+    found = enumerate_period_embeddings(pv, d, overlattice_index=index)
+    t = pv.lattice
+    source = t.twist(index * index)
+    target = t.direct_sum(Lattice([[d]]))
+    assert {pe.embedding.columns for pe in found} == box_embeddings(source, target)
+    ssb = pairing_sigma_sigmabar(pv)
+    for pe in found:
+        assert period_image_matches(pv, pe)
+        assert verify_norm_equation(pe.lam / index, pe.lam_prime / index,
+                                    pe.nu / index, d, ssb)
+    return found
+
+
+def _squarefree_split(n):
+    """(f, m) with n = f^2 m and m squarefree."""
+    f = max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+    return f, n // (f * f)
+
+
+def _form_period(form, sign):
+    """T = form_to_lattice(form) with mu = (1, (-g01 + s sqrt(-m)) / g11)."""
+    t = form_to_lattice(form)
+    s, m = _squarefree_split(-form.discriminant())
+    field = CMField.imaginary_quadratic(m)
+    g01, g11 = t.gram[0][1], t.gram[1][1]
+    mu2 = field.element((Fraction(-g01, g11), Fraction(sign * s, g11)))
+    return PeriodVector(t, (field.one(), mu2))
+
+
+_REDUCED_FORMS = [f for disc in range(-3, -61, -1) if disc % 4 in (0, 1)
+                  for f in class_group(disc).elements]
+
+
 class TestPeriodEmbeddings:
     @pytest.mark.parametrize("d", [2, 4])
     def test_hex_lattice_counts_and_oracle(self, d):
-        pv = hex_period()
-        found = enumerate_period_embeddings(pv, d)
+        found = assert_matches_box_oracle(hex_period(), d)
         assert len(found) == 12
         assert all(pe.nu == EISEN.zero() for pe in found)
-        # brute force: every isometric embedding into T + Z(d), kept when the
-        # period condition is solvable
-        target = T_HEX.direct_sum(Lattice([[d]]))
-        brute = {e.columns for e in embeddings(T_HEX, target)
-                 if solve_lambda(pv, e) is not None}
-        assert {pe.embedding.columns for pe in found} == brute
 
     def test_bound_is_attained(self):
         found = enumerate_period_embeddings(hex_period(), 2)
@@ -254,26 +286,21 @@ class TestPeriodEmbeddings:
         t = Lattice([[2, 0], [0, 2]])
         pv = PeriodVector(t, (GAUSS.one(), GAUSS.gen()))
         assert pairing_sigma_sigmabar(pv) == GAUSS.rational(4)
-        found = enumerate_period_embeddings(pv, 2)
+        found = assert_matches_box_oracle(pv, 2)
         assert len(found) == 24
-        target = t.direct_sum(Lattice([[2]]))
-        brute = {e.columns for e in embeddings(t, target)
-                 if solve_lambda(pv, e) is not None}
-        assert {pe.embedding.columns for pe in found} == brute
-        ssb = pairing_sigma_sigmabar(pv)
-        assert all(verify_norm_equation(pe.lam, pe.lam_prime, pe.nu, 2, ssb)
-                   for pe in found)
         assert sum(1 for pe in found if pe.nu != GAUSS.zero()) == 16
 
     def test_overlattice_index_two(self):
-        pv = hex_period()
-        found = enumerate_period_embeddings(pv, 2, overlattice_index=2)
-        # doubles of the index-1 embeddings appear among the index-2 maps
-        plain = enumerate_period_embeddings(pv, 2)
-        doubled = {tuple(tuple(2 * x for x in col) for col in pe.embedding.columns)
-                   for pe in plain}
-        got = {pe.embedding.columns for pe in found}
-        assert doubled <= got
+        found = assert_matches_box_oracle(hex_period(), 2, index=2)
+        assert len(found) == 48
+
+    def test_reduced_forms_match_box_oracle(self, rng):
+        # binary lattices of discriminant -3 .. -60, each with one of its two
+        # conjugate periods, at a random d and overlattice index
+        cases = [(f, sign, d, index) for f in _REDUCED_FORMS for sign in (1, -1)
+                 for d in range(1, 13) for index in (1, 2)]
+        for form, sign, d, index in rng.sample(cases, 100):
+            assert_matches_box_oracle(_form_period(form, sign), d, index)
 
     def test_rank_restriction(self):
         # rank 3 cannot even form a valid period over a quadratic field, so

@@ -84,6 +84,43 @@ def box_vectors_of_norm(lat, n):
     return sorted(out)
 
 
+def box_embeddings(source, target):
+    """Column tuples of every isometric embedding source -> target.
+
+    Independent of the backtracking search: each column runs through the
+    box-scanned vectors of its norm, and every cross inner product is
+    checked directly on the two Gram matrices.
+    """
+    g, h = source.gram, target.gram
+    m = target.rank
+
+    def inner(u, v):
+        return sum(u[a] * h[a][b] * v[b] for a in range(m) for b in range(m))
+
+    lists = [box_vectors_of_norm(target, g[i][i]) for i in range(source.rank)]
+    return {cols for cols in itertools.product(*lists)
+            if all(inner(cols[i], cols[j]) == g[i][j]
+                   for i in range(len(cols)) for j in range(i))}
+
+
+def period_image_matches(pv, pe):
+    """Whether phi(sigma) = lambda sigma + lambda' sigmabar + nu e holds in
+    every target coordinate, e being the last one."""
+    mu, cols = pv.mu, pe.embedding.columns
+    n = len(mu)
+    for r in range(n + 1):
+        image = pv.field.zero()
+        for m, col in zip(mu, cols):
+            image = image + m * col[r]
+        if r == n:
+            expected = pe.nu
+        else:
+            expected = pe.lam * mu[r] + pe.lam_prime * mu[r].conjugate()
+        if image != expected:
+            return False
+    return True
+
+
 def _fraction_inverse(g):
     n = len(g)
     a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
