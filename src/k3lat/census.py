@@ -27,6 +27,7 @@ from .genus import same_genus
 from .lattice import Lattice, Vector
 
 SCHEMA = "k3lat/1"
+_E_LAST = (0, 0, 1)  # the (-d0)-generator of each ternary
 
 
 class CensusError(ValueError):
@@ -132,10 +133,6 @@ class UnboundedFamilyCertificate:
         return tuple(j for j, w in enumerate(self.isometry_witnesses) if w is None)
 
     @property
-    def genus_only(self) -> bool:
-        return bool(self.witness_gaps)
-
-    @property
     def distinct_orbit_lower_bound(self) -> int:
         """Orbit count certified against the full orthogonal group.
 
@@ -154,6 +151,8 @@ def build_unbounded_family(p: int, d0: int = 1,
     odd determinant not divisible by any cube).  Isometry witnesses between
     the ternaries are searched up to height_bound; pairs without a witness
     are recorded as gaps and their ambient classes omitted, never faked.
+    This function only assembles the certificate: it returns it only after
+    verify_certificate accepts it, and otherwise raises CensusError.
     """
     p, d0, height_bound = int(p), int(d0), int(height_bound)
     if not arith.is_prime(p) or p % 4 != 3:
@@ -166,60 +165,27 @@ def build_unbounded_family(p: int, d0: int = 1,
         raise CensusError("height bound must be positive")
 
     cl = class_group(-p)
-    h = cl.order
     zd0 = Lattice([[-d0]])
     ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in cl.elements)
-
-    genus_checks = tuple(
-        tuple(same_genus(ternaries[i], ternaries[j]) for j in range(h))
-        for i in range(h))
-    if not all(all(row) for row in genus_checks):
-        raise CensusError("genus check failed; this indicates an implementation bug")
-
-    witnesses: list[EmbeddingMatrix | None] = [identity_embedding(ternaries[0])]
-    for j in range(1, h):
-        res = indefinite_isometry_search(ternaries[j], ternaries[0], height_bound)
-        witnesses.append(res.witness)
-
-    ns = ternaries[0].twist(-4)
-    degree = 4 * d0
-    classes: list[Vector | None] = []
-    invariants: list[OrbitInvariant] = []
-    e_last = (0, 0, 1)
-    for j in range(h):
-        inv = orbit_invariant(ternaries[j].twist(-4), e_last)
-        invariants.append(inv)
-        w = witnesses[j]
-        if w is None:
-            classes.append(None)
-            continue
-        alpha = w.columns[2]
-        if ns.norm(alpha) != degree or not ns.is_primitive(alpha):
-            raise CensusError("witness image has the wrong square or is imprimitive")
-        # a witness may reverse the complement orientation, so compare the
-        # orientation-free part of the record
-        if orbit_invariant(ns, alpha).unoriented() != inv.unoriented():
-            raise CensusError("orbit invariant disagrees across the witness")
-        classes.append(alpha)
-
-    if len(set(invariants)) != h:
-        raise CensusError("complement invariants are not pairwise distinct")
-
-    m2 = has_minus_two_class(ns)
-    if m2.found or not m2.certified:
-        raise CensusError("could not certify the absence of (-2)-classes")
-
-    return UnboundedFamilyCertificate(
-        p=p, d0=d0, degree=degree, h=h,
+    # one row proves every pair: see the comment in verify_certificate
+    row = [same_genus(ternaries[0], t) for t in ternaries]
+    witnesses = (identity_embedding(ternaries[0]),) + tuple(
+        indefinite_isometry_search(t, ternaries[0], height_bound).witness
+        for t in ternaries[1:])
+    cert = UnboundedFamilyCertificate(
+        p=p, d0=d0, degree=4 * d0, h=cl.order,
         forms=cl.elements, ternaries=ternaries,
-        genus_checks=genus_checks,
-        isometry_witnesses=tuple(witnesses),
-        ns_lattice=ns,
-        classes=tuple(classes),
-        complement_invariants=tuple(invariants),
+        genus_checks=tuple(tuple(a and b for b in row) for a in row),
+        isometry_witnesses=witnesses,
+        ns_lattice=ternaries[0].twist(-4),
+        classes=tuple(None if w is None else w.columns[2] for w in witnesses),
+        complement_invariants=tuple(
+            orbit_invariant(t.twist(-4), _E_LAST) for t in ternaries),
         minus_two_free=True,
         height_bound=height_bound,
     )
+    verify_certificate(cert)
+    return cert
 
 
 def _gram_json(lat: Lattice) -> list[list[int]]:
@@ -257,6 +223,8 @@ def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
     if doc.get("schema") != SCHEMA or doc.get("kind") != "unbounded_family_certificate":
         raise CensusError("not an unbounded-family certificate document")
     ternaries = tuple(Lattice(g) for g in doc["ternaries"])
+    if len(doc["isometry_witnesses"]) != len(ternaries):
+        raise CensusError("witness count differs from ternary count")
     witnesses = []
     for j, w in enumerate(doc["isometry_witnesses"]):
         if w is None:
@@ -285,44 +253,55 @@ def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
 def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     """Recheck every claim in a certificate from scratch.
 
-    Raises CensusError on the first failed check; returns True otherwise.
+    This is the only checker of a certificate; build_unbounded_family calls
+    it before returning.  Raises CensusError on the first failed check;
+    returns True otherwise.
     """
+    h = cert.h
     cl = class_group(-cert.p)
-    if cl.elements != cert.forms or cl.order != cert.h:
+    if cl.elements != cert.forms or cl.order != h:
         raise CensusError("form list disagrees with the reduced-form scan")
+    if cert.degree != 4 * cert.d0:
+        raise CensusError("degree is not 4*d0")
+    if not (len(cert.ternaries) == len(cert.isometry_witnesses) == len(cert.classes)
+            == len(cert.complement_invariants) == h):
+        raise CensusError("ternaries, witnesses, classes and invariants must number h")
+    if cert.genus_checks != ((True,) * h,) * h:
+        raise CensusError("recorded genus checks are not all true")
     zd0 = Lattice([[-cert.d0]])
     for f, t in zip(cert.forms, cert.ternaries):
         if form_to_lattice(f).direct_sum(zd0) != t:
             raise CensusError("ternary lattice was not built from its form")
-    for i in range(cert.h):
-        for j in range(cert.h):
-            if not cert.genus_checks[i][j]:
-                raise CensusError("recorded genus check is false")
-            if not same_genus(cert.ternaries[i], cert.ternaries[j]):
-                raise CensusError("genus check does not reproduce")
+    # One row proves every pair: same_genus(A, B) forces the same odd primes
+    # to divide both determinants, because a p-adic symbol at p | det has a
+    # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
+    # over the same primes, and equality of symbols is transitive.
+    if not all(same_genus(cert.ternaries[0], t) for t in cert.ternaries):
+        raise CensusError("genus check does not reproduce")
     if cert.ns_lattice != cert.ternaries[0].twist(-4):
         raise CensusError("ambient lattice is not the twisted first ternary")
-    e_last = (0, 0, 1)
-    for j in range(cert.h):
-        inv = orbit_invariant(cert.ternaries[j].twist(-4), e_last)
-        if inv != cert.complement_invariants[j]:
+    for t, inv, w, alpha in zip(cert.ternaries, cert.complement_invariants,
+                                cert.isometry_witnesses, cert.classes):
+        if inv != orbit_invariant(t.twist(-4), _E_LAST):
             raise CensusError("complement invariant does not reproduce")
-        w = cert.isometry_witnesses[j]
-        alpha = cert.classes[j]
         if w is None:
             if alpha is not None:
                 raise CensusError("class present without an isometry witness")
             continue
         # EmbeddingMatrix construction re-verified Gram compatibility already
+        if (w.source, w.target) != (t, cert.ternaries[0]):
+            raise CensusError("witness does not map its ternary to the first one")
         if alpha != w.columns[2]:
             raise CensusError("class is not the witness image of the generator")
         if cert.ns_lattice.norm(alpha) != cert.degree:
             raise CensusError("class has the wrong square")
         if not cert.ns_lattice.is_primitive(alpha):
             raise CensusError("class is imprimitive")
+        # a witness may reverse the complement orientation, so compare the
+        # orientation-free part of the record
         if orbit_invariant(cert.ns_lattice, alpha).unoriented() != inv.unoriented():
             raise CensusError("ambient orbit invariant disagrees")
-    if len(set(cert.complement_invariants)) != cert.h:
+    if len(set(cert.complement_invariants)) != h:
         raise CensusError("complement invariants are not pairwise distinct")
     m2 = has_minus_two_class(cert.ns_lattice)
     if m2.found or not m2.certified or not cert.minus_two_free:

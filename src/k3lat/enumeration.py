@@ -103,10 +103,6 @@ class EmbeddingMatrix:
         return tuple(sum(self.columns[i][r] * v[i] for i in range(len(v)))
                      for r in range(m))
 
-    def as_rows(self) -> tuple[tuple[int, ...], ...]:
-        m = self.target.rank
-        return tuple(tuple(c[r] for c in self.columns) for r in range(m))
-
 
 def identity_embedding(lat: Lattice) -> EmbeddingMatrix:
     n = lat.rank
@@ -174,9 +170,8 @@ def is_isometric_definite(l1: Lattice, l2: Lattice):
     a, b = (l1, l2) if s1[1] == 0 else (l1.twist(-1), l2.twist(-1))
     # a full-rank Gram-compatible map between equal-determinant lattices is
     # automatically unimodular, hence an isometry
-    for emb in embeddings(a, b):
-        return EmbeddingMatrix(l1, l2, emb.columns)
-    return None
+    cols = next(_gram_compatible(a, b, lambda nrm: vectors_of_norm(b, nrm)), None)
+    return None if cols is None else EmbeddingMatrix(l1, l2, cols)
 
 
 @dataclass(frozen=True)
@@ -373,6 +368,6 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     else:
         pos = comp.twist(-1)
         f = BinaryForm(pos.gram[0][0], 2 * pos.gram[0][1], pos.gram[1][1])
-        cls = reduce_form(f, with_transform=False)[0].as_tuple()
+        cls = reduce_form(f)[0].as_tuple()
     return OrbitInvariant(nrm, lat.discriminant_group(),
                           comp.discriminant_group(), cls)

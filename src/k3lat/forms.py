@@ -91,7 +91,7 @@ def apply_transform(f: BinaryForm, u: Transform) -> BinaryForm:
     return BinaryForm(a, b, c)
 
 
-def reduce_form(f: BinaryForm, with_transform: bool = True):
+def reduce_form(f: BinaryForm):
     """Unique reduced representative of a positive definite form.
 
     Returns (reduced, transform) where transform has determinant 1 and
@@ -108,22 +108,16 @@ def reduce_form(f: BinaryForm, with_transform: bool = True):
         if m:
             c = a * m * m + b * m + c
             b = b + 2 * a * m
-            if with_transform:
-                u = matmul2(u, ((1, m), (0, 1)))
+            u = matmul2(u, ((1, m), (0, 1)))
         if a > c:
             a, b, c = c, -b, a
-            if with_transform:
-                u = matmul2(u, ((0, -1), (1, 0)))
+            u = matmul2(u, ((0, -1), (1, 0)))
             continue
         break
     if b < 0 and a == c:
         a, b, c = c, -b, a
-        if with_transform:
-            u = matmul2(u, ((0, -1), (1, 0)))
-    g = BinaryForm(a, b, c)
-    if with_transform:
-        return g, u
-    return g, None
+        u = matmul2(u, ((0, -1), (1, 0)))
+    return BinaryForm(a, b, c), u
 
 
 def is_equivalent(f: BinaryForm, g: BinaryForm):
@@ -231,7 +225,7 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     aa = a1 * a2
     cc = (bb * bb - d) // (4 * aa)
     assert (bb * bb - d) % (4 * aa) == 0
-    return reduce_form(BinaryForm(aa, bb, cc), with_transform=False)[0]
+    return reduce_form(BinaryForm(aa, bb, cc))[0]
 
 
 def verify_principal_genus(p: int) -> bool:

@@ -136,10 +136,3 @@ class Lattice:
         basis = [c[1:] for c in hnf[1:]]
         gram = [[self.inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice(gram), tuple(basis)
-
-    def change_basis(self, u: list[list[int]]) -> "Lattice":
-        """Gram matrix in the new basis given by the columns of u (u unimodular)."""
-        n = self.rank
-        cols = [tuple(u[i][j] for i in range(n)) for j in range(n)]
-        gram = [[self.inner(ci, cj) for cj in cols] for ci in cols]
-        return Lattice(gram)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
+from k3lat import census
 from k3lat.census import (CensusError, build_unbounded_family,
                           certificate_from_json, certificate_to_json,
                           count_integral_twistor_classes, fm_partner_count,
@@ -134,12 +136,65 @@ class TestUnboundedFamily:
             reloaded = certificate_from_json(json.load(fh))
         assert reloaded == cert
 
-    def test_tampered_certificate_fails(self, tmp_path):
-        cert = build_unbounded_family(23, 1)
-        doc = certificate_to_json(cert)
-        doc["classes"][0] = [1, 1, 1]
-        with pytest.raises(CensusError):
+    @pytest.mark.parametrize("tamper,message", [
+        pytest.param(lambda d: d["classes"].__setitem__(0, [1, 1, 1]),
+                     "witness image", id="class"),
+        pytest.param(lambda d: d["classes"].append([0, 0, 1]),
+                     "must number h", id="extra-class"),
+        pytest.param(lambda d: d["genus_checks"].append([True, True, True]),
+                     "genus checks", id="extra-genus-row"),
+        pytest.param(lambda d: d["genus_checks"][0].pop(),
+                     "genus checks", id="short-genus-row"),
+        pytest.param(lambda d: d["genus_checks"][1].__setitem__(2, False),
+                     "genus checks", id="false-genus-entry"),
+        pytest.param(lambda d: d["complement_invariants"].pop(),
+                     "must number h", id="dropped-invariant"),
+        pytest.param(lambda d: d["complement_invariants"].reverse(),
+                     "invariant does not reproduce", id="swapped-invariants"),
+        pytest.param(lambda d: d["isometry_witnesses"].pop(),
+                     "witness count", id="dropped-witness"),
+        pytest.param(lambda d: d["isometry_witnesses"].append(None),
+                     "witness count", id="extra-witness"),
+        pytest.param(lambda d: d.update(isometry_witnesses=[None] * 3,
+                                        classes=[None] * 3, degree=8),
+                     "degree", id="degree-without-classes"),
+        pytest.param(lambda d: d.__setitem__("minus_two_free", False),
+                     "-2", id="minus-two-flag"),
+        pytest.param(lambda d: d.__setitem__("ns_lattice", [
+            [-4 * x for x in row] for row in d["ternaries"][1]]),
+                     "ambient lattice", id="ns-lattice"),
+    ])
+    def test_tampered_certificate_fails(self, tamper, message):
+        doc = certificate_to_json(build_unbounded_family(23, 1))
+        tamper(doc)
+        with pytest.raises(CensusError, match=message):
             verify_certificate(certificate_from_json(doc))
+
+    def test_witness_must_map_its_own_ternary(self):
+        # p = 23 has a mirror pair of classes, so swapping their witnesses
+        # and classes leaves every orientation-free invariant in place
+        cert = build_unbounded_family(23, 1)
+        w0, w1, w2 = cert.isometry_witnesses
+        swapped = replace(cert, isometry_witnesses=(w0, w2, w1),
+                          classes=(w0.columns[2], w2.columns[2], w1.columns[2]))
+        with pytest.raises(CensusError, match="witness does not map"):
+            verify_certificate(swapped)
+
+    def test_build_goes_through_the_checker(self, monkeypatch):
+        cert = build_unbounded_family(23, 1)
+        checked = []
+        verify = census.verify_certificate
+        monkeypatch.setattr(census, "verify_certificate",
+                            lambda c: checked.append(c) or verify(c))
+        assert build_unbounded_family(23, 1) == cert and checked == [cert]
+        last = cert.ternaries[-1]
+        genus = census.same_genus
+        monkeypatch.setattr(census, "same_genus",
+                            lambda a, b: last not in (a, b) and genus(a, b))
+        with pytest.raises(CensusError, match="genus check does not reproduce"):
+            verify(cert)
+        with pytest.raises(CensusError):
+            build_unbounded_family(23, 1)
 
     def test_orbit_counts_match_class_numbers(self):
         for p in (7, 11, 23):

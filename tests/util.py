@@ -138,4 +138,8 @@ def _fraction_inverse(g):
 
 
 def change_basis(lat, u):
-    return lat.change_basis(u)
+    """Lattice with Gram matrix u^T G u: the basis given by the columns of u."""
+    n = len(u)
+    g = lat.gram
+    return Lattice([[sum(u[k][i] * g[k][l] * u[l][j] for k in range(n) for l in range(n))
+                     for j in range(n)] for i in range(n)])
