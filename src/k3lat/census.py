@@ -19,9 +19,8 @@ import json
 from dataclasses import dataclass
 
 from . import arith
-from .enumeration import (EmbeddingMatrix, OrbitInvariant, identity_embedding,
-                          indefinite_isometry_search, orbit_invariant,
-                          vectors_of_norm, _bounded_norm_vectors)
+from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
+                          orbit_invariant, vectors_of_norm, _bounded_norm_vectors)
 from .forms import BinaryForm, class_group, form_to_lattice
 from .genus import same_genus
 from .lattice import Lattice, Vector
@@ -112,7 +111,12 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
 @dataclass(frozen=True)
 class UnboundedFamilyCertificate:
     """Certified degree-4*d0 family with h(-p) distinct oriented complement
-    classes inside one rank-3 ambient lattice free of (-2)-classes."""
+    classes inside one rank-3 ambient lattice free of (-2)-classes.
+
+    height_bound is the largest level the witness walk may reach, a level
+    being |z| for the image u = (v, z) of the (-d0)-generator; so every
+    class found has |classes[j][2]| <= height_bound.
+    """
 
     p: int
     d0: int
@@ -148,9 +152,11 @@ def build_unbounded_family(p: int, d0: int = 1,
     """Run the full degree-4*d0 orbit pipeline for a prime p = 3 mod 4.
 
     Requires d0 odd with p*d0 cube free (the ternary classification needs an
-    odd determinant not divisible by any cube).  Isometry witnesses between
-    the ternaries are searched up to height_bound; pairs without a witness
-    are recorded as gaps and their ambient classes omitted, never faked.
+    odd determinant not divisible by any cube).  The isometry witnesses
+    T_j -> T_0 come from one level walk over T_0 (enumeration.level_walk),
+    which stops once every class is reached or after level height_bound;
+    classes without a witness are recorded as gaps and their ambient
+    classes omitted, never faked.
     This function only assembles the certificate: it returns it only after
     verify_certificate accepts it, and otherwise raises CensusError.
     """
@@ -169,9 +175,7 @@ def build_unbounded_family(p: int, d0: int = 1,
     ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in cl.elements)
     # one row proves every pair: see the comment in verify_certificate
     row = [same_genus(ternaries[0], t) for t in ternaries]
-    witnesses = (identity_embedding(ternaries[0]),) + tuple(
-        indefinite_isometry_search(t, ternaries[0], height_bound).witness
-        for t in ternaries[1:])
+    witnesses = level_walk(ternaries, ternaries[0], height_bound)
     cert = UnboundedFamilyCertificate(
         p=p, d0=d0, degree=4 * d0, h=cl.order,
         forms=cl.elements, ternaries=ternaries,
@@ -258,6 +262,8 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     returns True otherwise.
     """
     h = cert.h
+    if type(cert.height_bound) is not int or cert.height_bound < 1:
+        raise CensusError("height bound must be positive")
     cl = class_group(-cert.p)
     if cl.elements != cert.forms or cl.order != h:
         raise CensusError("form list disagrees with the reduced-form scan")

@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = k3.add_parser("unbounded", parents=[common])
     p.add_argument("-p", "--prime", type=int, required=True)
     p.add_argument("--d0", type=int, default=1)
-    p.add_argument("--height-bound", type=int, default=10)
+    p.add_argument("--height-bound", type=int, default=10,
+                   help="largest level |z| the witness walk may reach")
     p.add_argument("--out", help="also write the certificate to this file")
     p.set_defaults(handler=_cmd_k3_unbounded)
     p = k3.add_parser("fm-count", parents=[common])

@@ -1,8 +1,12 @@
 """Finite enumeration: fixed-norm vectors, isometric embeddings, isometry search.
 
 The short-vector kernel uses an exact rational Cholesky decomposition with
-integer interval truncation, so it is deterministic and never touches
-floating point.  A naive box scan is kept in the test suite as its oracle.
+integer interval truncation, and on a fixed-norm shell solves the last
+coordinate exactly, so it is deterministic and never touches floating point.
+A naive box scan is kept in the test suite as its oracle.  Isometries
+between block ternaries Q + (-k) come from one walk over the levels of the
+target (level_walk); indefinite_isometry_search is the bounded search for
+any Gram matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import BinaryForm, reduce_form
+from .forms import lattice_to_form, reduce_form
 from .lattice import Lattice, Vector
 from .linalg import inverse, ldl, smith_invariants
 
@@ -34,11 +38,25 @@ def _interval(center: Fraction, radius_sq: Fraction) -> range:
     return range(lo, hi + 1)
 
 
-def short_vectors_le(gram, bound) -> list[Vector]:
-    """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
+def _roots(center: Fraction, square: Fraction) -> list[int]:
+    """Integers x with (x + center)^2 == square, ascending."""
+    if square < 0:
+        return []
+    s, t = square.numerator, square.denominator
+    rs, rt = math.isqrt(s), math.isqrt(t)
+    if rs * rs != s or rt * rt != t:
+        return []
+    root = Fraction(rs, rt)
+    return sorted({int(x) for x in (root - center, -root - center)
+                   if x.denominator == 1})
 
-    gram may have Fraction entries (used for trace forms of number fields);
-    the zero vector is included.
+
+def _lattice_points(gram, bound, shell: bool) -> list[Vector]:
+    """Integer vectors x with x^T gram x <= bound (== bound if shell), sorted.
+
+    Descends the rational Cholesky decomposition from the last coordinate to
+    the first.  On a shell the first coordinate is solved exactly instead of
+    scanned, so only the shell is ever held in memory.
     """
     n = len(gram)
     bound = Fraction(bound)
@@ -52,7 +70,11 @@ def short_vectors_le(gram, bound) -> list[Vector]:
 
     def descend(i: int, remaining: Fraction) -> None:
         center = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for xi in _interval(center, remaining / d[i]):
+        if i == 0 and shell:
+            xs = _roots(center, remaining / d[0])
+        else:
+            xs = _interval(center, remaining / d[i])
+        for xi in xs:
             x[i] = xi
             if i == 0:
                 out.append(tuple(x))
@@ -64,6 +86,15 @@ def short_vectors_le(gram, bound) -> list[Vector]:
     return out
 
 
+def short_vectors_le(gram, bound) -> list[Vector]:
+    """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
+
+    gram may have Fraction entries (used for trace forms of number fields);
+    the zero vector is included.
+    """
+    return _lattice_points(gram, bound, shell=False)
+
+
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     """Complete sorted list of v with (v.v) = n in a positive definite lattice."""
     n = int(n)
@@ -71,7 +102,7 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
         raise EnumerationError("norm must be nonnegative")
     if not lat.is_positive_definite():
         raise EnumerationError("lattice must be positive definite")
-    return [v for v in short_vectors_le(lat.gram, n) if lat.norm(v) == n]
+    return _lattice_points(lat.gram, n, shell=True)
 
 
 @dataclass(frozen=True)
@@ -280,14 +311,18 @@ def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
         w = is_isometric_definite(c1, comp)
         if w is None:
             continue
-        cols = []
-        for i in range(2):
-            cols.append(tuple(
-                sum(basis[r][t] * w.columns[i][r] for r in range(2))
-                for t in range(3)))
-        cols.append(u)
-        return EmbeddingMatrix(l1, l2, tuple(cols))
+        return _lift_split(l1, l2, basis, w, u)
     return None
+
+
+def _lift_split(l1: Lattice, l2: Lattice, basis, w: EmbeddingMatrix,
+                u: Vector) -> EmbeddingMatrix:
+    """The isometry l1 -> l2 of a block source (definite rank 2) + (k) that
+    maps the block by w onto u^perp, given by its basis in l2, and the last
+    basis vector to u."""
+    cols = tuple(tuple(sum(basis[r][t] * w.columns[i][r] for r in range(2))
+                       for t in range(3)) for i in range(2))
+    return EmbeddingMatrix(l1, l2, cols + (u,))
 
 
 def _invert_witness(w: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -321,6 +356,67 @@ def indefinite_isometry_search(l1: Lattice, l2: Lattice,
         if rev is not None:
             witness = _invert_witness(rev)
     return IsometrySearchResult(witness, witness is not None)
+
+
+def _block(lat: Lattice, k: int) -> Lattice | None:
+    """Q if lat = Q + (-k) with Q positive definite of rank 2, else None."""
+    g = lat.gram
+    if lat.rank != 3 or g[0][2] or g[1][2] or g[2][2] != -k:
+        return None
+    q = Lattice([g[0][:2], g[1][:2]])
+    return q if q.is_positive_definite() else None
+
+
+def _reduced_class(pos: Lattice) -> tuple[int, int, int]:
+    """Reduced form of a positive definite rank-2 lattice (doubled convention)."""
+    return reduce_form(lattice_to_form(pos))[0].as_tuple()
+
+
+def level_walk(sources, target: Lattice,
+               height_bound: int) -> tuple[EmbeddingMatrix | None, ...]:
+    """Isometries sources[j] -> target, all of the form Q_j + (-k), found by
+    one walk over the levels of target; None where no level reached one.
+
+    An isometry onto target = Q_0 + (-k) sends the last basis vector to a
+    primitive u = (v, z) with u.u = -k, u^perp + Zu = target and
+    u^perp = Q_j.  As -u has the same complement and z = 0 would need
+    v.v = -k < 0, the walk takes z = 1, ..., height_bound and lets v run over
+    the vectors of Q_0-norm k(z^2 - 1); the reduced class of u^perp names the
+    sources u reaches.  A mirror pair shares its hits, since
+    is_isometric_definite also returns improper isometries.  The walk stops
+    once every source has a witness.  It takes every u with |z| up to the
+    bound, so it reaches whatever the forward box search of
+    indefinite_isometry_search reaches at the same bound.
+    """
+    if height_bound < 1:
+        raise EnumerationError("height bound must be positive")
+    k = -target.gram[-1][-1]
+    blocks = [_block(lat, k) for lat in (target, *sources)]
+    if k <= 0 or any(b is None for b in blocks):
+        raise EnumerationError(
+            "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
+    q0, blocks = blocks[0], blocks[1:]
+    open_by_class: dict[tuple[int, int, int], list[int]] = {}
+    for j, q in enumerate(blocks):
+        a, b, c = _reduced_class(q)
+        open_by_class.setdefault((a, abs(b), c), []).append(j)
+    witnesses: list[EmbeddingMatrix | None] = [None] * len(blocks)
+    det = target.determinant()
+    for z in range(1, height_bound + 1):
+        for v in vectors_of_norm(q0, k * (z * z - 1)):
+            u = v + (z,)
+            if not target.is_primitive(u):
+                continue
+            comp, basis = target.orthogonal_complement(u)
+            if comp.determinant() * -k != det:
+                continue  # u^perp + Zu sits in target with index > 1
+            a, b, c = _reduced_class(comp)
+            for j in open_by_class.pop((a, abs(b), c), ()):
+                w = is_isometric_definite(blocks[j], comp)
+                witnesses[j] = _lift_split(sources[j], target, basis, w, u)
+            if not open_by_class:
+                return tuple(witnesses)
+    return tuple(witnesses)
 
 
 @dataclass(frozen=True)
@@ -366,8 +462,6 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     if comp.rank == 1:
         cls: tuple[int, ...] = (-comp.gram[0][0],)
     else:
-        pos = comp.twist(-1)
-        f = BinaryForm(pos.gram[0][0], 2 * pos.gram[0][1], pos.gram[1][1])
-        cls = reduce_form(f)[0].as_tuple()
+        cls = _reduced_class(comp.twist(-1))
     return OrbitInvariant(nrm, lat.discriminant_group(),
                           comp.discriminant_group(), cls)

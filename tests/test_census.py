@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import nextprime
+from sympy import isprime, nextprime
 
 from k3lat import census
 from k3lat.census import (CensusError, build_unbounded_family,
@@ -12,7 +12,7 @@ from k3lat.census import (CensusError, build_unbounded_family,
                           count_integral_twistor_classes, fm_partner_count,
                           has_minus_two_class, tau, verify_certificate,
                           write_certificate)
-from k3lat.enumeration import vectors_of_norm
+from k3lat.enumeration import indefinite_isometry_search, vectors_of_norm
 from k3lat.forms import class_group
 from k3lat.lattice import Lattice
 
@@ -163,6 +163,10 @@ class TestUnboundedFamily:
         pytest.param(lambda d: d.__setitem__("ns_lattice", [
             [-4 * x for x in row] for row in d["ternaries"][1]]),
                      "ambient lattice", id="ns-lattice"),
+        pytest.param(lambda d: d.__setitem__("height_bound", -5),
+                     "height bound must be positive", id="height-bound"),
+        pytest.param(lambda d: d.__setitem__("height_bound", 10.0),
+                     "height bound must be positive", id="height-bound-not-integer"),
     ])
     def test_tampered_certificate_fails(self, tamper, message):
         doc = certificate_to_json(build_unbounded_family(23, 1))
@@ -195,6 +199,27 @@ class TestUnboundedFamily:
             verify(cert)
         with pytest.raises(CensusError):
             build_unbounded_family(23, 1)
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 100)
+                                   if isprime(p) and p % 4 == 3])
+    def test_witnesses_cover_the_box_search(self, p):
+        # oracle: the general-Gram box search, which the census does not call
+        cert = build_unbounded_family(p, 1, height_bound=10)
+        t0 = cert.ternaries[0]
+        for t, w, alpha in zip(cert.ternaries, cert.isometry_witnesses,
+                               cert.classes):
+            if indefinite_isometry_search(t, t0, 10).found:
+                assert w is not None
+            if alpha is not None:
+                assert abs(alpha[2]) <= cert.height_bound
+
+    @pytest.mark.parametrize("p", [47, 59, 71])
+    def test_walk_reaches_every_class(self, p):
+        # at height 10 each of these primes keeps witness gaps
+        assert build_unbounded_family(p, 1, height_bound=10).witness_gaps
+        cert = build_unbounded_family(p, 1, height_bound=150)
+        assert cert.witness_gaps == ()
+        assert max(abs(a[2]) for a in cert.classes) <= 150
 
     def test_orbit_counts_match_class_numbers(self):
         for p in (7, 11, 23):

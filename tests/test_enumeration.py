@@ -2,9 +2,9 @@ import pytest
 
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, embeddings,
                                indefinite_isometry_search,
-                               is_isometric_definite, orbit_invariant,
-                               vectors_of_norm)
-from k3lat.forms import BinaryForm, form_to_lattice
+                               is_isometric_definite, level_walk,
+                               orbit_invariant, vectors_of_norm)
+from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice
 from util import box_vectors_of_norm, random_positive_definite
 
@@ -140,6 +140,51 @@ class TestIndefiniteSearch:
         l2 = Lattice([[2, 0], [0, -2]])
         res = indefinite_isometry_search(l1, l2, 6)
         assert not res.found and not res.conclusive
+
+
+def ternaries(p, d0=1):
+    return [form_to_lattice(f).direct_sum(Lattice([[-d0]]))
+            for f in class_group(-p).elements]
+
+
+class TestLevelWalk:
+    @pytest.mark.parametrize("d0,level", [(1, 7), (3, 17)])
+    def test_bound_counts_levels(self, d0, level):
+        # p = 23: the mirror pair of classes is first reached at this level
+        ts = ternaries(23, d0)
+        assert None in level_walk(ts, ts[0], level - 1)
+        ws = level_walk(ts, ts[0], level)
+        assert [abs(w.columns[2][2]) for w in ws] == [1, level, level]
+        for t, w in zip(ts, ws):
+            assert (w.source, w.target) == (t, ts[0])
+        assert ws[0].columns == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # (2, -1, 3) and (2, 1, 3) share the one u that reached them
+        assert ws[1].columns[2] == ws[2].columns[2]
+
+    def test_index_three_complement_is_no_witness(self):
+        # in T_0 for p = 23, d0 = 3, u = (-3, 1, 3) has a complement of
+        # determinant 207 = 9 * 23, so u^perp + Zu has index 3 in T_0: a
+        # ternary built on that complement is reached by no isometry
+        t0 = ternaries(23, 3)[0]
+        assert t0.orthogonal_complement((-3, 1, 3))[0].determinant() == 207
+        fake = Lattice([[9, 3, 0], [3, 24, 0], [0, 0, -3]])
+        assert level_walk([fake], t0, 10) == (None,)
+
+    @pytest.mark.parametrize("target,sources", [
+        (Lattice([[2, 1, 1], [1, 2, 0], [1, 0, -1]]), None),
+        (Lattice([[2, 1, 0], [1, 2, 0], [0, 0, 1]]), None),
+        (Lattice([[-2, 1, 0], [1, -2, 0], [0, 0, -1]]), None),
+        (ternaries(23)[0], ternaries(23, 3)),
+        (Lattice([[2, 1], [1, -2]]), None),
+    ])
+    def test_rejects_lattices_not_in_block_form(self, target, sources):
+        with pytest.raises(EnumerationError, match="Q \\+ \\(-k\\)"):
+            level_walk(sources or [target], target, 10)
+
+    def test_rejects_nonpositive_height_bound(self):
+        ts = ternaries(23)
+        with pytest.raises(EnumerationError, match="height bound"):
+            level_walk(ts, ts[0], 0)
 
 
 class TestOrbitInvariant:
