@@ -26,7 +26,6 @@ from .genus import same_genus
 from .lattice import Lattice, Vector
 
 SCHEMA = "k3lat/1"
-_E_LAST = (0, 0, 1)  # the (-d0)-generator of each ternary
 
 
 class CensusError(ValueError):
@@ -147,47 +146,52 @@ class UnboundedFamilyCertificate:
         return len({inv.unoriented() for inv in self.complement_invariants})
 
 
+def _family(p: int, d0: int, height_bound: int):
+    """Check the parameters of the degree-4*d0 family of p and derive it.
+
+    p must be a prime = 3 mod 4 and d0 positive and odd with p*d0 cube free
+    (the ternary classification needs it); p, d0 and height_bound must be
+    ints, the bound at least 1.  Returns the reduced forms, the ternaries
+    Q_j + (-d0), T_0(-4) and the invariants of (0, 0, 1) in each T_j(-4).
+    """
+    if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
+        raise CensusError("p must be a prime congruent to 3 mod 4")
+    if type(d0) is not int or d0 <= 0 or d0 % 2 == 0:
+        raise CensusError("d0 must be a positive odd integer")
+    if any(e >= 3 for e in arith.factor(p * d0).values()):
+        raise CensusError("p*d0 must not be divisible by a cube")
+    if type(height_bound) is not int or height_bound < 1:
+        raise CensusError("height bound must be positive")
+    forms = class_group(-p).elements
+    zd0 = Lattice([[-d0]])
+    ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in forms)
+    invariants = tuple(orbit_invariant(t.twist(-4), (0, 0, 1)) for t in ternaries)
+    return forms, ternaries, ternaries[0].twist(-4), invariants
+
+
 def build_unbounded_family(p: int, d0: int = 1,
                            height_bound: int = 10) -> UnboundedFamilyCertificate:
     """Run the full degree-4*d0 orbit pipeline for a prime p = 3 mod 4.
 
-    Requires d0 odd with p*d0 cube free (the ternary classification needs an
-    odd determinant not divisible by any cube).  The isometry witnesses
-    T_j -> T_0 come from one level walk over T_0 (enumeration.level_walk),
-    which stops once every class is reached or after level height_bound;
-    classes without a witness are recorded as gaps and their ambient
-    classes omitted, never faked.
-    This function only assembles the certificate: it returns it only after
-    verify_certificate accepts it, and otherwise raises CensusError.
+    Parameters, forms, ternaries, ambient lattice and invariants come from
+    _family, as in verify_certificate.  Build adds the witnesses T_j -> T_0
+    from one level walk over T_0 (enumeration.level_walk), which stops once
+    every class is reached or after level height_bound; a class without a
+    witness is recorded as a gap with no ambient class, never faked.
+    genus_checks is the all-true claim verify_certificate proves, and the
+    certificate is returned only after verify_certificate accepts it.
     """
     p, d0, height_bound = int(p), int(d0), int(height_bound)
-    if not arith.is_prime(p) or p % 4 != 3:
-        raise CensusError("p must be a prime congruent to 3 mod 4")
-    if d0 <= 0 or d0 % 2 == 0:
-        raise CensusError("d0 must be a positive odd integer")
-    if any(e >= 3 for e in arith.factor(p * d0).values()):
-        raise CensusError("p*d0 must not be divisible by a cube")
-    if height_bound < 1:
-        raise CensusError("height bound must be positive")
-
-    cl = class_group(-p)
-    zd0 = Lattice([[-d0]])
-    ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in cl.elements)
-    # one row proves every pair: see the comment in verify_certificate
-    row = [same_genus(ternaries[0], t) for t in ternaries]
+    forms, ternaries, ambient, invariants = _family(p, d0, height_bound)
     witnesses = level_walk(ternaries, ternaries[0], height_bound)
+    h = len(forms)
     cert = UnboundedFamilyCertificate(
-        p=p, d0=d0, degree=4 * d0, h=cl.order,
-        forms=cl.elements, ternaries=ternaries,
-        genus_checks=tuple(tuple(a and b for b in row) for a in row),
-        isometry_witnesses=witnesses,
-        ns_lattice=ternaries[0].twist(-4),
+        p=p, d0=d0, degree=4 * d0, h=h, forms=forms, ternaries=ternaries,
+        genus_checks=((True,) * h,) * h, isometry_witnesses=witnesses,
+        ns_lattice=ambient,
         classes=tuple(None if w is None else w.columns[2] for w in witnesses),
-        complement_invariants=tuple(
-            orbit_invariant(t.twist(-4), _E_LAST) for t in ternaries),
-        minus_two_free=True,
-        height_bound=height_bound,
-    )
+        complement_invariants=invariants, minus_two_free=True,
+        height_bound=height_bound)
     verify_certificate(cert)
     return cert
 
@@ -224,71 +228,74 @@ def certificate_to_json(cert: UnboundedFamilyCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "unbounded_family_certificate":
+    """Read a certificate document, raising CensusError on any document that
+    does not parse as one; verify_certificate checks its claims."""
+    if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA
+            or doc.get("kind") != "unbounded_family_certificate"):
         raise CensusError("not an unbounded-family certificate document")
-    ternaries = tuple(Lattice(g) for g in doc["ternaries"])
-    if len(doc["isometry_witnesses"]) != len(ternaries):
-        raise CensusError("witness count differs from ternary count")
-    witnesses = []
-    for j, w in enumerate(doc["isometry_witnesses"]):
-        if w is None:
-            witnesses.append(None)
-        else:
-            witnesses.append(EmbeddingMatrix(
-                ternaries[j], ternaries[0], tuple(tuple(c) for c in w)))
-    return UnboundedFamilyCertificate(
-        p=doc["p"], d0=doc["d0"], degree=doc["degree"], h=doc["h"],
-        forms=tuple(BinaryForm(*f) for f in doc["forms"]),
-        ternaries=ternaries,
-        genus_checks=tuple(tuple(bool(x) for x in row) for row in doc["genus_checks"]),
-        isometry_witnesses=tuple(witnesses),
-        ns_lattice=Lattice(doc["ns_lattice"]),
-        classes=tuple(None if a is None else tuple(a) for a in doc["classes"]),
-        complement_invariants=tuple(
-            OrbitInvariant(i["norm"], tuple(i["ambient_disc"]),
-                           tuple(i["complement_disc"]),
-                           tuple(i["complement_class"]))
-            for i in doc["complement_invariants"]),
-        minus_two_free=bool(doc["minus_two_free"]),
-        height_bound=doc["height_bound"],
-    )
+    try:
+        ternaries = tuple(Lattice(g) for g in doc["ternaries"])
+        if len(doc["isometry_witnesses"]) != len(ternaries):
+            raise CensusError("witness count differs from ternary count")
+        witnesses = tuple(
+            None if w is None else EmbeddingMatrix(
+                ternaries[j], ternaries[0], tuple(tuple(c) for c in w))
+            for j, w in enumerate(doc["isometry_witnesses"]))
+        return UnboundedFamilyCertificate(
+            p=doc["p"], d0=doc["d0"], degree=doc["degree"], h=doc["h"],
+            forms=tuple(BinaryForm(*f) for f in doc["forms"]), ternaries=ternaries,
+            genus_checks=tuple(tuple(x is True for x in row)
+                               for row in doc["genus_checks"]),
+            isometry_witnesses=witnesses,
+            ns_lattice=Lattice(doc["ns_lattice"]),
+            classes=tuple(None if a is None else tuple(a) for a in doc["classes"]),
+            complement_invariants=tuple(
+                OrbitInvariant(i["norm"], tuple(i["ambient_disc"]),
+                               tuple(i["complement_disc"]),
+                               tuple(i["complement_class"]))
+                for i in doc["complement_invariants"]),
+            minus_two_free=doc["minus_two_free"] is True,
+            height_bound=doc["height_bound"],
+        )
+    except CensusError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CensusError(f"malformed certificate document: {exc!r}") from exc
 
 
 def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     """Recheck every claim in a certificate from scratch.
 
     This is the only checker of a certificate; build_unbounded_family calls
-    it before returning.  Raises CensusError on the first failed check;
-    returns True otherwise.
+    it before returning.  It rederives the family with the helper build uses
+    and compares it field by field.  Raises CensusError on the first failed
+    check; returns True otherwise.
     """
     h = cert.h
-    if type(cert.height_bound) is not int or cert.height_bound < 1:
-        raise CensusError("height bound must be positive")
-    cl = class_group(-cert.p)
-    if cl.elements != cert.forms or cl.order != h:
+    forms, ternaries, ambient, invariants = _family(cert.p, cert.d0, cert.height_bound)
+    if forms != cert.forms or type(h) is not int or len(forms) != h:
         raise CensusError("form list disagrees with the reduced-form scan")
-    if cert.degree != 4 * cert.d0:
+    if type(cert.degree) is not int or cert.degree != 4 * cert.d0:
         raise CensusError("degree is not 4*d0")
     if not (len(cert.ternaries) == len(cert.isometry_witnesses) == len(cert.classes)
             == len(cert.complement_invariants) == h):
         raise CensusError("ternaries, witnesses, classes and invariants must number h")
     if cert.genus_checks != ((True,) * h,) * h:
         raise CensusError("recorded genus checks are not all true")
-    zd0 = Lattice([[-cert.d0]])
-    for f, t in zip(cert.forms, cert.ternaries):
-        if form_to_lattice(f).direct_sum(zd0) != t:
-            raise CensusError("ternary lattice was not built from its form")
+    if ternaries != cert.ternaries:
+        raise CensusError("ternary lattice was not built from its form")
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants, because a p-adic symbol at p | det has a
     # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
     # over the same primes, and equality of symbols is transitive.
-    if not all(same_genus(cert.ternaries[0], t) for t in cert.ternaries):
+    if not all(same_genus(ternaries[0], t) for t in ternaries):
         raise CensusError("genus check does not reproduce")
-    if cert.ns_lattice != cert.ternaries[0].twist(-4):
+    if cert.ns_lattice != ambient:
         raise CensusError("ambient lattice is not the twisted first ternary")
-    for t, inv, w, alpha in zip(cert.ternaries, cert.complement_invariants,
-                                cert.isometry_witnesses, cert.classes):
-        if inv != orbit_invariant(t.twist(-4), _E_LAST):
+    for t, inv, inv0, w, alpha in zip(cert.ternaries, cert.complement_invariants,
+                                      invariants, cert.isometry_witnesses,
+                                      cert.classes):
+        if inv != inv0:
             raise CensusError("complement invariant does not reproduce")
         if w is None:
             if alpha is not None:

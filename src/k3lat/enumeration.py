@@ -267,13 +267,7 @@ def _bounded_norm_vectors(lat: Lattice, norm: int, bound: int) -> list[Vector]:
             rec(prefix)
             prefix.pop()
 
-    if n == 1:
-        a = g[0][0]
-        for t in range(-bound, bound + 1):
-            if a * t * t == norm:
-                out.append((t,))
-    else:
-        rec([])
+    rec([])
     out.sort()
     return out
 

@@ -7,16 +7,35 @@ from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
 from k3lat import census
-from k3lat.census import (CensusError, build_unbounded_family,
-                          certificate_from_json, certificate_to_json,
-                          count_integral_twistor_classes, fm_partner_count,
-                          has_minus_two_class, tau, verify_certificate,
-                          write_certificate)
-from k3lat.enumeration import indefinite_isometry_search, vectors_of_norm
-from k3lat.forms import class_group
+from k3lat.census import (CensusError, UnboundedFamilyCertificate,
+                          build_unbounded_family, certificate_from_json,
+                          certificate_to_json, count_integral_twistor_classes,
+                          fm_partner_count, has_minus_two_class, tau,
+                          verify_certificate, write_certificate)
+from k3lat.enumeration import (indefinite_isometry_search, level_walk,
+                               orbit_invariant, vectors_of_norm)
+from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
 
 A2 = Lattice([[2, 1], [1, 2]])
+
+
+def assemble_family(p, d0, height_bound):
+    """A certificate put together from the public pieces, bypassing build
+    and so every parameter check build makes."""
+    cl = class_group(-p)
+    h = cl.order
+    ternaries = tuple(form_to_lattice(f).direct_sum(Lattice([[-d0]]))
+                      for f in cl.elements)
+    witnesses = level_walk(ternaries, ternaries[0], height_bound)
+    return UnboundedFamilyCertificate(
+        p=p, d0=d0, degree=4 * d0, h=h, forms=cl.elements, ternaries=ternaries,
+        genus_checks=((True,) * h,) * h, isometry_witnesses=witnesses,
+        ns_lattice=ternaries[0].twist(-4),
+        classes=tuple(None if w is None else w.columns[2] for w in witnesses),
+        complement_invariants=tuple(orbit_invariant(t.twist(-4), (0, 0, 1))
+                                    for t in ternaries),
+        minus_two_free=True, height_bound=height_bound)
 
 
 class TestTauAndFm:
@@ -85,6 +104,16 @@ class TestMinusTwo:
     def test_bounded_miss_is_uncertified(self):
         res = has_minus_two_class(Lattice([[6, 1], [1, 6]]), search_bound=2)
         assert not res.found and not res.certified
+
+    @pytest.mark.parametrize("a", range(-12, 13))
+    def test_rank_one(self, a):
+        # a*t^2 = -2 has an integer solution only for a = -2 (t = +-1), so
+        # [[-2]] has a witness, [[-8]] is certified by the congruence and
+        # [[2]] is a bounded miss
+        res = has_minus_two_class(Lattice([[a]]))
+        assert res.found == (a == -2)
+        assert res.certified == (a == -2 or a % 4 == 0)
+        assert res.witness in ((None,) if a != -2 else ((-1,), (1,)))
 
 
 class TestUnboundedFamily:
@@ -158,6 +187,10 @@ class TestUnboundedFamily:
         pytest.param(lambda d: d.update(isometry_witnesses=[None] * 3,
                                         classes=[None] * 3, degree=8),
                      "degree", id="degree-without-classes"),
+        pytest.param(lambda d: d.update(isometry_witnesses=[None] * 3,
+                                        classes=[None] * 3,
+                                        ternaries=d["ternaries"][::-1]),
+                     "not built from its form", id="ternaries"),
         pytest.param(lambda d: d.__setitem__("minus_two_free", False),
                      "-2", id="minus-two-flag"),
         pytest.param(lambda d: d.__setitem__("ns_lattice", [
@@ -167,12 +200,52 @@ class TestUnboundedFamily:
                      "height bound must be positive", id="height-bound"),
         pytest.param(lambda d: d.__setitem__("height_bound", 10.0),
                      "height bound must be positive", id="height-bound-not-integer"),
+        pytest.param(lambda d: d.__setitem__("p", 23.0),
+                     "p must be a prime", id="p-not-integer"),
+        pytest.param(lambda d: d.__setitem__("d0", True),
+                     "d0 must be a positive odd integer", id="d0-bool"),
+        pytest.param(lambda d: d.__setitem__("h", 3.0),
+                     "reduced-form scan", id="h-not-integer"),
+        pytest.param(lambda d: d.__setitem__("degree", 4.0),
+                     "degree", id="degree-not-integer"),
+        pytest.param(lambda d: d["genus_checks"][1].__setitem__(2, "no"),
+                     "genus checks", id="genus-entry-not-boolean"),
+        pytest.param(lambda d: d.__setitem__("minus_two_free", "no"),
+                     "-2", id="minus-two-flag-not-boolean"),
+        pytest.param(lambda d: d.pop("p"),
+                     "malformed certificate document", id="missing-key"),
+        pytest.param(lambda d: d.__setitem__("isometry_witnesses", None),
+                     "malformed certificate document", id="null-witnesses"),
+        pytest.param(lambda d: d["forms"].__setitem__(0, [1, 1]),
+                     "malformed certificate document", id="two-entry-form"),
+        pytest.param(lambda d: d["isometry_witnesses"].__setitem__(
+            1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                     "malformed certificate document", id="witness-not-gram-compatible"),
     ])
     def test_tampered_certificate_fails(self, tamper, message):
         doc = certificate_to_json(build_unbounded_family(23, 1))
         tamper(doc)
         with pytest.raises(CensusError, match=message):
             verify_certificate(certificate_from_json(doc))
+
+    @pytest.mark.parametrize("doc", [[], None, "k3lat/1"])
+    def test_non_object_document_is_refused(self, doc):
+        with pytest.raises(CensusError, match="not an unbounded-family"):
+            certificate_from_json(doc)
+
+    def test_assembled_family_verifies(self):
+        assert verify_certificate(assemble_family(23, 1, 10))
+
+    @pytest.mark.parametrize("d0,height_bound,gaps,message", [
+        pytest.param(27, 1, (1, 2), "cube", id="cube"),  # 23*27 = 3^3 * 23
+        pytest.param(2, 10, (), "odd", id="even-d0"),
+    ])
+    def test_verify_refuses_families_outside_the_classification(
+            self, d0, height_bound, gaps, message):
+        cert = assemble_family(23, d0, height_bound)
+        assert cert.witness_gaps == gaps
+        with pytest.raises(CensusError, match=message):
+            verify_certificate(cert)
 
     def test_witness_must_map_its_own_ternary(self):
         # p = 23 has a mirror pair of classes, so swapping their witnesses
