@@ -228,7 +228,8 @@ class TestUnboundedFamily:
         with pytest.raises(CensusError, match=message):
             verify_certificate(certificate_from_json(doc))
 
-    @pytest.mark.parametrize("doc", [[], None, "k3lat/1"])
+    @pytest.mark.parametrize("doc", [[], None, "k3lat/1"],
+                             ids=["list", "null", "string"])
     def test_non_object_document_is_refused(self, doc):
         with pytest.raises(CensusError, match="not an unbounded-family"):
             certificate_from_json(doc)
