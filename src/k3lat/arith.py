@@ -12,7 +12,11 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _TRIAL = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
-class RangeError(ValueError):
+class DomainError(ValueError):
+    """A computation's precondition failed: the CLI answers with exit code 1."""
+
+
+class RangeError(DomainError):
     """An input lies where primality is not proven."""
 
 

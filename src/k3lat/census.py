@@ -18,17 +18,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import arith
+from . import SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
                           orbit_invariant, vectors_of_norm, _bounded_norm_vectors)
 from .forms import BinaryForm, class_group, form_to_lattice
 from .genus import same_genus
-from .lattice import Lattice, Vector
+from .lattice import Lattice, Vector, _gram_json
+from .linalg import ldl
 
-SCHEMA = "k3lat/1"
 
-
-class CensusError(ValueError):
+class CensusError(arith.DomainError):
     """A census precondition failed or a certificate could not be assembled."""
 
 
@@ -79,9 +78,9 @@ def count_integral_twistor_classes(pos: Lattice, d: int) -> TwistorCount:
 class MinusTwoResult:
     """Outcome of a (-2)-class check.
 
-    certified is True when the answer is proven (by the mod-4 congruence or
-    by an explicit witness); a bound-limited miss leaves found False and
-    certified False.
+    certified is True when the answer is proven (by the mod-4 congruence,
+    by a positive semidefinite form or by an explicit witness); a
+    bound-limited miss leaves found False and certified False.
     """
 
     found: bool
@@ -90,16 +89,20 @@ class MinusTwoResult:
 
 
 def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
-    """Detect vectors of square -2, certifying absence when norms are 0 mod 4.
+    """Detect vectors of square -2, certifying absence when norms are 0 mod 4
+    or never negative.
 
     Any twist by a multiple of 4 has every diagonal entry divisible by 4 and
     every off-diagonal entry even, which forces all norms into 4Z, so -2 is
-    impossible.
+    impossible.  A form without negative LDL^T pivots is positive
+    semidefinite, so no vector has negative square.
     """
     g = lat.gram
     n = lat.rank
     if (all(g[i][i] % 4 == 0 for i in range(n))
             and all(g[i][j] % 2 == 0 for i in range(n) for j in range(i))):
+        return MinusTwoResult(False, True)
+    if min(ldl(g)[0]) >= 0:
         return MinusTwoResult(False, True)
     hits = _bounded_norm_vectors(lat, -2, search_bound)
     if hits:
@@ -194,10 +197,6 @@ def build_unbounded_family(p: int, d0: int = 1,
         height_bound=height_bound)
     verify_certificate(cert)
     return cert
-
-
-def _gram_json(lat: Lattice) -> list[list[int]]:
-    return [list(row) for row in lat.gram]
 
 
 def certificate_to_json(cert: UnboundedFamilyCertificate) -> dict:

@@ -1,9 +1,11 @@
-"""Command-line front end with deterministic JSON output and a memo cache."""
+"""Command-line front end with deterministic JSON output and a memo cache.
+Each handler imports only the modules its command uses; a DomainError from
+a computation is exit code 1, an InputError exit code 2."""
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
 import json
 import os
 import sys
@@ -12,15 +14,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, census, cm, enumeration, forms, genus
-from .census import SCHEMA, _gram_json
-from .lattice import Lattice, LatticeError
+from . import SCHEMA
+from .arith import DomainError
+from .lattice import Lattice, LatticeError, _gram_json
 
 CACHE_ENV = "K3LAT_CACHE_DIR"
-
-_DOMAIN_ERRORS = (LatticeError, forms.FormError, enumeration.EnumerationError,
-                  genus.GenusError, census.CensusError, cm.CMError,
-                  arith.RangeError)
 
 
 class InputError(ValueError):
@@ -66,7 +64,8 @@ def parse_vector(text: str) -> tuple[int, ...]:
         raise InputError(f"bad vector {text!r}") from exc
 
 
-def parse_form(text: str) -> forms.BinaryForm:
+def parse_form(text: str):
+    from . import forms
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"a form needs three coefficients, got {text!r}")
@@ -76,18 +75,19 @@ def parse_form(text: str) -> forms.BinaryForm:
         raise InputError(f"bad form {text!r}") from exc
 
 
-def parse_element(text: str, field: cm.CMField) -> cm.CMElement:
+def parse_element(text: str, field):
     try:
         return field.element([Fraction(x) for x in text.split(",")])
-    except (ValueError, ZeroDivisionError, cm.CMError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad field element {text!r}: {exc}") from exc
 
 
-def parse_mu(text: str, field: cm.CMField) -> tuple[cm.CMElement, ...]:
+def parse_mu(text: str, field) -> tuple:
     return tuple(parse_element(row, field) for row in text.split(";"))
 
 
-def _field_from_args(args) -> cm.CMField:
+def _field_from_args(args):
+    from . import cm
     if getattr(args, "disc", None) is not None:
         return cm.CMField.imaginary_quadratic(args.disc)
     if getattr(args, "cyclotomic", None) is not None:
@@ -98,11 +98,11 @@ def _field_from_args(args) -> cm.CMField:
 # -- JSON helpers --------------------------------------------------------------
 
 
-def _emb_json(emb: enumeration.EmbeddingMatrix) -> list[list[int]]:
+def _emb_json(emb) -> list[list[int]]:
     return [list(c) for c in emb.columns]
 
 
-def _elem_json(x: cm.CMElement) -> list[str]:
+def _elem_json(x) -> list[str]:
     return [str(c) for c in x.coords]
 
 
@@ -110,6 +110,7 @@ def _elem_json(x: cm.CMElement) -> list[str]:
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
+    import hashlib
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()[:32]
     return os.path.join(cache_dir, f"k3lat-{digest}.json")
@@ -151,6 +152,7 @@ def _cache_put(cache_dir: str | None, key: dict, result: dict) -> None:
 
 
 def _cmd_qform_reduce(args, cache):
+    from . import forms
     f = parse_form(args.form)
     reduced, transform = forms.reduce_form(f)
     return {"form": list(f.as_tuple()), "reduced": list(reduced.as_tuple()),
@@ -158,6 +160,7 @@ def _cmd_qform_reduce(args, cache):
 
 
 def _cmd_qform_classgroup(args, cache):
+    from . import forms
     key = {"op": "classgroup", "D": args.discriminant}
     hit = _cache_get(cache, key)
     if hit is not None:
@@ -170,12 +173,14 @@ def _cmd_qform_classgroup(args, cache):
 
 
 def _cmd_qform_compose(args, cache):
+    from . import forms
     f, g = parse_form(args.form), parse_form(args.other)
     return {"f": list(f.as_tuple()), "g": list(g.as_tuple()),
             "composed": list(forms.compose(f, g).as_tuple())}
 
 
 def _cmd_qform_genus_check(args, cache):
+    from . import forms
     return {"p": args.prime, "principal_genus": forms.verify_principal_genus(args.prime)}
 
 
@@ -198,6 +203,7 @@ def _cmd_lattice_disc_group(args, cache):
 
 
 def _cmd_lattice_vectors(args, cache):
+    from . import enumeration
     lat = parse_gram(args.gram)
     key = {"op": "vectors", "gram": _gram_json(lat), "norm": args.norm}
     hit = _cache_get(cache, key)
@@ -211,6 +217,7 @@ def _cmd_lattice_vectors(args, cache):
 
 
 def _cmd_lattice_embeddings(args, cache):
+    from . import enumeration
     src = parse_gram(args.source)
     tgt = parse_gram(args.target)
     embs = enumeration.embeddings(src, tgt, primitive_only=args.primitive)
@@ -220,6 +227,7 @@ def _cmd_lattice_embeddings(args, cache):
 
 
 def _cmd_lattice_isometric(args, cache):
+    from . import enumeration
     l1 = parse_gram(args.gram1)
     l2 = parse_gram(args.gram2)
     sig = l1.signature()
@@ -241,17 +249,20 @@ def _cmd_lattice_complement(args, cache):
 
 
 def _cmd_genus_symbol(args, cache):
+    from . import genus
     lat = parse_gram(args.gram)
     return genus.padic_symbol(lat, args.prime).to_json()
 
 
 def _cmd_genus_same(args, cache):
+    from . import genus
     l1 = parse_gram(args.gram1)
     l2 = parse_gram(args.gram2)
     return {"same_genus": genus.same_genus(l1, l2)}
 
 
 def _cmd_k3_unbounded(args, cache):
+    from . import census
     cert = census.build_unbounded_family(args.prime, args.d0,
                                          height_bound=args.height_bound)
     doc = census.certificate_to_json(cert)
@@ -262,11 +273,13 @@ def _cmd_k3_unbounded(args, cache):
 
 
 def _cmd_k3_fm_count(args, cache):
+    from . import census
     return {"d": args.degree, "tau": census.tau(args.degree),
             "count": census.fm_partner_count(args.degree)}
 
 
 def _cmd_k3_twistor_count(args, cache):
+    from . import census
     lat = parse_gram(args.gram)
     res = census.count_integral_twistor_classes(lat, args.degree)
     return {"gram": _gram_json(lat), "d": args.degree, "count": res.count,
@@ -274,6 +287,7 @@ def _cmd_k3_twistor_count(args, cache):
 
 
 def _cmd_k3_minus_two(args, cache):
+    from . import census
     lat = parse_gram(args.gram)
     if args.bound < 0:
         raise InputError(f"--bound must be nonnegative, got {args.bound}")
@@ -284,6 +298,7 @@ def _cmd_k3_minus_two(args, cache):
 
 
 def _cmd_cm_bound(args, cache):
+    from . import cm
     result = {"degree": args.degree,
               "bound": cm.twistor_fiber_bound(args.degree, args.roots)}
     if args.roots is None:
@@ -292,6 +307,7 @@ def _cmd_cm_bound(args, cache):
 
 
 def _cmd_cm_roots(args, cache):
+    from . import cm
     field = _field_from_args(args)
     if args.element:
         x = parse_element(args.element, field)
@@ -301,6 +317,7 @@ def _cmd_cm_roots(args, cache):
 
 
 def _cmd_cm_fibers(args, cache):
+    from . import cm
     field = _field_from_args(args)
     lat = parse_gram(args.gram)
     pv = cm.PeriodVector(lat, parse_mu(args.mu, field))
@@ -436,7 +453,8 @@ def run(argv: list[str]) -> CommandResult:
     start = time.monotonic()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(sys.stderr):  # help text would break the JSON
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         payload = {"schema": SCHEMA, "status": "input-error",
                    "error": "malformed arguments"}
@@ -454,7 +472,7 @@ def run(argv: list[str]) -> CommandResult:
         status = "input-error"
         payload = {"schema": SCHEMA, "status": "input-error", "command": command,
                    "error": str(exc)}
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         status = "error"
         payload = {"schema": SCHEMA, "status": "error", "command": command,
                    "error": str(exc)}

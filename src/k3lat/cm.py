@@ -19,7 +19,7 @@ from .lattice import Lattice
 from .linalg import rank, solve
 
 
-class CMError(ValueError):
+class CMError(arith.DomainError):
     """A CM-field or period precondition was violated."""
 
 

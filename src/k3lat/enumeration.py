@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import DomainError
 from .forms import lattice_to_form, reduce_form
 from .lattice import Lattice, Vector
 from .linalg import inverse, ldl, smith_invariants
 
 
-class EnumerationError(ValueError):
+class EnumerationError(DomainError):
     """A precondition of an enumeration routine was violated."""
 
 

@@ -19,7 +19,7 @@ Transform = tuple[tuple[int, int], tuple[int, int]]
 IDENTITY_2X2: Transform = ((1, 0), (0, 1))
 
 
-class FormError(ValueError):
+class FormError(arith.DomainError):
     """A precondition on a binary quadratic form was violated."""
 
 

@@ -17,7 +17,7 @@ from . import arith
 from .lattice import Lattice, LatticeError
 
 
-class GenusError(ValueError):
+class GenusError(arith.DomainError):
     """A precondition of a genus computation was violated."""
 
 

@@ -8,14 +8,30 @@ values and all operations are pure functions, safe for concurrent use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg
+from .arith import DomainError
 from .linalg import Vector
 
 
-class LatticeError(ValueError):
+class LatticeError(DomainError):
     """A precondition on a lattice or vector was violated."""
+
+
+def _integers(xs) -> Vector:
+    """The entries of xs as ints.  An entry that is not an integer is refused,
+    even one that only looks like one, such as 2.0, Fraction(2) or True."""
+    try:
+        out = tuple(xs)
+        if all(type(x) is int for x in out):
+            return out
+        if any(isinstance(x, bool) for x in out):
+            raise TypeError
+        return tuple(map(operator.index, out))
+    except TypeError:
+        raise LatticeError(f"entries must be integers, got {xs!r}") from None
 
 
 @dataclass(frozen=True)
@@ -25,7 +41,10 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        try:
+            gram = tuple(map(_integers, self.gram))
+        except TypeError:
+            raise LatticeError("Gram matrix must be a sequence of rows") from None
         n = len(gram)
         if n == 0:
             raise LatticeError("rank must be at least 1")
@@ -44,7 +63,7 @@ class Lattice:
         return f"Lattice({rows})"
 
     def check_vector(self, v) -> Vector:
-        v = tuple(int(x) for x in v)
+        v = _integers(v)
         if len(v) != self.rank:
             raise LatticeError(f"vector length {len(v)} does not match rank {self.rank}")
         return v
@@ -136,3 +155,7 @@ class Lattice:
         basis = [c[1:] for c in hnf[1:]]
         gram = [[self.inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice(gram), tuple(basis)
+
+
+def _gram_json(lat: Lattice) -> list[list[int]]:
+    return [list(row) for row in lat.gram]

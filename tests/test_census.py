@@ -102,17 +102,24 @@ class TestMinusTwo:
         assert res.found and Lattice([[2, 0], [0, -2]]).norm(res.witness) == -2
 
     def test_bounded_miss_is_uncertified(self):
-        res = has_minus_two_class(Lattice([[6, 1], [1, 6]]), search_bound=2)
+        # indefinite, not 0 mod 4, and 2a^2 - 6b^2 = -2 has no solution mod 3
+        res = has_minus_two_class(Lattice([[2, 0], [0, -6]]), search_bound=2)
         assert not res.found and not res.certified
+
+    @pytest.mark.parametrize("gram", [[[2]], [[6, 1], [1, 6]], [[1, 1], [1, 1]]],
+                             ids=["rank-one", "definite", "semidefinite"])
+    def test_positive_semidefinite_is_certified(self, gram):
+        res = has_minus_two_class(Lattice(gram), search_bound=0)
+        assert not res.found and res.certified
 
     @pytest.mark.parametrize("a", range(-12, 13))
     def test_rank_one(self, a):
         # a*t^2 = -2 has an integer solution only for a = -2 (t = +-1), so
-        # [[-2]] has a witness, [[-8]] is certified by the congruence and
-        # [[2]] is a bounded miss
+        # [[-2]] has a witness, [[-8]] is certified by the congruence, [[2]]
+        # by definiteness and [[-6]] is a bounded miss
         res = has_minus_two_class(Lattice([[a]]))
         assert res.found == (a == -2)
-        assert res.certified == (a == -2 or a % 4 == 0)
+        assert res.certified == (a == -2 or a % 4 == 0 or a > 0)
         assert res.witness in ((None,) if a != -2 else ((-1,), (1,)))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lat.arith import PRIME_BOUND, is_prime
-from k3lat.cli import CommandResult, main, parse_gram, run
+from k3lat.arith import PRIME_BOUND, DomainError, is_prime
+from k3lat.cli import CommandResult, build_parser, main, parse_gram, run
 
 
 def run_json(argv):
@@ -31,6 +32,26 @@ class TestParsing:
         res = run(["lattice", "signature", "--gram", "2,x;1,2"])
         assert res.status == "input-error" and res.exit_code == 2
 
+    @pytest.mark.parametrize("doc", ["[[1.5]]", '{"a": 1}', "7", '[[1, "x"]]'],
+                             ids=["float", "object", "scalar", "string-entry"])
+    def test_malformed_gram_file_exits_two_with_envelope(self, doc, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "signature", "--gram", f"@{path}", "--json"])
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "input-error"
+        assert "integers" in payload["error"] or "rows" in payload["error"]
+
+    def test_help_leaves_stdout_one_json_document(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["qform", "classgroup", "--help", "--json"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"schema": "k3lat/1", "status": "ok"}
+        assert "--discriminant" in err
+
     def test_unknown_subcommand_exits_two(self):
         res = run(["qform", "no-such-thing"])
         assert res.exit_code == 2
@@ -48,6 +69,21 @@ class TestParsing:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "k3lat/1"
         assert payload["status"] == "input-error"
+
+
+# one command per domain error class, with a fragment of its message
+_DOMAIN_ERRORS = [
+    ("lattice", "LatticeError", ["lattice", "complement", "--gram", "2", "--vector", "1"],
+     "rank-1"),
+    ("forms", "FormError", ["qform", "classgroup", "-D", "5"], "must be negative"),
+    ("enumeration", "EnumerationError",
+     ["lattice", "vectors", "--gram", "0,1;1,0", "-n", "2"], "positive definite"),
+    ("genus", "GenusError", ["genus", "symbol", "--gram", "2", "-p", "4"], "not prime"),
+    ("census", "CensusError", ["k3", "unbounded", "-p", "12"], "3 mod 4"),
+    ("cm", "CMError", ["cm", "roots", "--cyclotomic", "0"], "degree 2 or 4"),
+    ("arith", "RangeError", ["genus", "symbol", "--gram", "2", "-p", str(PRIME_BOUND)],
+     "proven primality range"),
+]
 
 
 class TestCommands:
@@ -129,6 +165,20 @@ class TestCommands:
         assert payload["schema"] == "k3lat/1"
         assert payload["status"] == "error" and error in payload["error"]
 
+    @pytest.mark.parametrize("module,error,argv,message", _DOMAIN_ERRORS,
+                             ids=[case[1] for case in _DOMAIN_ERRORS])
+    def test_every_domain_error_exits_one(self, module, error, argv, message, capsys):
+        cls = getattr(importlib.import_module(f"k3lat.{module}"), error)
+        assert issubclass(cls, DomainError)
+        args = build_parser().parse_args(argv)
+        with pytest.raises(cls, match=message):
+            args.handler(args, None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error" and message in payload["error"]
+
     def test_computation_error_exits_one(self):
         res = run(["k3", "unbounded", "-p", "12", "--json"])
         assert res.status == "error" and res.exit_code == 1
@@ -194,6 +244,32 @@ def test_module_entrypoint_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["bound"] == 132
+
+
+def fresh_interpreter(code):
+    """The last line a fresh interpreter prints after running code."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["census", "cm", "enumeration", "forms", "genus"])
+def test_cli_import_does_not_load(module):
+    code = f"import sys, k3lat.cli; print('k3lat.{module}' in sys.modules)"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_command_loads_only_the_modules_it_uses():
+    code = "\n".join([
+        "import runpy, sys",
+        "sys.argv = ['k3lat', 'qform', 'classgroup', '-D', '-23', '--json']",
+        "try:",
+        "    runpy.run_module('k3lat', run_name='__main__', alter_sys=True)",
+        "except SystemExit as exc:",
+        "    print(exc.code, sorted({'k3lat.forms', 'k3lat.census', 'k3lat.cm'}",
+        "                           & set(sys.modules)))"])
+    assert fresh_interpreter(code) == "0 ['k3lat.forms']"
 
 
 def test_exit_code_property():

@@ -25,6 +25,30 @@ def test_rejects_bad_gram():
         Lattice([])
 
 
+@pytest.mark.parametrize("gram", [
+    [[2, 1], [1, 2.9]], [[2.0]], [[Fraction(2)]], [[True]], [[1, "x"]],
+    {"a": 1}, 7, [1, 2],
+], ids=["fraction-truncated", "float", "Fraction", "bool", "string", "object",
+        "scalar", "flat-list"])
+def test_refuses_entries_that_are_not_integers(gram):
+    with pytest.raises(LatticeError):
+        Lattice(gram)
+
+
+@pytest.mark.parametrize("v", [(1.5, 0), (1.0, 0), (True, 0), 7],
+                         ids=["float", "integral-float", "bool", "scalar"])
+def test_refuses_vectors_that_are_not_integral(v):
+    with pytest.raises(LatticeError):
+        A2.norm(v)
+
+
+def test_accepts_integer_types_besides_int():
+    from sympy import Integer
+    lat = Lattice([[Integer(2), 1], [1, Integer(2)]])
+    assert lat == A2 and all(type(x) is int for row in lat.gram for x in row)
+    assert A2.check_vector((Integer(1), 0)) == (1, 0)
+
+
 @pytest.mark.parametrize("gram,v,expected", [
     ([[2, 1], [1, 2]], (1, 0), 2),
     ([[2, 1], [1, 2]], (1, -2), 6),
