@@ -23,7 +23,7 @@ from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
                           orbit_invariant, vectors_of_norm, _bounded_norm_vectors)
 from .forms import BinaryForm, class_group, form_to_lattice
 from .genus import same_genus
-from .lattice import Lattice, Vector, _gram_json
+from .lattice import Lattice, Vector, _gram_json, _integers
 from .linalg import ldl
 
 
@@ -33,7 +33,7 @@ class CensusError(arith.DomainError):
 
 def tau(d: int) -> int:
     """Number of distinct primes dividing d/2, for even d > 0."""
-    d = int(d)
+    (d,) = _integers((d,))
     if d <= 0 or d % 2 != 0:
         raise CensusError("d must be a positive even integer")
     return len(arith.factor(d // 2))
@@ -184,7 +184,6 @@ def build_unbounded_family(p: int, d0: int = 1,
     genus_checks is the all-true claim verify_certificate proves, and the
     certificate is returned only after verify_certificate accepts it.
     """
-    p, d0, height_bound = int(p), int(d0), int(height_bound)
     forms, ternaries, ambient, invariants = _family(p, d0, height_bound)
     witnesses = level_walk(ternaries, ternaries[0], height_bound)
     h = len(forms)

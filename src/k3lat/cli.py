@@ -1,6 +1,12 @@
 """Command-line front end with deterministic JSON output and a memo cache.
-Each handler imports only the modules its command uses; a DomainError from
-a computation is exit code 1, an InputError exit code 2."""
+
+Each command is declared once: the `command` decorator on its handler
+enters it in COMMANDS under "group cmd", with its argument specs.  A call
+builds the parser of the one command its first two words name, so options
+must be spelled in full; any other argv gets the listing parser, which
+prints the command list.  Each handler imports only the modules its command
+uses; a DomainError from a computation is exit code 1, an InputError exit
+code 2."""
 
 from __future__ import annotations
 
@@ -88,9 +94,9 @@ def parse_mu(text: str, field) -> tuple:
 
 def _field_from_args(args):
     from . import cm
-    if getattr(args, "disc", None) is not None:
+    if args.disc is not None:
         return cm.CMField.imaginary_quadratic(args.disc)
-    if getattr(args, "cyclotomic", None) is not None:
+    if args.cyclotomic is not None:
         return cm.CMField.cyclotomic(args.cyclotomic)
     raise InputError("specify the field with --disc M or --cyclotomic K")
 
@@ -148,9 +154,47 @@ def _cache_put(cache_dir: str | None, key: dict, result: dict) -> None:
             os.unlink(tmp)
 
 
+def _memo(cache_dir: str | None, key: dict, compute):
+    """The result of compute(), read from the memo cache under key if there."""
+    result = _cache_get(cache_dir, key)
+    if result is None:
+        result = compute()
+        _cache_put(cache_dir, key, result)
+    return result
+
+
+# -- command table -------------------------------------------------------------
+
+COMMANDS: dict[str, tuple] = {}  # "group cmd" -> (handler, argument specs)
+
+
+def arg(*flags, **options):
+    """One argument of a command, as ArgumentParser.add_argument takes it."""
+    return flags, options
+
+
+def command(name: str, *specs):
+    """Enter the decorated handler in COMMANDS under name, with its arguments."""
+    def register(handler):
+        COMMANDS[name] = handler, specs
+        return handler
+    return register
+
+
+_GRAM = arg("--gram", required=True, help='"a,b;b,c" or @file.json')
+_GRAMS = arg("--gram1", required=True), arg("--gram2", required=True)
+_VECTOR = arg("--vector", required=True, help="a,b,...")
+_FORM = arg("-f", "--form", required=True, help="a,b,c")
+_PRIME = arg("-p", "--prime", type=int, required=True)
+_DEGREE = arg("-d", "--degree", type=int, required=True)
+_FIELD = (arg("--disc", type=int, help="field Q(sqrt(-M))"),
+          arg("--cyclotomic", type=int, help="field Q(zeta_K)"))
+
+
 # -- command handlers ----------------------------------------------------------
 
 
+@command("qform reduce", _FORM)
 def _cmd_qform_reduce(args, cache):
     from . import forms
     f = parse_form(args.form)
@@ -159,19 +203,18 @@ def _cmd_qform_reduce(args, cache):
             "transform": [list(row) for row in transform]}
 
 
+@command("qform classgroup", arg("-D", "--discriminant", type=int, required=True))
 def _cmd_qform_classgroup(args, cache):
     from . import forms
-    key = {"op": "classgroup", "D": args.discriminant}
-    hit = _cache_get(cache, key)
-    if hit is not None:
-        return hit
-    cl = forms.class_group(args.discriminant)
-    result = {"discriminant": cl.discriminant, "h": cl.order,
-              "forms": [list(f.as_tuple()) for f in cl.elements]}
-    _cache_put(cache, key, result)
-    return result
+
+    def compute():
+        cl = forms.class_group(args.discriminant)
+        return {"discriminant": cl.discriminant, "h": cl.order,
+                "forms": [list(f.as_tuple()) for f in cl.elements]}
+    return _memo(cache, {"op": "classgroup", "D": args.discriminant}, compute)
 
 
+@command("qform compose", _FORM, arg("-g", "--other", required=True, help="a,b,c"))
 def _cmd_qform_compose(args, cache):
     from . import forms
     f, g = parse_form(args.form), parse_form(args.other)
@@ -179,43 +222,48 @@ def _cmd_qform_compose(args, cache):
             "composed": list(forms.compose(f, g).as_tuple())}
 
 
+@command("qform genus-check", _PRIME)
 def _cmd_qform_genus_check(args, cache):
     from . import forms
     return {"p": args.prime, "principal_genus": forms.verify_principal_genus(args.prime)}
 
 
+@command("lattice norm", _GRAM, _VECTOR)
 def _cmd_lattice_norm(args, cache):
     lat = parse_gram(args.gram)
     v = parse_vector(args.vector)
     return {"gram": _gram_json(lat), "vector": list(v), "norm": lat.norm(v)}
 
 
+@command("lattice signature", _GRAM)
 def _cmd_lattice_signature(args, cache):
     lat = parse_gram(args.gram)
     pos, neg = lat.signature()
     return {"gram": _gram_json(lat), "signature": [pos, neg]}
 
 
+@command("lattice disc-group", _GRAM)
 def _cmd_lattice_disc_group(args, cache):
     lat = parse_gram(args.gram)
     return {"gram": _gram_json(lat), "determinant": lat.determinant(),
             "discriminant_group": list(lat.discriminant_group())}
 
 
+@command("lattice vectors", _GRAM, arg("-n", "--norm", type=int, required=True))
 def _cmd_lattice_vectors(args, cache):
     from . import enumeration
     lat = parse_gram(args.gram)
-    key = {"op": "vectors", "gram": _gram_json(lat), "norm": args.norm}
-    hit = _cache_get(cache, key)
-    if hit is not None:
-        return hit
-    vecs = enumeration.vectors_of_norm(lat, args.norm)
-    result = {"gram": _gram_json(lat), "norm": args.norm,
-              "count": len(vecs), "vectors": [list(v) for v in vecs]}
-    _cache_put(cache, key, result)
-    return result
+
+    def compute():
+        vecs = enumeration.vectors_of_norm(lat, args.norm)
+        return {"gram": _gram_json(lat), "norm": args.norm,
+                "count": len(vecs), "vectors": [list(v) for v in vecs]}
+    return _memo(cache, {"op": "vectors", "gram": _gram_json(lat), "norm": args.norm},
+                 compute)
 
 
+@command("lattice embeddings", arg("--source", required=True),
+         arg("--target", required=True), arg("--primitive", action="store_true"))
 def _cmd_lattice_embeddings(args, cache):
     from . import enumeration
     src = parse_gram(args.source)
@@ -226,6 +274,7 @@ def _cmd_lattice_embeddings(args, cache):
             "embeddings": [_emb_json(e) for e in embs]}
 
 
+@command("lattice isometric", *_GRAMS, arg("--height-bound", type=int, default=10))
 def _cmd_lattice_isometric(args, cache):
     from . import enumeration
     l1 = parse_gram(args.gram1)
@@ -241,6 +290,7 @@ def _cmd_lattice_isometric(args, cache):
             "witness": None if res.witness is None else _emb_json(res.witness)}
 
 
+@command("lattice complement", _GRAM, _VECTOR)
 def _cmd_lattice_complement(args, cache):
     lat = parse_gram(args.gram)
     comp, basis = lat.orthogonal_complement(parse_vector(args.vector))
@@ -248,12 +298,14 @@ def _cmd_lattice_complement(args, cache):
             "basis": [list(b) for b in basis]}
 
 
+@command("genus symbol", _GRAM, _PRIME)
 def _cmd_genus_symbol(args, cache):
     from . import genus
     lat = parse_gram(args.gram)
     return genus.padic_symbol(lat, args.prime).to_json()
 
 
+@command("genus same", *_GRAMS)
 def _cmd_genus_same(args, cache):
     from . import genus
     l1 = parse_gram(args.gram1)
@@ -261,6 +313,10 @@ def _cmd_genus_same(args, cache):
     return {"same_genus": genus.same_genus(l1, l2)}
 
 
+@command("k3 unbounded", _PRIME, arg("--d0", type=int, default=1),
+         arg("--height-bound", type=int, default=10,
+             help="largest level |z| the witness walk may reach"),
+         arg("--out", help="also write the certificate to this file"))
 def _cmd_k3_unbounded(args, cache):
     from . import census
     cert = census.build_unbounded_family(args.prime, args.d0,
@@ -272,12 +328,14 @@ def _cmd_k3_unbounded(args, cache):
     return doc
 
 
+@command("k3 fm-count", _DEGREE)
 def _cmd_k3_fm_count(args, cache):
     from . import census
     return {"d": args.degree, "tau": census.tau(args.degree),
             "count": census.fm_partner_count(args.degree)}
 
 
+@command("k3 twistor-count", _GRAM, _DEGREE)
 def _cmd_k3_twistor_count(args, cache):
     from . import census
     lat = parse_gram(args.gram)
@@ -286,6 +344,7 @@ def _cmd_k3_twistor_count(args, cache):
             "representatives": [list(v) for v in res.representatives]}
 
 
+@command("k3 minus-two", _GRAM, arg("--bound", type=int, default=6))
 def _cmd_k3_minus_two(args, cache):
     from . import census
     lat = parse_gram(args.gram)
@@ -297,25 +356,9 @@ def _cmd_k3_minus_two(args, cache):
             "witness": None if res.witness is None else list(res.witness)}
 
 
-def _cmd_cm_bound(args, cache):
-    from . import cm
-    result = {"degree": args.degree,
-              "bound": cm.twistor_fiber_bound(args.degree, args.roots)}
-    if args.roots is None:
-        result["max_order"] = cm.max_root_of_unity_order(args.degree)
-    return result
-
-
-def _cmd_cm_roots(args, cache):
-    from . import cm
-    field = _field_from_args(args)
-    if args.element:
-        x = parse_element(args.element, field)
-        return {"element": _elem_json(x), "order": cm.is_root_of_unity(x)}
-    roots = field.roots_of_unity()
-    return {"count": len(roots), "roots": [_elem_json(x) for x in roots]}
-
-
+@command("cm fibers", _GRAM,
+         arg("--mu", required=True, help='period coordinates "1,0;1/2,1/2"'),
+         _DEGREE, *_FIELD, arg("--overlattice-index", type=int, default=1))
 def _cmd_cm_fibers(args, cache):
     from . import cm
     field = _field_from_args(args)
@@ -334,154 +377,86 @@ def _cmd_cm_fibers(args, cache):
     }
 
 
-# -- parser --------------------------------------------------------------------
+@command("cm bound", arg("--degree", type=int, required=True), arg("--roots", type=int))
+def _cmd_cm_bound(args, cache):
+    from . import cm
+    result = {"degree": args.degree,
+              "bound": cm.twistor_fiber_bound(args.degree, args.roots)}
+    if args.roots is None:
+        result["max_order"] = cm.max_root_of_unity_order(args.degree)
+    return result
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine JSON output")
-    common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
+@command("cm roots", *_FIELD, arg("--element", help="power-basis coordinates"))
+def _cmd_cm_roots(args, cache):
+    from . import cm
+    field = _field_from_args(args)
+    if args.element:
+        x = parse_element(args.element, field)
+        return {"element": _elem_json(x), "order": cm.is_root_of_unity(x)}
+    roots = field.roots_of_unity()
+    return {"count": len(roots), "roots": [_elem_json(x) for x in roots]}
+
+
+# -- parser and run ------------------------------------------------------------
+
+
+def build_parser(name: str = "") -> argparse.ArgumentParser:
+    """The parser of the command name ("group cmd"); for any other name the
+    listing parser, which takes the whole argv and lists every command."""
+    if name not in COMMANDS:
+        groups: dict[str, list[str]] = {}
+        for key in COMMANDS:
+            group, cmd = key.split()
+            groups.setdefault(group, []).append(cmd)
+        listing = "\n".join(f"  k3lat {g:7} {'|'.join(cmds)}" for g, cmds in groups.items())
+        parser = argparse.ArgumentParser(
+            prog="k3lat", usage="k3lat GROUP COMMAND [options]", allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog=f"commands:\n{listing}\n\n"
+                   "`k3lat GROUP COMMAND --help` lists the options of a command")
+        parser.add_argument("group", metavar="GROUP", choices=groups)
+        parser.add_argument("command", metavar="COMMAND",
+                            choices=sorted({c for cmds in groups.values() for c in cmds}))
+        return parser
+    parser = argparse.ArgumentParser(prog=f"k3lat {name}", allow_abbrev=False)
+    for flags, options in COMMANDS[name][1]:
+        parser.add_argument(*flags, **options)
+    parser.add_argument("--json", action="store_true", help="machine JSON output")
+    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
                         help="memo cache directory (default $K3LAT_CACHE_DIR)")
-
-    parser = argparse.ArgumentParser(prog="k3lat")
-    top = parser.add_subparsers(dest="group", required=True)
-
-    qform = top.add_parser("qform", help="binary quadratic forms").add_subparsers(
-        dest="cmd", required=True)
-    p = qform.add_parser("reduce", parents=[common])
-    p.add_argument("-f", "--form", required=True, help="a,b,c")
-    p.set_defaults(handler=_cmd_qform_reduce)
-    p = qform.add_parser("classgroup", parents=[common])
-    p.add_argument("-D", "--discriminant", type=int, required=True)
-    p.set_defaults(handler=_cmd_qform_classgroup)
-    p = qform.add_parser("compose", parents=[common])
-    p.add_argument("-f", "--form", required=True)
-    p.add_argument("-g", "--other", required=True)
-    p.set_defaults(handler=_cmd_qform_compose)
-    p = qform.add_parser("genus-check", parents=[common])
-    p.add_argument("-p", "--prime", type=int, required=True)
-    p.set_defaults(handler=_cmd_qform_genus_check)
-
-    lattice = top.add_parser("lattice", help="integral lattices").add_subparsers(
-        dest="cmd", required=True)
-    p = lattice.add_parser("norm", parents=[common])
-    p.add_argument("--gram", required=True, help='"a,b;b,c" or @file.json')
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=_cmd_lattice_norm)
-    p = lattice.add_parser("signature", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.set_defaults(handler=_cmd_lattice_signature)
-    p = lattice.add_parser("disc-group", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.set_defaults(handler=_cmd_lattice_disc_group)
-    p = lattice.add_parser("vectors", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.add_argument("-n", "--norm", type=int, required=True)
-    p.set_defaults(handler=_cmd_lattice_vectors)
-    p = lattice.add_parser("embeddings", parents=[common])
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--primitive", action="store_true")
-    p.set_defaults(handler=_cmd_lattice_embeddings)
-    p = lattice.add_parser("isometric", parents=[common])
-    p.add_argument("--gram1", required=True)
-    p.add_argument("--gram2", required=True)
-    p.add_argument("--height-bound", type=int, default=10)
-    p.set_defaults(handler=_cmd_lattice_isometric)
-    p = lattice.add_parser("complement", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=_cmd_lattice_complement)
-
-    gen = top.add_parser("genus", help="p-adic genus symbols").add_subparsers(
-        dest="cmd", required=True)
-    p = gen.add_parser("symbol", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.add_argument("-p", "--prime", type=int, required=True)
-    p.set_defaults(handler=_cmd_genus_symbol)
-    p = gen.add_parser("same", parents=[common])
-    p.add_argument("--gram1", required=True)
-    p.add_argument("--gram2", required=True)
-    p.set_defaults(handler=_cmd_genus_same)
-
-    k3 = top.add_parser("k3", help="polarization census").add_subparsers(
-        dest="cmd", required=True)
-    p = k3.add_parser("unbounded", parents=[common])
-    p.add_argument("-p", "--prime", type=int, required=True)
-    p.add_argument("--d0", type=int, default=1)
-    p.add_argument("--height-bound", type=int, default=10,
-                   help="largest level |z| the witness walk may reach")
-    p.add_argument("--out", help="also write the certificate to this file")
-    p.set_defaults(handler=_cmd_k3_unbounded)
-    p = k3.add_parser("fm-count", parents=[common])
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_k3_fm_count)
-    p = k3.add_parser("twistor-count", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_k3_twistor_count)
-    p = k3.add_parser("minus-two", parents=[common])
-    p.add_argument("--gram", required=True)
-    p.add_argument("--bound", type=int, default=6)
-    p.set_defaults(handler=_cmd_k3_minus_two)
-
-    cmp_ = top.add_parser("cm", help="CM fields and twistor fibres").add_subparsers(
-        dest="cmd", required=True)
-    p = cmp_.add_parser("fibers", parents=[common])
-    p.add_argument("--gram", required=True, help="transcendental lattice")
-    p.add_argument("--mu", required=True, help='period coordinates "1,0;1/2,1/2"')
-    p.add_argument("-d", "--degree", type=int, required=True)
-    p.add_argument("--disc", type=int, help="field Q(sqrt(-M))")
-    p.add_argument("--cyclotomic", type=int, help="field Q(zeta_K)")
-    p.add_argument("--overlattice-index", type=int, default=1)
-    p.set_defaults(handler=_cmd_cm_fibers)
-    p = cmp_.add_parser("bound", parents=[common])
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--roots", type=int)
-    p.set_defaults(handler=_cmd_cm_bound)
-    p = cmp_.add_parser("roots", parents=[common])
-    p.add_argument("--disc", type=int)
-    p.add_argument("--cyclotomic", type=int)
-    p.add_argument("--element", help="power-basis coordinates")
-    p.set_defaults(handler=_cmd_cm_roots)
-
     return parser
+
+
+def _result(start: float, status: str, **fields) -> CommandResult:
+    payload = {"schema": SCHEMA, "status": status, **fields}
+    return CommandResult(status, payload, 1000 * (time.monotonic() - start))
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one command; never raises on expected failures."""
     start = time.monotonic()
-    parser = build_parser()
+    name = " ".join(argv[:2])
+    parser = build_parser(name)
     try:
         with contextlib.redirect_stdout(sys.stderr):  # help text would break the JSON
-            args = parser.parse_args(argv)
+            if name not in COMMANDS:
+                parser.parse_args(argv)
+                parser.error(f"no command {name!r}")
+            args = parser.parse_args(argv[2:])
     except SystemExit as exc:
-        payload = {"schema": SCHEMA, "status": "input-error",
-                   "error": "malformed arguments"}
-        ms = 1000 * (time.monotonic() - start)
         if exc.code in (0, None):  # --help
-            return CommandResult("ok", {"schema": SCHEMA, "status": "ok"}, ms)
-        return CommandResult("input-error", payload, ms)
-    command = f"{args.group} {args.cmd}"
+            return _result(start, "ok")
+        return _result(start, "input-error", error="malformed arguments")
     try:
-        result = args.handler(args, args.cache_dir)
-        status = "ok"
-        payload = {"schema": SCHEMA, "status": "ok", "command": command,
-                   "result": result}
+        outcome = {"status": "ok", "result": COMMANDS[name][0](args, args.cache_dir)}
     except InputError as exc:
-        status = "input-error"
-        payload = {"schema": SCHEMA, "status": "input-error", "command": command,
-                   "error": str(exc)}
+        outcome = {"status": "input-error", "error": str(exc)}
     except DomainError as exc:
-        status = "error"
-        payload = {"schema": SCHEMA, "status": "error", "command": command,
-                   "error": str(exc)}
+        outcome = {"status": "error", "error": str(exc)}
     except OSError as exc:
-        status = "error"
-        payload = {"schema": SCHEMA, "status": "error", "command": command,
-                   "error": f"i/o failure: {exc}"}
-    ms = 1000 * (time.monotonic() - start)
-    return CommandResult(status, payload, ms)
+        outcome = {"status": "error", "error": f"i/o failure: {exc}"}
+    return _result(start, command=name, **outcome)
 
 
 def render_human(res: CommandResult) -> str:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .lattice import Lattice
+from .lattice import Lattice, _integers
 from .linalg import xgcd
 
 Transform = tuple[tuple[int, int], tuple[int, int]]
@@ -30,9 +30,8 @@ class BinaryForm:
     c: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        object.__setattr__(self, "c", int(self.c))
+        for name, x in zip("abc", _integers((self.a, self.b, self.c))):
+            object.__setattr__(self, name, x)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice, LatticeError, _integers
 
 
 class GenusError(arith.DomainError):
@@ -191,7 +191,7 @@ def _canonical_2adic(blocks: list[list]) -> list[GenusBlock]:
 
 def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
     """Canonical p-adic genus symbol of a nondegenerate lattice."""
-    p = int(p)
+    (p,) = _integers((p,))
     if not arith.is_prime(p):
         raise GenusError(f"{p} is not prime")
     if lat.determinant() == 0:

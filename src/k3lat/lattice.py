@@ -120,7 +120,7 @@ class Lattice:
 
     def twist(self, a: int) -> "Lattice":
         """Same module with the form scaled by a; written L(a)."""
-        a = int(a)
+        (a,) = _integers((a,))
         if a == 0:
             raise LatticeError("twist by zero is degenerate")
         return Lattice([[a * x for x in row] for row in self.gram])

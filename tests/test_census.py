@@ -15,7 +15,7 @@ from k3lat.census import (CensusError, UnboundedFamilyCertificate,
 from k3lat.enumeration import (indefinite_isometry_search, level_walk,
                                orbit_invariant, vectors_of_norm)
 from k3lat.forms import class_group, form_to_lattice
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, LatticeError
 
 A2 = Lattice([[2, 1], [1, 2]])
 
@@ -46,6 +46,10 @@ class TestTauAndFm:
     @pytest.mark.parametrize("d,expected", [(12, 2), (60, 4), (2, 1)])
     def test_fm_count(self, d, expected):
         assert fm_partner_count(d) == expected
+
+    def test_degree_that_is_not_an_integer_rejected(self):
+        with pytest.raises(LatticeError, match="integers"):
+            tau(12.7)
 
     def test_odd_degree_rejected(self):
         with pytest.raises(CensusError):
@@ -155,6 +159,14 @@ class TestUnboundedFamily:
     def test_preconditions(self, p, d0):
         with pytest.raises(CensusError):
             build_unbounded_family(p, d0)
+
+    @pytest.mark.parametrize("p,d0,height_bound", [(23.9, 1, 10), (23, 1.0, 10),
+                                                   (23, 1, 10.5)],
+                             ids=["p", "d0", "height_bound"])
+    def test_refuses_parameters_that_are_not_ints(self, p, d0, height_bound):
+        # verify_certificate refuses these too, so build must not round them
+        with pytest.raises(CensusError):
+            build_unbounded_family(p, d0, height_bound=height_bound)
 
     @pytest.mark.parametrize("height_bound", [0, -1])
     def test_rejects_nonpositive_height_bound(self, height_bound):

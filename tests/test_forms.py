@@ -10,6 +10,7 @@ from k3lat.forms import (BinaryForm, FormError, apply_transform, class_group,
                          compose, det2, dirichlet_class_number, form_to_lattice,
                          is_equivalent, is_fundamental_discriminant,
                          lattice_to_form, reduce_form, verify_principal_genus)
+from k3lat.lattice import LatticeError
 from util import random_unimodular
 
 
@@ -48,6 +49,11 @@ def test_reduce_against_bruteforce_oracle(form, expected):
     assert reduced.as_tuple() == expected
     assert det2(u) == 1
     assert apply_transform(f, u) == reduced
+
+
+def test_refuses_coefficients_that_are_not_integers():
+    with pytest.raises(LatticeError, match="integers"):
+        BinaryForm(1.5, 1, 6.9)
 
 
 def test_reduce_rejects_indefinite():

@@ -5,7 +5,7 @@ from sympy import primefactors
 
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.genus import GenusError, padic_symbol, same_genus
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, LatticeError
 from util import change_basis, random_nondegenerate, random_unimodular
 
 A2 = Lattice([[2, 1], [1, 2]])
@@ -67,6 +67,10 @@ class TestPadicSymbol:
     def test_rejects_nonprime(self):
         with pytest.raises(GenusError):
             padic_symbol(A2, 4)
+
+    def test_rejects_a_prime_that_is_not_an_integer(self):
+        with pytest.raises(LatticeError, match="integers"):
+            padic_symbol(A2, 3.7)
 
     def test_rejects_degenerate(self):
         with pytest.raises(GenusError):

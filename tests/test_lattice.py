@@ -124,6 +124,11 @@ def test_direct_sum_and_twist():
         A2.twist(0)
 
 
+def test_twist_refuses_a_factor_that_is_not_an_integer():
+    with pytest.raises(LatticeError, match="integers"):
+        Lattice([[2]]).twist(2.5)
+
+
 def test_is_primitive():
     l3 = A2.direct_sum(Lattice([[2]]))
     assert l3.is_primitive((1, -2, 0))
