@@ -6,6 +6,7 @@ with it.  At or beyond the bound both raise RangeError, never guess.
 """
 
 import math
+import operator
 
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -20,8 +21,23 @@ class RangeError(DomainError):
     """An input lies where primality is not proven."""
 
 
+def integers(xs, error: type[DomainError] = DomainError) -> tuple[int, ...]:
+    """The entries of xs as ints.  An entry that is not an integer is refused
+    with error, even one that only looks like one, such as 2.0, Fraction(2)
+    or True."""
+    try:
+        out = tuple(xs)
+        if all(type(x) is int for x in out):
+            return out
+        if any(isinstance(x, bool) for x in out):
+            raise TypeError
+        return tuple(map(operator.index, out))
+    except TypeError:
+        raise error(f"entries must be integers, got {xs!r}") from None
+
+
 def _check(n: int) -> int:
-    n = int(n)
+    (n,) = integers((n,))
     if abs(n) >= PRIME_BOUND:
         raise RangeError(f"{n} is beyond the proven primality range")
     return n
@@ -103,7 +119,7 @@ def factor(n: int) -> dict[int, int]:
 
 def totient(n: int) -> int:
     """Euler's phi of a positive n."""
-    n = int(n)
+    (n,) = integers((n,))
     if n < 1:
         raise ValueError("totient needs a positive integer")
     for p in factor(n):

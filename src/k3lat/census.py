@@ -61,7 +61,7 @@ def count_integral_twistor_classes(pos: Lattice, d: int) -> TwistorCount:
     Antipodal vectors give the same twistor parameter (a class determines the
     fibre only up to complex conjugation), so pairs are counted once.
     """
-    d = int(d)
+    (d,) = _integers((d,))
     if d <= 0:
         raise CensusError("d must be positive")
     if pos.rank > 3:
@@ -102,7 +102,8 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     if (all(g[i][i] % 4 == 0 for i in range(n))
             and all(g[i][j] % 2 == 0 for i in range(n) for j in range(i))):
         return MinusTwoResult(False, True)
-    if min(ldl(g)[0]) >= 0:
+    minors = ldl(g)[0]
+    if all(a * b >= 0 for a, b in zip(minors, minors[1:])):
         return MinusTwoResult(False, True)
     hits = _bounded_norm_vectors(lat, -2, search_bound)
     if hits:

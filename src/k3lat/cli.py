@@ -477,6 +477,6 @@ def main(argv: list[str] | None = None) -> None:
     if "--json" in argv:
         sys.stdout.write(json.dumps(res.payload, sort_keys=True,
                                     separators=(",", ":")) + "\n")
-    else:
+    elif res.status != "ok" or "command" in res.payload:  # help went to stderr
         sys.stdout.write(render_human(res) + "\n")
     sys.exit(res.exit_code)

@@ -1,8 +1,9 @@
 """Finite enumeration: fixed-norm vectors, isometric embeddings, isometry search.
 
-The short-vector kernel uses an exact rational Cholesky decomposition with
-integer interval truncation, and on a fixed-norm shell solves the last
-coordinate exactly, so it is deterministic and never touches floating point.
+The short-vector kernel descends the fraction-free LDL^T elimination of
+linalg in integers alone (isqrt and floor division), and on a fixed-norm
+shell solves the last coordinate it fixes by an exact square test, so it is
+deterministic and never touches floating point or a Fraction.
 A naive box scan is kept in the test suite as its oracle.  Isometries
 between block ternaries Q + (-k) come from one walk over the levels of the
 target (level_walk); indefinite_isometry_search is the bounded search for
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError
+from .arith import DomainError, integers
 from .forms import lattice_to_form, reduce_form
 from .lattice import Lattice, Vector
 from .linalg import inverse, ldl, smith_invariants
@@ -25,64 +26,55 @@ class EnumerationError(DomainError):
     """A precondition of an enumeration routine was violated."""
 
 
-def _interval(center: Fraction, radius_sq: Fraction) -> range:
-    """Integers x with (x + center)^2 <= radius_sq, as a range."""
-    if radius_sq < 0:
-        return range(0)
-    p, q = center.numerator, center.denominator
-    # (xq + p)^2 <= radius_sq * q^2, and the right side may be floored since
-    # the left side is an integer
-    s, t = radius_sq.numerator, radius_sq.denominator
-    m = math.isqrt(s * q * q // t)
-    lo = math.ceil(Fraction(-m - p, q))
-    hi = math.floor(Fraction(m - p, q))
-    return range(lo, hi + 1)
-
-
-def _roots(center: Fraction, square: Fraction) -> list[int]:
-    """Integers x with (x + center)^2 == square, ascending."""
-    if square < 0:
-        return []
-    s, t = square.numerator, square.denominator
-    rs, rt = math.isqrt(s), math.isqrt(t)
-    if rs * rs != s or rt * rt != t:
-        return []
-    root = Fraction(rs, rt)
-    return sorted({int(x) for x in (root - center, -root - center)
-                   if x.denominator == 1})
-
-
 def _lattice_points(gram, bound, shell: bool) -> list[Vector]:
     """Integer vectors x with x^T gram x <= bound (== bound if shell), sorted.
 
-    Descends the rational Cholesky decomposition from the last coordinate to
-    the first.  On a shell the first coordinate is solved exactly instead of
-    scanned, so only the shell is ever held in memory.
+    gram is integral and bound an int or a Fraction.  With the pivot minors
+    P_k and scaled rows r_k of ldl, x^T gram x = sum_k y_k^2 / (P_k P_{k+1})
+    where y_k = sum_j r_k[j] x_j = P_{k+1} x_k + c_k and c_k depends only on
+    the later coordinates.  Scaled by M = lcm(P_k P_{k+1}), the bound and
+    every term m_k y_k^2 are integers.  The descent fixes x from the last
+    coordinate to the first: isqrt bounds y_k and floor division turns that
+    into an interval for x_k.  On a shell the first coordinate is solved by
+    an exact square test instead of scanned, so only the shell is ever held
+    in memory.
     """
-    n = len(gram)
-    bound = Fraction(bound)
     if bound < 0:
         return []
-    d, u = ldl(gram)
-    if any(x <= 0 for x in d):
+    minors, rows = ldl(gram)
+    if any(p <= 0 for p in minors):
         raise EnumerationError("Gram matrix is not positive definite")
+    n = len(gram)
+    weights = [p * q for p, q in zip(minors, minors[1:])]
+    scale = math.lcm(*weights)
+    top, frac = divmod(scale * bound.numerator, bound.denominator)
+    if shell and frac:
+        return []
+    ms = [scale // w for w in weights]
     out: list[Vector] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction) -> None:
-        center = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+    def descend(i: int, remaining: int) -> None:
+        row, q, m = rows[i], minors[i + 1], ms[i]
+        c = sum(row[j] * x[j] for j in range(i + 1, n))
         if i == 0 and shell:
-            xs = _roots(center, remaining / d[0])
+            s, r = divmod(remaining, m)
+            t = math.isqrt(s)
+            if r or t * t != s:
+                return
+            xs = {(y - c) // q for y in (t, -t) if (y - c) % q == 0}
         else:
-            xs = _interval(center, remaining / d[i])
+            t = math.isqrt(remaining // m)
+            xs = range(-((t + c) // q), (t - c) // q + 1)
         for xi in xs:
             x[i] = xi
             if i == 0:
                 out.append(tuple(x))
             else:
-                descend(i - 1, remaining - d[i] * (xi + center) ** 2)
+                y = q * xi + c
+                descend(i - 1, remaining - m * y * y)
 
-    descend(n - 1, bound)
+    descend(n - 1, top)
     out.sort()
     return out
 
@@ -91,14 +83,18 @@ def short_vectors_le(gram, bound) -> list[Vector]:
     """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
 
     gram may have Fraction entries (used for trace forms of number fields);
-    the zero vector is included.
+    it is scaled to an integer Gram matrix, and bound with it, before the
+    descent.  The zero vector is included.
     """
-    return _lattice_points(gram, bound, shell=False)
+    gram = [[Fraction(x) for x in row] for row in gram]
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    return _lattice_points(ints, Fraction(bound) * den, shell=False)
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     """Complete sorted list of v with (v.v) = n in a positive definite lattice."""
-    n = int(n)
+    (n,) = integers((n,), EnumerationError)
     if n < 0:
         raise EnumerationError("norm must be nonnegative")
     if not lat.is_positive_definite():

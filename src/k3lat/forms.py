@@ -157,7 +157,7 @@ class FormClassGroup:
 
 def class_group(d: int) -> FormClassGroup:
     """Class group Cl(d) by the reduced-form scan |b| <= a <= sqrt(|d|/3)."""
-    d = int(d)
+    (d,) = _integers((d,))
     if d >= 0:
         raise FormError("discriminant must be negative")
     if d % 4 not in (0, 1):
@@ -229,7 +229,7 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 def verify_principal_genus(p: int) -> bool:
     """Whether squaring is onto in Cl(-p), for a prime p = 3 mod 4."""
-    p = int(p)
+    (p,) = _integers((p,))
     if not arith.is_prime(p) or p % 4 != 3:
         raise FormError("p must be a prime congruent to 3 mod 4")
     cl = class_group(-p)
@@ -254,7 +254,7 @@ def lattice_to_form(lat: Lattice) -> BinaryForm:
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    d = int(d)
+    (d,) = _integers((d,))
     if d >= 0 or d % 4 not in (0, 1):
         return False
     if d % 4 == 1:
@@ -288,7 +288,7 @@ def dirichlet_class_number(d: int) -> int:
     number formula h = -(w / 2|d|) sum_{0<a<|d|} chi_d(a) a, in integers
     (Cohen, GTM 138, Prop. 5.3.12); independent of the reduced-form scan,
     whose oracle it is."""
-    d = int(d)
+    (d,) = _integers((d,))
     if not is_fundamental_discriminant(d):
         raise FormError("d must be a negative fundamental discriminant")
     q = -d

@@ -11,7 +11,6 @@ to the standard canonical representative before comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith
 from .lattice import Lattice, LatticeError, _integers
@@ -43,34 +42,18 @@ class GenusSymbol:
         return {"p": self.prime, "blocks": [b.to_json() for b in self.blocks]}
 
 
-def _valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+def _valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
-def _unit_part(x: Fraction, p: int) -> Fraction:
-    return x / Fraction(p) ** _valuation(x, p)
-
-
-def _legendre(u: Fraction, p: int) -> int:
-    """Legendre symbol of a p-adic unit written as a fraction, odd p."""
-    r = (u.numerator * pow(u.denominator, -1, p)) % p
-    ls = pow(r, (p - 1) // 2, p)
-    return 1 if ls == 1 else -1
-
-
-def _unit_mod8(u: Fraction) -> int:
-    # an odd number is its own inverse mod 8
-    return (u.numerator * u.denominator) % 8
+def _legendre(u: int, p: int) -> int:
+    """Legendre symbol of an integer prime to the odd prime p."""
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
 def _jordan_decomposition(gram, p: int):
@@ -79,13 +62,19 @@ def _jordan_decomposition(gram, p: int):
     Returns (ones, twos): ones is a list of (scale, unit) for diagonal
     pieces u * p^scale; twos (nonempty only for p = 2) lists
     (scale, det_unit) for even unimodular 2x2 pieces scaled by 2^scale.
-    All arithmetic is exact; every intermediate entry stays p-integral.
+    The block still to split is a/den with a an integer matrix and den an
+    integer prime to p, so valuations are read off a.  A step on a pivot
+    p^v w/den divides exactly by p^v (p^2v for a 2x2 piece) and multiplies
+    den by w.  Each unit is returned as an integer in its square class
+    (w*den for w/den), which keeps its Legendre symbol and, as odd squares
+    are 1 mod 8, its residue mod 8.
     """
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    a = [[int(x) for x in row] for row in gram]
+    den = 1
     idx = list(range(n))
-    ones: list[tuple[int, Fraction]] = []
-    twos: list[tuple[int, Fraction]] = []
+    ones: list[tuple[int, int]] = []
+    twos: list[tuple[int, int]] = []
 
     while idx:
         best_v = None
@@ -105,27 +94,29 @@ def _jordan_decomposition(gram, p: int):
             # off-diagonal minimum at an odd prime: adding row and column gj
             # to gi makes a diagonal entry 2*a_ij + higher, of minimal
             # valuation, because 2 is a unit
-            for k in range(n):
+            for k in idx:
                 a[gi][k] += a[gj][k]
-            for k in range(n):
+            for k in idx:
                 a[k][gi] += a[k][gj]
             diag = [gi]
+        pv = p ** best_v
         if diag:
             gi = diag[0]
-            pivot = a[gi][gi]
-            ones.append((best_v, _unit_part(pivot, p)))
+            w = a[gi][gi] // pv
+            ones.append((best_v, w * den))
             rest = [i for i in idx if i != gi]
             col = {r: a[r][gi] for r in rest}
             for r in rest:
                 for s in rest:
-                    a[r][s] -= col[r] * col[s] / pivot
+                    a[r][s] = a[r][s] * w - col[r] // pv * col[s]
+            den *= w
             idx.remove(gi)
             continue
         # p = 2 with the minimum strictly off the diagonal: an even
         # unimodular 2x2 block scaled by 2^best_v splits off
         b11, b12, b22 = a[gi][gi], a[gi][gj], a[gj][gj]
-        det = b11 * b22 - b12 * b12
-        twos.append((best_v, det / Fraction(4) ** best_v))
+        w = (b11 * b22 - b12 * b12) // (pv * pv)
+        twos.append((best_v, w))
         rest = [i for i in idx if i not in (gi, gj)]
         pr = {r: a[r][gi] for r in rest}
         qr = {r: a[r][gj] for r in rest}
@@ -133,7 +124,8 @@ def _jordan_decomposition(gram, p: int):
             for s in rest:
                 num = (pr[r] * b22 * pr[s] - pr[r] * b12 * qr[s]
                        - qr[r] * b12 * pr[s] + qr[r] * b11 * qr[s])
-                a[r][s] -= num / det
+                a[r][s] = a[r][s] * w - num // (pv * pv)
+        den *= w
         idx.remove(gj)
         idx.remove(gi)
     return ones, twos
@@ -198,32 +190,34 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
         raise GenusError("degenerate Gram matrix")
     ones, twos = _jordan_decomposition(lat.gram, p)
     if p != 2:
-        by_scale: dict[int, list[Fraction]] = {}
+        by_scale: dict[int, list[int]] = {}
         for scale, unit in ones:
             by_scale.setdefault(scale, []).append(unit)
         blocks = []
         for scale in sorted(by_scale):
             units = by_scale[scale]
-            prod = Fraction(1)
+            prod = 1
             for u in units:
-                prod *= u
+                prod = prod * u % p
             blocks.append(GenusBlock(scale, len(units), _legendre(prod, p)))
         return GenusSymbol(p, tuple(blocks))
+    # at p = 2 a unit counts only mod 8: the oddity sums the units, and the
+    # sign is + when their product is +-1 mod 8
     data: dict[int, list] = {}
     for scale, unit in ones:
-        entry = data.setdefault(scale, [scale, 0, Fraction(1), False, 0])
+        entry = data.setdefault(scale, [scale, 0, 1, False, 0])
         entry[1] += 1
-        entry[2] *= unit
+        entry[2] = entry[2] * unit % 8
         entry[3] = True
-        entry[4] = (entry[4] + _unit_mod8(unit)) % 8
+        entry[4] = (entry[4] + unit) % 8
     for scale, det_unit in twos:
-        entry = data.setdefault(scale, [scale, 0, Fraction(1), False, 0])
+        entry = data.setdefault(scale, [scale, 0, 1, False, 0])
         entry[1] += 2
-        entry[2] *= det_unit
+        entry[2] = entry[2] * det_unit % 8
     blocks = []
     for scale in sorted(data):
         scale_, dim, det_unit, type_i, oddity = data[scale]
-        sign = 1 if _unit_mod8(det_unit) in (1, 7) else -1
+        sign = 1 if det_unit in (1, 7) else -1
         blocks.append([scale_, dim, sign, type_i, oddity])
     return GenusSymbol(2, tuple(_canonical_2adic(blocks)))
 

@@ -8,11 +8,10 @@ values and all operations are pure functions, safe for concurrent use.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from . import linalg
-from .arith import DomainError
+from .arith import DomainError, integers
 from .linalg import Vector
 
 
@@ -21,17 +20,8 @@ class LatticeError(DomainError):
 
 
 def _integers(xs) -> Vector:
-    """The entries of xs as ints.  An entry that is not an integer is refused,
-    even one that only looks like one, such as 2.0, Fraction(2) or True."""
-    try:
-        out = tuple(xs)
-        if all(type(x) is int for x in out):
-            return out
-        if any(isinstance(x, bool) for x in out):
-            raise TypeError
-        return tuple(map(operator.index, out))
-    except TypeError:
-        raise LatticeError(f"entries must be integers, got {xs!r}") from None
+    """The entries of xs as ints; a non-integer raises LatticeError."""
+    return integers(xs, LatticeError)
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,13 @@ class Lattice:
 
     def signature(self) -> tuple[int, int]:
         """Counts of positive and negative eigenvalues: the signs of the
-        LDL^T pivots (Sylvester's law of inertia)."""
-        pivots, _ = linalg.ldl(self.gram)
-        if 0 in pivots:
+        LDL^T pivots, read from consecutive pivot minors (Sylvester's law of
+        inertia)."""
+        minors, _ = linalg.ldl(self.gram)
+        if 0 in minors:
             raise LatticeError("degenerate Gram matrix")
-        return sum(x > 0 for x in pivots), sum(x < 0 for x in pivots)
+        pos = sum(a * b > 0 for a, b in zip(minors, minors[1:]))
+        return pos, self.rank - pos
 
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.rank, 0)

@@ -1,5 +1,5 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
-Bareiss determinants, a symmetric LDL^T elimination, Smith invariant factors,
+Bareiss determinants, a fraction-free symmetric LDL^T, Smith invariant factors,
 Hermite bases, and one rational row reduction behind solve, rank and inverse.
 Inputs are sequences of rows and are never modified."""
 
@@ -45,41 +45,41 @@ def determinant(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Pivots d and multipliers u of a symmetric elimination over Q.
+def ldl(gram) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free symmetric (Bareiss) elimination of an integer matrix.
 
-    Each step pivots on the first remaining nonzero diagonal entry; if none
-    is left, row and column j are added to i, making the diagonal 2*a_ij.
-    By Sylvester's law the signs of d are those of the eigenvalues, with
-    zero pivots at the end for a degenerate matrix.  If every pivot is
-    positive, x^T gram x = sum_i d[i] (x_i + sum_{j>i} u[i][j] x_j)^2.
+    A step pivots on the first remaining nonzero diagonal entry, or else
+    adds row and column j to i, making the diagonal 2*a_ij.  The result is
+    integral: minors [1, P_1, ..., P_n] (0 past the rank) and rows P_{k+1} u_k
+    of the LDL^T with pivots d_k = P_{k+1}/P_k, multiplier rows u_k and, by
+    Sylvester, the inertia in their signs.  If every P_k > 0, then
+    x^T gram x = sum_k (rows[k].x)^2 / (P_k P_{k+1}).
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
+    a = [[int(x) for x in row] for row in gram]
+    minors = [1]
+    rows: list[list[int]] = []
     rest = list(range(n))
     while rest:
         i = next((k for k in rest if a[k][k]), None)
         if i is None:
             pair = next(((k, j) for k in rest for j in rest if a[k][j]), None)
             if pair is None:
-                return d + [Fraction(0)] * len(rest), u
+                return minors + [0] * len(rest), rows
             i, j = pair
             for k in rest:
                 a[i][k] += a[j][k]
             for k in rest:
                 a[k][i] += a[k][j]
         rest.remove(i)
-        pivot = a[i][i]
-        d.append(pivot)
-        for j in rest:
-            u[i][j] = a[i][j] / pivot
+        prev, pivot, row = minors[-1], a[i][i], a[i]
+        minors.append(pivot)
+        rows.append([row[j] if j in rest or j == i else 0 for j in range(n)])
         for k in rest:
-            if a[k][i]:
-                for j in rest:
-                    a[k][j] -= a[k][i] * u[i][j]
-    return d, u
+            ak, f = a[k], a[k][i]
+            for j in rest:
+                ak[j] = (pivot * ak[j] - f * row[j]) // prev
+    return minors, rows
 
 
 def smith_invariants(rows) -> list[int]:

@@ -29,6 +29,14 @@ def test_factor_matches_sympy_on_random_large(rng):
         assert all(isprime(p) and e > 0 for p, e in fac.items()), n
 
 
+@pytest.mark.parametrize("fn,arg", [(arith.is_prime, 7.5), (arith.factor, 12.9),
+                                    (arith.totient, 6.0), (arith.is_prime, True)],
+                         ids=["is_prime", "factor", "totient", "bool"])
+def test_refuses_arguments_that_are_not_integers(fn, arg):
+    with pytest.raises(arith.DomainError, match="integers"):
+        fn(arg)
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         arith.factor(0)

@@ -88,6 +88,10 @@ class TestTwistorCount:
         with pytest.raises(CensusError):
             count_integral_twistor_classes(A2, 0)
 
+    def test_degree_that_is_not_an_integer_rejected(self):
+        with pytest.raises(LatticeError, match="integers"):
+            count_integral_twistor_classes(A2, 2.7)
+
 
 class TestMinusTwo:
     def test_congruence_certifies_any_twist_by_four(self):

@@ -54,6 +54,15 @@ class TestParsing:
         assert json.loads(out) == {"schema": "k3lat/1", "status": "ok"}
         assert "--discriminant" in err
 
+    @pytest.mark.parametrize("argv", [["--help"], ["qform", "--help"],
+                                      ["qform", "classgroup", "--help"]])
+    def test_help_in_human_mode_leaves_stdout_empty(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err
+
     def test_unknown_subcommand_exits_two(self):
         res = run(["qform", "no-such-thing"])
         assert res.exit_code == 2

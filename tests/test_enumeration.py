@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, embeddings,
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
-                               orbit_invariant, vectors_of_norm)
+                               orbit_invariant, short_vectors_le,
+                               vectors_of_norm)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice
 from util import box_vectors_of_norm, random_positive_definite
@@ -24,6 +28,10 @@ class TestVectorsOfNorm:
             vectors_of_norm(Lattice([[0, 1], [1, 0]]), 2)
         with pytest.raises(EnumerationError):
             vectors_of_norm(A2, -3)
+
+    def test_rejects_a_norm_that_is_not_an_integer(self):
+        with pytest.raises(EnumerationError, match="integers"):
+            vectors_of_norm(A2, 2.5)
 
     def test_even_count_and_negation_closure(self):
         for n in range(1, 12):
@@ -50,6 +58,23 @@ class TestVectorsOfNorm:
                       [0, -1, 2, 0], [0, -1, 0, 2]])
         assert len(vectors_of_norm(d4, 2)) == 24
         assert vectors_of_norm(d4, 50) == box_vectors_of_norm(d4, 50)
+
+
+class TestShortVectorsLe:
+    def test_half_integral_gram_against_box_oracle(self, rng):
+        # x^T (G/2) x <= b exactly when x^T G x is one of 0, ..., floor(2b)
+        for _ in range(30):
+            lat = random_positive_definite(rng.choice([1, 2, 3]), rng)
+            half = [[Fraction(x, 2) for x in row] for row in lat.gram]
+            bound = Fraction(rng.randint(0, 40), rng.choice([1, 2, 3]))
+            want = sorted(v for n in range(math.floor(2 * bound) + 1)
+                          for v in box_vectors_of_norm(lat, n))
+            assert short_vectors_le(half, bound) == want, (lat, bound)
+
+    def test_rejects_indefinite_and_negative_bound(self):
+        assert short_vectors_le([[Fraction(1, 2)]], Fraction(-1, 3)) == []
+        with pytest.raises(EnumerationError):
+            short_vectors_le([[Fraction(1, 2), 1], [1, Fraction(1, 2)]], 3)
 
 
 class TestEmbeddings:

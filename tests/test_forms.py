@@ -56,6 +56,16 @@ def test_refuses_coefficients_that_are_not_integers():
         BinaryForm(1.5, 1, 6.9)
 
 
+@pytest.mark.parametrize("fn,arg", [
+    (class_group, -23.5), (verify_principal_genus, 23.9),
+    (is_fundamental_discriminant, -23.5), (dirichlet_class_number, -23.5),
+], ids=["class_group", "verify_principal_genus", "is_fundamental_discriminant",
+        "dirichlet_class_number"])
+def test_refuses_a_discriminant_that_is_not_an_integer(fn, arg):
+    with pytest.raises(LatticeError, match="integers"):
+        fn(arg)
+
+
 def test_reduce_rejects_indefinite():
     with pytest.raises(FormError):
         reduce_form(BinaryForm(1, 5, 1))

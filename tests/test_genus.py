@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from sympy import primefactors
+from sympy import legendre_symbol, primefactors
 
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.genus import GenusError, padic_symbol, same_genus
@@ -75,6 +76,23 @@ class TestPadicSymbol:
     def test_rejects_degenerate(self):
         with pytest.raises(GenusError):
             padic_symbol(Lattice([[1, 1], [1, 1]]), 2)
+
+    def test_scales_and_signs_match_the_determinant(self, rng):
+        # sum of scale * dim is v_p(det); at odd p the block signs multiply
+        # to the Legendre symbol of the unit part of det
+        for _ in range(80):
+            lat = random_nondegenerate(rng.randint(1, 6), rng, scale=rng.choice([3, 9]),
+                                       two_power_bias=True)
+            det = lat.determinant()
+            for p in sorted({2, 3, 5, 7} | set(primefactors(det))):
+                v, unit = 0, det
+                while unit % p == 0:
+                    v, unit = v + 1, unit // p
+                blocks = padic_symbol(lat, p).blocks
+                assert sum(b.scale * b.dim for b in blocks) == v, (lat, p)
+                if p != 2:
+                    assert (math.prod(b.sign for b in blocks)
+                            == legendre_symbol(unit % p, p)), (lat, p)
 
 
 class TestCanonical2adic:

@@ -248,10 +248,14 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
     for g in _random_grams(rng):
         m = Matrix(g)
         assert linalg.determinant(g) == m.det(), g
-        pivots, _ = linalg.ldl(g)
-        inertia = (sum(x > 0 for x in pivots), sum(x < 0 for x in pivots),
-                   sum(x == 0 for x in pivots))
+        minors, _ = linalg.ldl(g)
+        # the pivot d_k = P_{k+1}/P_k has the sign of P_k P_{k+1}
+        signs = [a * b for a, b in zip(minors, minors[1:])]
+        inertia = (sum(x > 0 for x in signs), sum(x < 0 for x in signs),
+                   sum(x == 0 for x in signs))
         assert inertia == _descartes_inertia(g), g
+        # row additions are unimodular, so the last minor is the determinant
+        assert minors[0] == 1 and minors[-1] == m.det(), g
         assert linalg.smith_invariants(g) == _sympy_invariants(g), g
         assert linalg.rank(g) == m.rank(), g
         b = [rng.randint(-5, 5) for _ in g]
@@ -283,12 +287,19 @@ def test_smith_invariants_rectangular_and_imprimitive(rng):
 
 
 def test_ldl_is_rational_cholesky_on_definite_grams(rng):
+    """On a definite Gram the minors are the leading principal minors and
+    x^T G x = sum_k (sum_j r_k[j] x_j)^2 / (P_k P_{k+1}), the rational
+    Cholesky form with d_k = P_{k+1}/P_k and u_kj = r_k[j]/P_{k+1}."""
     for _ in range(40):
         lat = random_positive_definite(rng.randint(1, 5), rng)
-        d, u = linalg.ldl(lat.gram)
+        minors, rows = linalg.ldl(lat.gram)
         n = lat.rank
-        assert all(x > 0 for x in d)
+        m = Matrix(lat.gram)
+        assert minors == [1] + [m[:k, :k].det() for k in range(1, n + 1)]
+        for k, row in enumerate(rows):
+            assert row[k] == minors[k + 1] and not any(row[:k])
         x = [rng.randint(-4, 4) for _ in range(n)]
-        expand = sum(d[i] * (x[i] + sum(u[i][j] * x[j] for j in range(i + 1, n))) ** 2
-                     for i in range(n))
-        assert expand == Fraction(lat.norm(x))
+        expand = sum(Fraction(sum(r * xj for r, xj in zip(row, x)) ** 2,
+                              minors[k] * minors[k + 1])
+                     for k, row in enumerate(rows))
+        assert expand == lat.norm(x)

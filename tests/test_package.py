@@ -1,7 +1,37 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import k3lat
+
+# the library modules whose results must be exact (cli's timing is not one)
+EXACT_MODULES = ("arith", "linalg", "lattice", "forms", "genus", "enumeration",
+                 "census", "cm")
+INEXACT_MATH = {"sqrt", "log", "exp"}
+
+
+def _inexact(tree):
+    """Nodes that bring in floating point: a float constant (so ** 0.5 too),
+    a float(...) call, math.sqrt/log/exp, or a power whose exponent is a
+    true division such as ** (1 / 2)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            yield node
+        elif (isinstance(node, ast.Attribute) and node.attr in INEXACT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and any(a.name in INEXACT_MATH for a in node.names)):
+            yield node
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)):
+            yield node
 
 
 def test_import_loads_no_submodule():
@@ -23,3 +53,18 @@ def test_public_names_are_the_objects_of_their_home_modules():
     assert set(k3lat.__all__) <= set(namespace)
     assert set(k3lat.__all__) <= set(dir(k3lat))
     assert "Lattice" in k3lat.__all__ and "vectors_of_norm" in k3lat.__all__
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_use_no_floating_point(module):
+    path = Path(k3lat.__file__).with_name(f"{module}.py")
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in _inexact(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("source", [
+    "x = 1.5", "y = float(3)", "import math\nr = math.sqrt(2)", "z = 2 ** 0.5",
+    "from math import log", "w = 2 ** (1 / 2)", "c = 1j"])
+def test_the_float_guard_sees_each_construct(source):
+    assert list(_inexact(ast.parse(source))), source

@@ -67,7 +67,7 @@ def random_positive_definite(n, rng, entry_bound=10):
 def box_vectors_of_norm(lat, n):
     """Complete fixed-norm list by scanning the dual-bound coordinate box.
 
-    Independent of the rational-Cholesky enumeration: the box radius comes
+    Independent of the LDL^T descent of the enumeration: the box radius comes
     from the inverse Gram diagonal, x_i^2 <= n * (G^-1)_ii.
     """
     rank = lat.rank
