@@ -178,12 +178,13 @@ def build_unbounded_family(p: int, d0: int = 1,
     """Run the full degree-4*d0 orbit pipeline for a prime p = 3 mod 4.
 
     Parameters, forms, ternaries, ambient lattice and invariants come from
-    _family, as in verify_certificate.  Build adds the witnesses T_j -> T_0
-    from one level walk over T_0 (enumeration.level_walk), which stops once
-    every class is reached or after level height_bound; a class without a
-    witness is recorded as a gap with no ambient class, never faked.
-    genus_checks is the all-true claim verify_certificate proves, and the
-    certificate is returned only after verify_certificate accepts it.
+    one _family call.  Build adds the witnesses T_j -> T_0 from one level
+    walk over T_0 (enumeration.level_walk), which stops once every class is
+    reached or after level height_bound; a class without a witness is
+    recorded as a gap with no ambient class, never faked.  genus_checks is
+    the all-true claim the checker proves.  Before returning, build runs the
+    claim checks of verify_certificate on what it assembled; only
+    verify_certificate also rederives the family.
     """
     forms, ternaries, ambient, invariants = _family(p, d0, height_bound)
     witnesses = level_walk(ternaries, ternaries[0], height_bound)
@@ -195,7 +196,7 @@ def build_unbounded_family(p: int, d0: int = 1,
         classes=tuple(None if w is None else w.columns[2] for w in witnesses),
         complement_invariants=invariants, minus_two_free=True,
         height_bound=height_bound)
-    verify_certificate(cert)
+    _check_claims(cert)
     return cert
 
 
@@ -265,10 +266,11 @@ def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
 def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     """Recheck every claim in a certificate from scratch.
 
-    This is the only checker of a certificate; build_unbounded_family calls
-    it before returning.  It rederives the family with the helper build uses
-    and compares it field by field.  Raises CensusError on the first failed
-    check; returns True otherwise.
+    This is the only public checker of a certificate.  It rederives the
+    family from (p, d0) with the helper build uses, compares it field by
+    field, and then runs the claim checks that build_unbounded_family runs
+    on what it assembled before returning.  Raises CensusError on the first
+    failed check; returns True otherwise.
     """
     h = cert.h
     forms, ternaries, ambient, invariants = _family(cert.p, cert.d0, cert.height_bound)
@@ -283,25 +285,36 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
         raise CensusError("recorded genus checks are not all true")
     if ternaries != cert.ternaries:
         raise CensusError("ternary lattice was not built from its form")
+    if cert.ns_lattice != ambient:
+        raise CensusError("ambient lattice is not the twisted first ternary")
+    if invariants != cert.complement_invariants:
+        raise CensusError("complement invariant does not reproduce")
+    _check_claims(cert)
+    return True
+
+
+def _check_claims(cert: UnboundedFamilyCertificate) -> None:
+    """The checks of a certificate whose family is already known to be the
+    one _family derives from its parameters: one genus row, every witness
+    and its class, distinct invariants and the (-2) certification.  Raises
+    CensusError on the first failed check.
+    """
+    ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants, because a p-adic symbol at p | det has a
     # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
-    # over the same primes, and equality of symbols is transitive.
-    if not all(same_genus(ternaries[0], t) for t in ternaries):
+    # over the same primes, and equality of symbols is transitive.  T_0 ~ T_0
+    # holds by reflexivity and is not compared.
+    if not all(same_genus(ternaries[0], t) for t in ternaries[1:]):
         raise CensusError("genus check does not reproduce")
-    if cert.ns_lattice != ambient:
-        raise CensusError("ambient lattice is not the twisted first ternary")
-    for t, inv, inv0, w, alpha in zip(cert.ternaries, cert.complement_invariants,
-                                      invariants, cert.isometry_witnesses,
-                                      cert.classes):
-        if inv != inv0:
-            raise CensusError("complement invariant does not reproduce")
+    for t, inv, w, alpha in zip(ternaries, cert.complement_invariants,
+                                cert.isometry_witnesses, cert.classes):
         if w is None:
             if alpha is not None:
                 raise CensusError("class present without an isometry witness")
             continue
         # EmbeddingMatrix construction re-verified Gram compatibility already
-        if (w.source, w.target) != (t, cert.ternaries[0]):
+        if (w.source, w.target) != (t, ternaries[0]):
             raise CensusError("witness does not map its ternary to the first one")
         if alpha != w.columns[2]:
             raise CensusError("class is not the witness image of the generator")
@@ -313,12 +326,11 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
         # orientation-free part of the record
         if orbit_invariant(cert.ns_lattice, alpha).unoriented() != inv.unoriented():
             raise CensusError("ambient orbit invariant disagrees")
-    if len(set(cert.complement_invariants)) != h:
+    if len(set(cert.complement_invariants)) != cert.h:
         raise CensusError("complement invariants are not pairwise distinct")
     m2 = has_minus_two_class(cert.ns_lattice)
     if m2.found or not m2.certified or not cert.minus_two_free:
         raise CensusError("(-2)-class certification failed")
-    return True
 
 
 def write_certificate(cert: UnboundedFamilyCertificate, path) -> None:

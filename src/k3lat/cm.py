@@ -129,7 +129,7 @@ class CMField:
     integral_basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        mp = tuple(int(c) for c in self.min_poly)
+        mp = arith.integers(self.min_poly, CMError)
         n = len(mp) - 1
         if n not in (2, 4):
             raise CMError("only degrees 2 and 4 are supported")
@@ -194,7 +194,7 @@ class CMField:
     @classmethod
     def imaginary_quadratic(cls, m: int) -> "CMField":
         """Q(sqrt(-m)) for squarefree m > 0, with its maximal order."""
-        m = int(m)
+        (m,) = arith.integers((m,), CMError)
         if m <= 0 or not arith.is_squarefree(m):
             raise CMError("m must be a positive squarefree integer")
         if m % 4 == 3:
@@ -206,7 +206,7 @@ class CMField:
     @classmethod
     def cyclotomic(cls, k: int) -> "CMField":
         """Q(zeta_k) for phi(k) in {2, 4}; conjugation sends zeta to zeta^(k-1)."""
-        k = int(k)
+        (k,) = arith.integers((k,), CMError)
         if k not in _CYCLOTOMIC:
             raise CMError("cyclotomic field must have degree 2 or 4")
         mp = _CYCLOTOMIC[k]
@@ -383,7 +383,7 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
     definite rational quadratic form in the integral coordinates); acceptance
     is the exact totally-nonnegative test on bound^2 - x * conj(x).
     """
-    bound = int(bound)
+    (bound,) = arith.integers((bound,), CMError)
     if bound < 0:
         raise CMError("bound must be nonnegative")
     n = field.degree
@@ -401,7 +401,7 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
 
 def max_root_of_unity_order(degree: int) -> int:
     """Largest m with phi(m) <= degree; phi(m) >= sqrt(m/2) bounds the scan."""
-    degree = int(degree)
+    (degree,) = arith.integers((degree,), CMError)
     if degree < 1:
         raise CMError("degree must be positive")
     limit = 2 * degree * degree + 2
@@ -435,10 +435,11 @@ def twistor_fiber_bound(field_degree: int, roots_of_unity: int | None = None) ->
     the largest possible order of a root of unity in a field of the given
     degree.  Transcendental ranks above 21 cannot occur.
     """
-    field_degree = int(field_degree)
+    (field_degree,) = arith.integers((field_degree,), CMError)
     if not 1 <= field_degree <= 21:
         raise CMError("field degree must be between 1 and 21")
     if roots_of_unity is not None:
+        (roots_of_unity,) = arith.integers((roots_of_unity,), CMError)
         if roots_of_unity < 1:
             raise CMError("root-of-unity count must be positive")
         return 2 * roots_of_unity
@@ -597,8 +598,7 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     embeddings phi into an index-k overlattice, so their source carries the
     form scaled by k^2.
     """
-    d = int(d)
-    nn = int(overlattice_index)
+    d, nn = arith.integers((d, overlattice_index), CMError)
     if d <= 0:
         raise CMError("d must be positive")
     if nn < 1:

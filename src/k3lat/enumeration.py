@@ -120,7 +120,7 @@ class EmbeddingMatrix:
             raise EnumerationError("column count must equal source rank")
         for i in range(len(cols)):
             for j in range(i, len(cols)):
-                if self.target.inner(cols[i], cols[j]) != self.source.gram[i][j]:
+                if self.target._inner(cols[i], cols[j]) != self.source.gram[i][j]:
                     raise EnumerationError(
                         f"columns are not Gram compatible at ({i}, {j})")
         object.__setattr__(self, "columns", cols)

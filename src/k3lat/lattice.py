@@ -60,14 +60,18 @@ class Lattice:
 
     def inner(self, v, w) -> int:
         """Bilinear pairing (v.w)."""
-        v = self.check_vector(v)
-        w = self.check_vector(w)
-        return sum(v[i] * sum(self.gram[i][j] * w[j] for j in range(self.rank))
-                   for i in range(self.rank))
+        return self._inner(self.check_vector(v), self.check_vector(w))
+
+    def _inner(self, v: Vector, w: Vector) -> int:
+        """(v.w) without checks, for int vectors of length rank that the
+        library built or checked itself."""
+        return sum(x * sum(g * y for g, y in zip(row, w))
+                   for x, row in zip(v, self.gram))
 
     def norm(self, v) -> int:
         """Square (v.v) of a vector."""
-        return self.inner(v, v)
+        v = self.check_vector(v)
+        return self._inner(v, v)
 
     def determinant(self) -> int:
         return linalg.determinant(self.gram)
@@ -145,7 +149,7 @@ class Lattice:
         hnf = linalg.hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n))
                                   for j in range(n)])
         basis = [c[1:] for c in hnf[1:]]
-        gram = [[self.inner(b1, b2) for b2 in basis] for b1 in basis]
+        gram = [[self._inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice(gram), tuple(basis)
 
 

@@ -1,11 +1,13 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
 Bareiss determinants, a fraction-free symmetric LDL^T, Smith invariant factors,
 Hermite bases, and one rational row reduction behind solve, rank and inverse.
-Inputs are sequences of rows and are never modified."""
+Inputs are sequences of rows and are never modified; the integer kernels
+raise TypeError on an entry that is not an integer instead of truncating it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 Vector = tuple[int, ...]
 
@@ -28,7 +30,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def determinant(rows) -> int:
     """Determinant of a square integer matrix by Bareiss elimination; every
     entry stays an integer minor, so each division is exact."""
-    a = [[int(x) for x in row] for row in rows]
+    a = [[index(x) for x in row] for row in rows]
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -56,7 +58,7 @@ def ldl(gram) -> tuple[list[int], list[list[int]]]:
     x^T gram x = sum_k (rows[k].x)^2 / (P_k P_{k+1}).
     """
     n = len(gram)
-    a = [[int(x) for x in row] for row in gram]
+    a = [[index(x) for x in row] for row in gram]
     minors = [1]
     rows: list[list[int]] = []
     rest = list(range(n))
@@ -85,7 +87,7 @@ def ldl(gram) -> tuple[list[int], list[list[int]]]:
 def smith_invariants(rows) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix (the
     positive Smith form entries; fewer than min(m, n) means rank deficient)."""
-    a = [[int(x) for x in row] for row in rows]
+    a = [[index(x) for x in row] for row in rows]
     factors: list[int] = []
     while any(any(row) for row in a):
         _, i, j = min((abs(x), i, j) for i, row in enumerate(a)
@@ -167,7 +169,7 @@ def hnf_columns(cols) -> list[Vector]:
     columns to be linearly independent.  Output is deterministic, which is
     what downstream canonical forms rely on.
     """
-    a = [[int(x) for x in c] for c in cols]
+    a = [[index(x) for x in c] for c in cols]
     piv = 0
     for i in range(len(a[0]) if a else 0):
         js = [j for j in range(piv, len(a)) if a[j][i]]

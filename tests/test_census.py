@@ -282,20 +282,49 @@ class TestUnboundedFamily:
             verify_certificate(swapped)
 
     def test_build_goes_through_the_checker(self, monkeypatch):
+        # build runs the claim checks verify_certificate ends with, on the
+        # family it derived itself, and never the public checker
         cert = build_unbounded_family(23, 1)
         checked = []
-        verify = census.verify_certificate
-        monkeypatch.setattr(census, "verify_certificate",
-                            lambda c: checked.append(c) or verify(c))
+        claims = census._check_claims
+        monkeypatch.setattr(census, "_check_claims",
+                            lambda c: checked.append(c) or claims(c))
+        monkeypatch.setattr(census, "verify_certificate", None)
         assert build_unbounded_family(23, 1) == cert and checked == [cert]
+        assert verify_certificate(cert) and checked == [cert, cert]
         last = cert.ternaries[-1]
         genus = census.same_genus
         monkeypatch.setattr(census, "same_genus",
                             lambda a, b: last not in (a, b) and genus(a, b))
         with pytest.raises(CensusError, match="genus check does not reproduce"):
-            verify(cert)
-        with pytest.raises(CensusError):
+            verify_certificate(cert)
+        with pytest.raises(CensusError, match="genus check does not reproduce"):
             build_unbounded_family(23, 1)
+
+    @pytest.mark.parametrize("run", [
+        lambda cert: build_unbounded_family(cert.p, cert.d0), verify_certificate],
+        ids=["build", "verify"])
+    def test_each_run_derives_the_family_once(self, monkeypatch, run):
+        cert = build_unbounded_family(23, 1)
+        calls = dict.fromkeys(["_family", "same_genus"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(census, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(census, name, counted)
+        run(cert)
+        # h = 3: the genus row compares T_0 with T_1 and T_2 only
+        assert calls == {"_family": 1, "same_genus": cert.h - 1}
+
+    @pytest.mark.parametrize("d0", [1, 3])
+    def test_built_certificates_pass_the_checker_after_a_round_trip(self, d0):
+        # build skips the family comparison, so the full checker must accept
+        # everything it returns
+        for p in range(3, 200):
+            if isprime(p) and p % 4 == 3:
+                doc = json.loads(json.dumps(certificate_to_json(
+                    build_unbounded_family(p, d0))))
+                assert verify_certificate(certificate_from_json(doc)), p
 
     @pytest.mark.parametrize("p", [p for p in range(3, 100)
                                    if isprime(p) and p % 4 == 3])

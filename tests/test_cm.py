@@ -116,6 +116,26 @@ class TestPolynomialChecks:
             CMField.cyclotomic(k)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: CMField.imaginary_quadratic(3.9),
+    lambda: CMField.cyclotomic(4.5),
+    lambda: enumerate_bounded_integers(EISEN, 1.7),
+    lambda: CMField((3.5, 0, 1), (0, -1), ((1, 0), (0, 1))),
+    lambda: max_root_of_unity_order(2.5),
+    lambda: twistor_fiber_bound(True),
+    lambda: twistor_fiber_bound(2, 2.5),
+    lambda: enumerate_period_embeddings(hex_period(), 2.5),
+    lambda: enumerate_period_embeddings(hex_period(), 2, overlattice_index=1.5),
+], ids=["imaginary-quadratic", "cyclotomic", "bounded-integers", "min-poly",
+        "root-order", "fiber-bound", "fiber-bound-roots", "period-d",
+        "overlattice-index"])
+def test_refuses_arguments_that_are_not_integers(call):
+    # int() would truncate most of them, to Q(sqrt(-3)), Q(zeta_4), bound 1,
+    # ...; the root-of-unity count would give the bound 5.0
+    with pytest.raises(CMError, match="integers"):
+        call()
+
+
 class TestBoundedIntegers:
     def test_gaussian_unit_disk(self):
         got = enumerate_bounded_integers(GAUSS, 1)

@@ -9,7 +9,7 @@ from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, embeddings,
                                orbit_invariant, short_vectors_le,
                                vectors_of_norm)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, LatticeError
 from util import box_vectors_of_norm, random_positive_definite
 
 A2 = Lattice([[2, 1], [1, 2]])
@@ -92,6 +92,12 @@ class TestEmbeddings:
             for i in range(2):
                 for j in range(2):
                     assert tgt.inner(cols[i], cols[j]) == A2.gram[i][j]
+
+    @pytest.mark.parametrize("column", [(1.0, 0), (Fraction(1), 0), (True, 0)],
+                             ids=["float", "Fraction", "bool"])
+    def test_columns_that_are_not_integers_refused(self, column):
+        with pytest.raises(LatticeError):
+            EmbeddingMatrix(Lattice([[2]]), A2, (column,))
 
     def test_isometry_group_closure(self):
         autos = embeddings(A2, A2)

@@ -42,6 +42,17 @@ def test_refuses_vectors_that_are_not_integral(v):
         A2.norm(v)
 
 
+@pytest.mark.parametrize("method", ["inner", "norm", "is_primitive",
+                                    "orthogonal_complement"])
+@pytest.mark.parametrize("v", [(1.0, 0), (Fraction(1), 0), (True, 0)],
+                         ids=["float", "Fraction", "bool"])
+def test_public_vector_methods_keep_their_checks(method, v):
+    # the unchecked pairing is only for vectors the library built itself
+    args = (v, (1, 0)) if method == "inner" else (v,)
+    with pytest.raises(LatticeError):
+        getattr(A2, method)(*args)
+
+
 def test_accepts_integer_types_besides_int():
     from sympy import Integer
     lat = Lattice([[Integer(2), 1], [1, Integer(2)]])
@@ -270,6 +281,18 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
         else:
             with pytest.raises(ZeroDivisionError):
                 linalg.inverse(g)
+
+
+@pytest.mark.parametrize("kernel,rows", [
+    (linalg.determinant, [[Fraction(1, 2)]]),
+    (linalg.ldl, [[Fraction(3, 2), 0], [0, 2.7]]),
+    (linalg.smith_invariants, [[2.5]]),
+    (linalg.hnf_columns, [(1, 0), (0, 2.7)]),
+], ids=["determinant", "ldl", "smith_invariants", "hnf_columns"])
+def test_integer_kernels_refuse_entries_that_are_not_integers(kernel, rows):
+    # int() would truncate these to 0, minors [1, 1, 2], [2] and a basis
+    with pytest.raises(TypeError):
+        kernel(rows)
 
 
 def test_smith_invariants_rectangular_and_imprimitive(rng):
