@@ -24,7 +24,6 @@ from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
 from .forms import BinaryForm, class_group, form_to_lattice
 from .genus import same_genus
 from .lattice import Lattice, Vector, _gram_json, _integers
-from .linalg import ldl
 
 
 class CensusError(arith.DomainError):
@@ -102,7 +101,7 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     if (all(g[i][i] % 4 == 0 for i in range(n))
             and all(g[i][j] % 2 == 0 for i in range(n) for j in range(i))):
         return MinusTwoResult(False, True)
-    minors = ldl(g)[0]
+    minors = lat._elimination[0]
     if all(a * b >= 0 for a, b in zip(minors, minors[1:])):
         return MinusTwoResult(False, True)
     hits = _bounded_norm_vectors(lat, -2, search_bound)

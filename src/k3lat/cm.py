@@ -23,6 +23,17 @@ class CMError(arith.DomainError):
     """A CM-field or period precondition was violated."""
 
 
+def _rationals(xs) -> tuple[Fraction, ...]:
+    """The entries of xs as Fractions.  Only ints and Fractions are taken;
+    anything else, a float or a bool among them, is refused with CMError."""
+    out = tuple(xs)
+    if all(type(x) is Fraction for x in out):
+        return out
+    if not all(type(x) in (int, Fraction) for x in out):
+        raise CMError(f"entries must be integers or Fractions, got {out!r}")
+    return tuple(map(Fraction, out))
+
+
 def _reduction_table(min_poly: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
     """Power-basis coordinates of theta^k for k = 0 .. 2n-2."""
     n = len(min_poly) - 1
@@ -139,10 +150,10 @@ class CMField:
             raise CMError("minimal polynomial must be irreducible")
         if _has_real_root(mp):
             raise CMError("field must be totally imaginary")
-        conj = tuple(Fraction(c) for c in self.conj_gen)
+        conj = _rationals(self.conj_gen)
         if len(conj) != n:
             raise CMError("conjugation image has the wrong length")
-        basis = tuple(tuple(Fraction(c) for c in row) for row in self.integral_basis)
+        basis = tuple(map(_rationals, self.integral_basis))
         if len(basis) != n or any(len(row) != n for row in basis):
             raise CMError("integral basis must be a square matrix")
         if rank(basis) != n:
@@ -227,13 +238,13 @@ class CMField:
         return len(self.min_poly) - 1
 
     def element(self, coords) -> "CMElement":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = _rationals(coords)
         if len(coords) != self.degree:
             raise CMError("coordinate length does not match the degree")
         return CMElement(self, coords)
 
     def rational(self, q) -> "CMElement":
-        return self.element((Fraction(q),) + (Fraction(0),) * (self.degree - 1))
+        return self.element((q,) + (Fraction(0),) * (self.degree - 1))
 
     def zero(self) -> "CMElement":
         return self.rational(0)

@@ -1,9 +1,9 @@
 """Finite enumeration: fixed-norm vectors, isometric embeddings, isometry search.
 
-The short-vector kernel descends the fraction-free LDL^T elimination of
-linalg in integers alone (isqrt and floor division), and on a fixed-norm
-shell solves the last coordinate it fixes by an exact square test, so it is
-deterministic and never touches floating point or a Fraction.
+The short-vector kernel descends the fraction-free LDL^T elimination each
+Lattice holds, in integers alone (isqrt and floor division), and on a
+fixed-norm shell solves the last coordinate it fixes by an exact square test,
+so it is deterministic and never touches floating point or a Fraction.
 A naive box scan is kept in the test suite as its oracle.  Isometries
 between block ternaries Q + (-k) come from one walk over the levels of the
 target (level_walk); indefinite_isometry_search is the bounded search for
@@ -19,32 +19,33 @@ from fractions import Fraction
 from .arith import DomainError, integers
 from .forms import lattice_to_form, reduce_form
 from .lattice import Lattice, Vector
-from .linalg import inverse, ldl, smith_invariants
+from .linalg import inverse, smith_invariants
 
 
 class EnumerationError(DomainError):
     """A precondition of an enumeration routine was violated."""
 
 
-def _lattice_points(gram, bound, shell: bool) -> list[Vector]:
-    """Integer vectors x with x^T gram x <= bound (== bound if shell), sorted.
+def _lattice_points(lat: Lattice, bound, shell: bool) -> list[Vector]:
+    """Vectors x of a positive definite lattice with x^T gram x <= bound
+    (== bound if shell), sorted.
 
-    gram is integral and bound an int or a Fraction.  With the pivot minors
-    P_k and scaled rows r_k of ldl, x^T gram x = sum_k y_k^2 / (P_k P_{k+1})
+    bound is an int or a Fraction.  With the pivot minors P_k and scaled
+    rows r_k of the lattice's LDL^T, x^T gram x = sum_k y_k^2 / (P_k P_{k+1})
     where y_k = sum_j r_k[j] x_j = P_{k+1} x_k + c_k and c_k depends only on
     the later coordinates.  Scaled by M = lcm(P_k P_{k+1}), the bound and
     every term m_k y_k^2 are integers.  The descent fixes x from the last
     coordinate to the first: isqrt bounds y_k and floor division turns that
     into an interval for x_k.  On a shell the first coordinate is solved by
     an exact square test instead of scanned, so only the shell is ever held
-    in memory.
+    in memory.  A negative bound gives [] before definiteness is checked.
     """
     if bound < 0:
         return []
-    minors, rows = ldl(gram)
-    if any(p <= 0 for p in minors):
-        raise EnumerationError("Gram matrix is not positive definite")
-    n = len(gram)
+    if not lat.is_positive_definite():
+        raise EnumerationError("lattice must be positive definite")
+    minors, rows = lat._elimination
+    n = lat.rank
     weights = [p * q for p, q in zip(minors, minors[1:])]
     scale = math.lcm(*weights)
     top, frac = divmod(scale * bound.numerator, bound.denominator)
@@ -89,7 +90,7 @@ def short_vectors_le(gram, bound) -> list[Vector]:
     gram = [[Fraction(x) for x in row] for row in gram]
     den = math.lcm(*(x.denominator for row in gram for x in row))
     ints = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    return _lattice_points(ints, Fraction(bound) * den, shell=False)
+    return _lattice_points(Lattice(ints), Fraction(bound) * den, shell=False)
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
@@ -97,9 +98,7 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     (n,) = integers((n,), EnumerationError)
     if n < 0:
         raise EnumerationError("norm must be nonnegative")
-    if not lat.is_positive_definite():
-        raise EnumerationError("lattice must be positive definite")
-    return _lattice_points(lat.gram, n, shell=True)
+    return _lattice_points(lat, n, shell=True)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .arith import DomainError, integers
@@ -73,14 +74,23 @@ class Lattice:
         v = self.check_vector(v)
         return self._inner(v, v)
 
+    @cached_property
+    def _elimination(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Pivot minors and scaled rows of linalg.ldl of the Gram matrix,
+        computed at most once per lattice."""
+        minors, rows = linalg.ldl(self.gram)
+        return tuple(minors), tuple(map(tuple, rows))
+
     def determinant(self) -> int:
-        return linalg.determinant(self.gram)
+        """The last pivot minor: the pivot order and the pair folds of the
+        elimination are unimodular congruences, so they keep the determinant."""
+        return self._elimination[0][-1]
 
     def signature(self) -> tuple[int, int]:
         """Counts of positive and negative eigenvalues: the signs of the
         LDL^T pivots, read from consecutive pivot minors (Sylvester's law of
         inertia)."""
-        minors, _ = linalg.ldl(self.gram)
+        minors = self._elimination[0]
         if 0 in minors:
             raise LatticeError("degenerate Gram matrix")
         pos = sum(a * b > 0 for a, b in zip(minors, minors[1:]))

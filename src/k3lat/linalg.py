@@ -1,6 +1,7 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
-Bareiss determinants, a fraction-free symmetric LDL^T, Smith invariant factors,
-Hermite bases, and one rational row reduction behind solve, rank and inverse.
+a fraction-free symmetric LDL^T (the source of every determinant and
+signature, once per Lattice), Smith invariant factors, Hermite bases, and one
+rational row reduction behind solve, rank and inverse.
 Inputs are sequences of rows and are never modified; the integer kernels
 raise TypeError on an entry that is not an integer instead of truncating it."""
 
@@ -25,26 +26,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def determinant(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination; every
-    entry stays an integer minor, so each division is exact."""
-    a = [[index(x) for x in row] for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def ldl(gram) -> tuple[list[int], list[list[int]]]:

@@ -232,6 +232,8 @@ class TestCommands:
         (["cm", "roots", "--cyclotomic", "-5"], "degree 2 or 4"),
         (["genus", "symbol", "--gram", "2", "-p", str(PRIME_BOUND)],
          "beyond the proven primality range"),
+        # the definiteness check meets a degenerate Gram before any descent
+        (["lattice", "vectors", "--gram", "0", "-n", "0"], "degenerate Gram matrix"),
     ])
     def test_domain_errors_exit_one_with_envelope(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:

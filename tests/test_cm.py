@@ -126,14 +126,33 @@ class TestPolynomialChecks:
     lambda: twistor_fiber_bound(2, 2.5),
     lambda: enumerate_period_embeddings(hex_period(), 2.5),
     lambda: enumerate_period_embeddings(hex_period(), 2, overlattice_index=1.5),
+    lambda: CMField((3, 0, 1), (0.0, -1.0), ((1.0, 0), (0.5, 0.5))),
+    lambda: CMField((3, 0, 1), (0, -1), ((1, 0), (0.5, Fraction(1, 2)))),
+    lambda: GAUSS.element((0.1, 1)),
+    lambda: GAUSS.element((True, 0)),
+    lambda: GAUSS.element(("1/2", 0)),
+    lambda: GAUSS.rational(0.5),
+    lambda: GAUSS.from_integral((0.5, 0)),
 ], ids=["imaginary-quadratic", "cyclotomic", "bounded-integers", "min-poly",
         "root-order", "fiber-bound", "fiber-bound-roots", "period-d",
-        "overlattice-index"])
+        "overlattice-index", "field-floats", "basis-float", "element-float",
+        "element-bool", "element-string", "rational", "from-integral"])
 def test_refuses_arguments_that_are_not_integers(call):
     # int() would truncate most of them, to Q(sqrt(-3)), Q(zeta_4), bound 1,
-    # ...; the root-of-unity count would give the bound 5.0
+    # ...; the root-of-unity count would give the bound 5.0.  Coordinates may
+    # be Fractions too, but Fraction() would take a float at its binary value
+    # (0.1 as 3602879701896397/36028797018963968) and build Q(sqrt(-3)) from
+    # the field-floats case
     with pytest.raises(CMError, match="integers"):
         call()
+
+
+def test_coordinates_come_out_as_fractions():
+    x = GAUSS.element((1, Fraction(1, 2)))
+    assert x.coords == (1, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in x.coords + GAUSS.rational(3).coords)
+    field = CMField((3, 0, 1), (0, -1), ((1, 0), (Fraction(1, 2), Fraction(1, 2))))
+    assert field == EISEN and type(field.conj_gen[0]) is Fraction
 
 
 class TestBoundedIntegers:

@@ -8,6 +8,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from k3lat import linalg
+from k3lat.census import MinusTwoResult, has_minus_two_class
+from k3lat.enumeration import embeddings, vectors_of_norm
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, random_nondegenerate, random_positive_definite,
                   random_symmetric, random_unimodular)
@@ -210,6 +212,24 @@ def test_signature_counts_sum_to_rank(entries):
     assert (lat.determinant() > 0) == (pos % 2 == 0)
 
 
+def test_one_elimination_per_lattice(monkeypatch):
+    calls = []
+
+    def counted(gram):
+        calls.append(gram)
+        return ldl(gram)
+
+    ldl = linalg.ldl
+    monkeypatch.setattr(linalg, "ldl", counted)
+    lat = Lattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])  # A3
+    assert lat.determinant() == 4 and lat.signature() == (3, 0)
+    assert lat.is_positive_definite()
+    assert len(vectors_of_norm(lat, 4)) == 6
+    assert len(embeddings(lat, lat)) == 48
+    assert has_minus_two_class(lat) == MinusTwoResult(False, True)
+    assert len(calls) == 1
+
+
 # -- linalg against sympy's Matrix as the oracle --------------------------------
 
 ZERO_DIAGONAL_GRAMS = [
@@ -258,7 +278,11 @@ def _random_grams(rng):
 def test_linalg_matches_sympy_on_symmetric_grams(rng):
     for g in _random_grams(rng):
         m = Matrix(g)
-        assert linalg.determinant(g) == m.det(), g
+        lat = Lattice(g)
+        assert lat.determinant() == m.det(), g
+        if m.det() != 0:
+            pos, neg, _ = _descartes_inertia(g)
+            assert lat.signature() == (pos, neg), g
         minors, _ = linalg.ldl(g)
         # the pivot d_k = P_{k+1}/P_k has the sign of P_k P_{k+1}
         signs = [a * b for a, b in zip(minors, minors[1:])]
@@ -284,13 +308,12 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
 
 
 @pytest.mark.parametrize("kernel,rows", [
-    (linalg.determinant, [[Fraction(1, 2)]]),
     (linalg.ldl, [[Fraction(3, 2), 0], [0, 2.7]]),
     (linalg.smith_invariants, [[2.5]]),
     (linalg.hnf_columns, [(1, 0), (0, 2.7)]),
-], ids=["determinant", "ldl", "smith_invariants", "hnf_columns"])
+], ids=["ldl", "smith_invariants", "hnf_columns"])
 def test_integer_kernels_refuse_entries_that_are_not_integers(kernel, rows):
-    # int() would truncate these to 0, minors [1, 1, 2], [2] and a basis
+    # int() would truncate these to minors [1, 1, 2], [2] and a basis
     with pytest.raises(TypeError):
         kernel(rows)
 

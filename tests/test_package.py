@@ -34,6 +34,17 @@ def _inexact(tree):
             yield node
 
 
+def _names(tree):
+    """Every identifier a module uses, imports or defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
 def test_import_loads_no_submodule():
     code = "import sys, k3lat; print([m for m in sys.modules if m.startswith('k3lat.')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -68,3 +79,22 @@ def test_exact_modules_use_no_floating_point(module):
     "from math import log", "w = 2 ** (1 / 2)", "c = 1j"])
 def test_the_float_guard_sees_each_construct(source):
     assert list(_inexact(ast.parse(source))), source
+
+
+def test_only_lattice_eliminates_gram_matrices():
+    # determinant and signature come from one LDL^T per Lattice
+    root = Path(k3lat.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in root.glob("*.py")}
+    users = {name for name, tree in trees.items() if "ldl" in set(_names(tree))}
+    assert users <= {"linalg.py", "lattice.py"}, users
+    defined = {node.name for node in trees["linalg.py"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert "determinant" not in defined
+
+
+@pytest.mark.parametrize("source", [
+    "from .linalg import ldl", "from .linalg import ldl as f", "m = linalg.ldl(g)",
+    "def ldl(g): pass"])
+def test_the_ldl_guard_sees_each_construct(source):
+    assert "ldl" in set(_names(ast.parse(source))), source
