@@ -280,7 +280,7 @@ def _cmd_lattice_isometric(args, cache):
     l1 = parse_gram(args.gram1)
     l2 = parse_gram(args.gram2)
     sig = l1.signature()
-    if 0 in sig:
+    if 0 in sig and (l2.rank, l2.signature()) == (l1.rank, sig):
         w = enumeration.is_isometric_definite(l1, l2)
         return {"isometric": w is not None, "conclusive": True,
                 "witness": None if w is None else _emb_json(w)}

@@ -457,10 +457,17 @@ def twistor_fiber_bound(field_degree: int, roots_of_unity: int | None = None) ->
     return 2 * max_root_of_unity_order(field_degree)
 
 
+def _combine(coeffs, elems) -> CMElement:
+    """Sum of c * x over the pairs whose integer coefficient c is nonzero."""
+    return sum((x * c for c, x in zip(coeffs, elems) if c), elems[0].field.zero())
+
+
 @dataclass(frozen=True)
 class PeriodVector:
     """Isotropic positive class sigma = sum mu_i gamma_i defining a weight-two
-    Hodge structure on the lattice, with exact CM-field coordinates."""
+    Hodge structure on the lattice, with exact CM-field coordinates.  It keeps
+    mubar, (sigma.sigmabar) and the frame (i, j, 1 / (mu_i mubar_j - mu_j
+    mubar_i)) of its first nonzero minor, which solve_lambda reuses."""
 
     lattice: Lattice
     mu: tuple[CMElement, ...]
@@ -473,45 +480,35 @@ class PeriodVector:
         if any(m.field != field for m in mu):
             raise CMError("coordinates must share one field")
         object.__setattr__(self, "mu", mu)
-        g = self.lattice.gram
         n = self.lattice.rank
-        iso = field.zero()
-        for i in range(n):
-            for j in range(n):
-                if g[i][j]:
-                    iso = iso + mu[i] * mu[j] * g[i][j]
-        if iso != field.zero():
+        mub = tuple(m.conjugate() for m in mu)
+        gmu = [_combine(row, mu) for row in self.lattice.gram]
+        if sum((m * v for m, v in zip(mu, gmu)), field.zero()) != field.zero():
             raise CMError("period is not isotropic")
-        if not _totally_nonneg(self._pairing(), strict=True):
+        ssb = sum((m * v for m, v in zip(mub, gmu)), field.zero())
+        if not _totally_nonneg(ssb, strict=True):
             raise CMError("(sigma.sigmabar) is not totally positive")
-        rows = [m.coords for m in mu]
-        if rank(rows) != n:
+        if rank([m.coords for m in mu]) != n:
             raise CMError("period is not general: a proper primitive "
                           "sublattice contains it")
-        if self.sigma1() == field.zero():
+        if gmu[0] == field.zero():
             raise CMError("(gamma_1.sigma) vanishes; permute the basis first")
+        # unreachable after the checks above: mubar proportional to mu would
+        # make (sigma.sigmabar) vanish
+        frame = next(((i, j, det.inverse()) for i in range(n) for j in range(i + 1, n)
+                      if (det := mu[i] * mub[j] - mu[j] * mub[i]) != field.zero()), None)
+        if frame is None:
+            raise CMError("all coordinate minors vanish; period is degenerate")
+        object.__setattr__(self, "_conj", mub)
+        object.__setattr__(self, "_ssb", ssb)
+        object.__setattr__(self, "_frame", frame)
 
     @property
     def field(self) -> CMField:
         return self.mu[0].field
 
-    def _pairing(self) -> CMElement:
-        g = self.lattice.gram
-        n = self.lattice.rank
-        out = self.field.zero()
-        for i in range(n):
-            for j in range(n):
-                if g[i][j]:
-                    out = out + self.mu[i] * self.mu[j].conjugate() * g[i][j]
-        return out
-
     def sigma1(self) -> CMElement:
-        g = self.lattice.gram
-        out = self.field.zero()
-        for i in range(self.lattice.rank):
-            if g[0][i]:
-                out = out + self.mu[i] * g[0][i]
-        return out
+        return _combine(self.lattice.gram[0], self.mu)
 
     def normalized(self) -> "PeriodVector":
         """Rescale so that (gamma_1.sigma) = 1."""
@@ -520,68 +517,48 @@ class PeriodVector:
 
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
-    """Exact (sigma.sigmabar); raises unless it is totally positive."""
-    out = pv._pairing()
-    if not _totally_nonneg(out, strict=True):
+    """Exact (sigma.sigmabar), as the period stored it; raises unless it is
+    totally positive."""
+    if not _totally_nonneg(pv._ssb, strict=True):
         raise CMError("(sigma.sigmabar) is not totally positive")
-    return out
+    return pv._ssb
 
 
 def solve_lambda(pv: PeriodVector, phi: EmbeddingMatrix):
     """Coefficients (lambda, lambda', nu) with phi(sigma) = lambda sigma +
     lambda' sigmabar + nu e, or None when phi admits no such expression.
 
-    phi must map into lattice + Z e with e the final basis vector.
+    phi must map into lattice + Z e with e the final basis vector.  lambda
+    and lambda' come from the period's frame, without division, and are then
+    checked in every coordinate.
     """
     n = pv.lattice.rank
     if phi.target.rank != n + 1 or phi.source.rank != n:
         raise CMError("embedding must map rank n into rank n+1")
-    mu = pv.mu
-    mub = [m.conjugate() for m in mu]
-    field = pv.field
-    cols = phi.columns
-    cvals = []
-    for j in range(n):
-        acc = field.zero()
-        for i in range(n):
-            if cols[i][j]:
-                acc = acc + mu[i] * cols[i][j]
-        cvals.append(acc)
-    pair = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mu[i] * mub[j] - mu[j] * mub[i] != field.zero():
-                pair = (i, j)
-                break
-        if pair:
-            break
-    if pair is None:
-        raise CMError("all coordinate minors vanish; period is degenerate")
-    i, j = pair
-    det = mu[i] * mub[j] - mu[j] * mub[i]
-    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) / det
-    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) / det
-    for k in range(n):
-        if cvals[k] != lam * mu[k] + lam_p * mub[k]:
-            return None
-    nu = field.zero()
-    for i in range(n):
-        if cols[i][n]:
-            nu = nu + mu[i] * cols[i][n]
-    return lam, lam_p, nu
+    mu, mub = pv.mu, pv._conj
+    i, j, inv = pv._frame
+    cvals = [_combine(col, mu) for col in zip(*phi.columns)]
+    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) * inv
+    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) * inv
+    if any(cvals[k] != lam * mu[k] + lam_p * mub[k] for k in range(n)):
+        return None
+    return lam, lam_p, cvals[n]
 
 
 def _norm_equation_value(lam, lam_p, nu, d, ssb) -> CMElement:
-    return (lam * lam.conjugate() + lam_p * lam_p.conjugate()
-            + nu * nu.conjugate() * (lam.field.rational(d) / ssb))
+    """(|lambda|^2 + |lambda'|^2) (sigma.sigmabar) + |nu|^2 d."""
+    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
+            + nu * nu.conjugate() * d)
 
 
 def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
                          d: int, ssb: CMElement) -> bool:
-    """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1."""
+    """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1,
+    made without division as (|lambda|^2 + |lambda'|^2) (sigma.sigmabar) +
+    |nu|^2 d = (sigma.sigmabar)."""
     if not _totally_nonneg(ssb, strict=True):
         raise CMError("(sigma.sigmabar) must be totally positive")
-    return _norm_equation_value(lam, lam_p, nu, d, ssb) == lam.field.one()
+    return _norm_equation_value(lam, lam_p, nu, d, ssb) == ssb
 
 
 @dataclass(frozen=True)
@@ -604,7 +581,8 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = k^2 for the
     overlattice index k.  So the list is the lattice embedding search, with
     lambda, lambda' and nu read off by solve_lambda; both facts are
-    re-checked exactly, and a failure raises CMError.  With
+    re-checked exactly, the norm identity multiplied through by
+    (sigma.sigmabar) != 0, and a failure raises CMError.  With
     overlattice_index = k > 1 the returned matrices represent k * phi for
     embeddings phi into an index-k overlattice, so their source carries the
     form scaled by k^2.
@@ -619,8 +597,8 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
         raise CMError("only rank-2 period lattices are supported")
     target = t.direct_sum(Lattice([[d]]))
     source = t if nn == 1 else t.twist(nn * nn)
-    ssb = pv._pairing()
-    goal = pv.field.rational(nn * nn)
+    ssb = pv._ssb
+    goal = ssb * (nn * nn)
     out: list[PeriodEmbedding] = []
     for emb in embeddings(source, target):
         solved = solve_lambda(pv, emb)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,18 @@ class TestCommands:
         _, payload = run_json(["k3", "minus-two", "--gram", "0,1;1,0"])
         assert payload["result"]["found"] is True
 
+    @pytest.mark.parametrize("gram1,gram2", [
+        ("2,1;1,2", "1,0;0,-1"), ("1,0;0,-1", "2,1;1,2"),
+        ("2,1;1,2", "-2,1;1,-2"), ("2", "2,1;1,2"), ("2,1;1,2", "2")])
+    def test_isometric_answers_mismatches_in_either_order(self, gram1, gram2):
+        # a definite first argument used to force the definite search, which
+        # refused a second argument of another rank or signature
+        res, payload = run_json(["lattice", "isometric", f"--gram1={gram1}",
+                                 f"--gram2={gram2}"])
+        assert res.exit_code == 0
+        assert payload["result"] == {"isometric": False, "conclusive": True,
+                                     "witness": None}
+
     def test_cm_commands(self):
         _, payload = run_json(["cm", "bound", "--degree", "21"])
         assert payload["result"]["bound"] == 132
@@ -385,6 +398,34 @@ def test_fuzz_integer_arguments_keep_the_envelope(prefix, value):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
         main(prefix + [str(value), "--json"])
+    assert exc.value.code in (0, 1, 2)
+    payload = json.loads(out.getvalue())
+    assert payload["schema"] == "k3lat/1"
+    assert payload["status"] == ("ok", "error", "input-error")[exc.value.code]
+
+
+# period coordinates: one to three groups of two small rationals, zeros and
+# repeated groups included, or a rational multiple of the hexagonal or square
+# period or of its conjugate; "--mu=" lets a leading minus sign through
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_MU_GROUPS = st.one_of(st.just("0,0"),
+                       st.tuples(_SMALL, _SMALL).map(lambda g: f"{g[0]},{g[1]}"))
+_MU_PERIODS = st.builds(
+    lambda c, z: f"{c},0;{c * z[0]},{c * z[1]}", _SMALL.filter(bool),
+    st.sampled_from([(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)),
+                     (0, 1), (0, -1)]))
+_MU_TEXT = st.one_of(st.lists(_MU_GROUPS, min_size=1, max_size=3).map(";".join),
+                     _MU_GROUPS.map(lambda g: f"{g};{g}"), _MU_PERIODS)
+
+
+@given(st.sampled_from([("2,-1;-1,2", "3"), ("2,0;0,2", "1")]), _MU_TEXT)
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+def test_fuzz_period_coordinates_keep_the_envelope(lattice, mu):
+    gram, disc = lattice
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["cm", "fibers", "--gram", gram, f"--mu={mu}", "--disc", disc,
+              "-d", "2", "--json"])
     assert exc.value.code in (0, 1, 2)
     payload = json.loads(out.getvalue())
     assert payload["schema"] == "k3lat/1"

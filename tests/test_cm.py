@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
-from k3lat.cm import (_CYCLOTOMIC, CMError, CMField, PeriodVector,
+from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       _has_real_root, _is_irreducible,
                       enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
@@ -350,3 +350,19 @@ class TestPeriodEmbeddings:
         object.__setattr__(pv, "mu", (EISEN.one(), zeta6(), EISEN.one()))
         with pytest.raises(CMError):
             enumerate_period_embeddings(pv, 2)
+
+
+def test_one_frame_per_period(monkeypatch):
+    # the period inverts its solving minor once, when it is built; the 48
+    # embeddings at index 2 are then solved and checked without an inverse
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    inverse = CMElement.inverse
+    pv = hex_period()
+    monkeypatch.setattr(CMElement, "inverse", counted)
+    assert len(enumerate_period_embeddings(pv, 2, overlattice_index=2)) == 48
+    assert len(calls) == 0
