@@ -96,6 +96,7 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     impossible.  A form without negative LDL^T pivots is positive
     semidefinite, so no vector has negative square.
     """
+    (search_bound,) = arith.integers((search_bound,), CensusError)
     g = lat.gram
     n = lat.rank
     if (all(g[i][i] % 4 == 0 for i in range(n))

@@ -277,14 +277,8 @@ def _cmd_lattice_embeddings(args, cache):
 @command("lattice isometric", *_GRAMS, arg("--height-bound", type=int, default=10))
 def _cmd_lattice_isometric(args, cache):
     from . import enumeration
-    l1 = parse_gram(args.gram1)
-    l2 = parse_gram(args.gram2)
-    sig = l1.signature()
-    if 0 in sig and (l2.rank, l2.signature()) == (l1.rank, sig):
-        w = enumeration.is_isometric_definite(l1, l2)
-        return {"isometric": w is not None, "conclusive": True,
-                "witness": None if w is None else _emb_json(w)}
-    res = enumeration.indefinite_isometry_search(l1, l2, args.height_bound)
+    res = enumeration.indefinite_isometry_search(
+        parse_gram(args.gram1), parse_gram(args.gram2), args.height_bound)
     return {"isometric": True if res.found else (False if res.conclusive else None),
             "conclusive": res.conclusive,
             "witness": None if res.witness is None else _emb_json(res.witness)}

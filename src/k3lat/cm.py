@@ -512,8 +512,8 @@ class PeriodVector:
 
     def normalized(self) -> "PeriodVector":
         """Rescale so that (gamma_1.sigma) = 1."""
-        s = self.sigma1()
-        return PeriodVector(self.lattice, tuple(m / s for m in self.mu))
+        inv = self.sigma1().inverse()
+        return PeriodVector(self.lattice, tuple(m * inv for m in self.mu))
 
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:

@@ -6,8 +6,8 @@ fixed-norm shell solves the last coordinate it fixes by an exact square test,
 so it is deterministic and never touches floating point or a Fraction.
 A naive box scan is kept in the test suite as its oracle.  Isometries
 between block ternaries Q + (-k) come from one walk over the levels of the
-target (level_walk); indefinite_isometry_search is the bounded search for
-any Gram matrix.
+target (level_walk); indefinite_isometry_search answers any pair, completely
+for a definite pair and by a bounded search for an indefinite one.
 """
 
 from __future__ import annotations
@@ -26,19 +26,19 @@ class EnumerationError(DomainError):
     """A precondition of an enumeration routine was violated."""
 
 
-def _lattice_points(lat: Lattice, bound, shell: bool) -> list[Vector]:
+def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
     """Vectors x of a positive definite lattice with x^T gram x <= bound
     (== bound if shell), sorted.
 
-    bound is an int or a Fraction.  With the pivot minors P_k and scaled
-    rows r_k of the lattice's LDL^T, x^T gram x = sum_k y_k^2 / (P_k P_{k+1})
-    where y_k = sum_j r_k[j] x_j = P_{k+1} x_k + c_k and c_k depends only on
-    the later coordinates.  Scaled by M = lcm(P_k P_{k+1}), the bound and
-    every term m_k y_k^2 are integers.  The descent fixes x from the last
-    coordinate to the first: isqrt bounds y_k and floor division turns that
-    into an interval for x_k.  On a shell the first coordinate is solved by
-    an exact square test instead of scanned, so only the shell is ever held
-    in memory.  A negative bound gives [] before definiteness is checked.
+    With the pivot minors P_k and scaled rows r_k of the lattice's LDL^T,
+    x^T gram x = sum_k y_k^2 / (P_k P_{k+1}) where y_k = sum_j r_k[j] x_j =
+    P_{k+1} x_k + c_k and c_k depends only on the later coordinates.  Scaled
+    by M = lcm(P_k P_{k+1}), the bound and every term m_k y_k^2 are integers.
+    The descent fixes x from the last coordinate to the first: isqrt bounds
+    y_k and floor division turns that into an interval for x_k.  On a shell
+    the first coordinate is solved by an exact square test instead of
+    scanned, so only the shell is ever held in memory.  A negative bound
+    gives [] before definiteness is checked.
     """
     if bound < 0:
         return []
@@ -48,9 +48,6 @@ def _lattice_points(lat: Lattice, bound, shell: bool) -> list[Vector]:
     n = lat.rank
     weights = [p * q for p, q in zip(minors, minors[1:])]
     scale = math.lcm(*weights)
-    top, frac = divmod(scale * bound.numerator, bound.denominator)
-    if shell and frac:
-        return []
     ms = [scale // w for w in weights]
     out: list[Vector] = []
     x = [0] * n
@@ -75,7 +72,7 @@ def _lattice_points(lat: Lattice, bound, shell: bool) -> list[Vector]:
                 y = q * xi + c
                 descend(i - 1, remaining - m * y * y)
 
-    descend(n - 1, top)
+    descend(n - 1, scale * bound)
     out.sort()
     return out
 
@@ -85,12 +82,14 @@ def short_vectors_le(gram, bound) -> list[Vector]:
 
     gram may have Fraction entries (used for trace forms of number fields);
     it is scaled to an integer Gram matrix, and bound with it, before the
-    descent.  The zero vector is included.
+    descent; the scaled norms are integers, so the scaled bound is floored.
+    The zero vector is included.
     """
     gram = [[Fraction(x) for x in row] for row in gram]
     den = math.lcm(*(x.denominator for row in gram for x in row))
     ints = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    return _lattice_points(Lattice(ints), Fraction(bound) * den, shell=False)
+    return _lattice_points(Lattice(ints), math.floor(Fraction(bound) * den),
+                           shell=False)
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
@@ -277,31 +276,39 @@ def _box_witness(l1: Lattice, l2: Lattice, height_bound: int):
     return None if cols is None else EmbeddingMatrix(l1, l2, cols)
 
 
+def _block(lat: Lattice):
+    """(Q, k) if lat = Q + (k) with Q of rank 2, else None."""
+    g = lat.gram
+    if lat.rank != 3 or g[0][2] or g[1][2]:
+        return None
+    return Lattice([g[0][:2], g[1][:2]]), g[2][2]
+
+
+def _splits(lat: Lattice, us, k: int):
+    """(u, u^perp, basis of u^perp in lat) for each u in us, all of norm k,
+    with u^perp + Zu all of lat.  That sum has determinant det(u^perp) k =
+    det(lat) i^2 for its index i in lat, so it is lat exactly when
+    det(u^perp) k = det lat; a u that is not primitive has i > 1."""
+    det = lat.determinant()
+    for u in us:
+        comp, basis = lat.orthogonal_complement(u)
+        if comp.determinant() * k == det:
+            yield u, comp, basis
+
+
 def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
     """Witness for block sources (definite rank 2) + (k): pick a norm-k vector
     u in l2 whose complement splits off integrally, then solve the remaining
     definite rank-2 problem exactly."""
-    if l1.rank != 3:
+    block = _block(l1)
+    if block is None or 0 not in block[0].signature():
         return None
-    g = l1.gram
-    if g[0][2] or g[1][2]:
-        return None
-    c1 = Lattice([[g[0][0], g[0][1]], [g[0][1], g[1][1]]])
-    if 0 not in c1.signature():
-        return None
-    k = g[2][2]
-    for u in _bounded_norm_vectors(l2, k, height_bound):
-        if not l2.is_primitive(u):
-            continue
-        comp, basis = l2.orthogonal_complement(u)
-        if comp.determinant() * k != l2.determinant():
-            continue  # u^perp + Zu sits in l2 with index > 1
-        if comp.signature() != c1.signature():
-            continue
-        w = is_isometric_definite(c1, comp)
-        if w is None:
-            continue
-        return _lift_split(l1, l2, basis, w, u)
+    c1, k = block
+    for u, comp, basis in _splits(l2, _bounded_norm_vectors(l2, k, height_bound), k):
+        if comp.signature() == c1.signature():
+            w = is_isometric_definite(c1, comp)
+            if w is not None:
+                return _lift_split(l1, l2, basis, w, u)
     return None
 
 
@@ -321,40 +328,42 @@ def _invert_witness(w: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(w.target, w.source, cols)
 
 
-def indefinite_isometry_search(l1: Lattice, l2: Lattice,
-                               height_bound: int) -> IsometrySearchResult:
-    """Best-effort search for an isometry l1 -> l2 bounded by height_bound.
-
-    Tries, in order: matrices with entries in the box, the split strategy
-    for block sources, and both again with the roles of l1 and l2 swapped
-    (inverting any witness found).  Invariant mismatches (rank, signature,
-    determinant) are conclusive non-isometry; a fruitless bounded search is
-    not, and is reported as inconclusive.
-    """
+def _height_bound(height_bound) -> int:
+    """height_bound if it is an int of at least 1, else EnumerationError."""
+    (height_bound,) = integers((height_bound,), EnumerationError)
     if height_bound < 1:
         raise EnumerationError("height bound must be positive")
-    if (l1.rank != l2.rank or l1.signature() != l2.signature()
-            or l1.determinant() != l2.determinant()):
+    return height_bound
+
+
+def indefinite_isometry_search(l1: Lattice, l2: Lattice,
+                               height_bound: int) -> IsometrySearchResult:
+    """Isometry l1 -> l2, proven or bounded by height_bound.
+
+    height_bound must be an int of at least 1, and both Gram matrices
+    nondegenerate, for every pair.  Invariant mismatches (rank, signature,
+    determinant) are conclusive non-isometry, and equal lattices get the
+    identity.  A definite pair is decided completely by
+    is_isometric_definite, so its answer is conclusive either way.  An
+    indefinite pair tries, in order: matrices with entries in the box, the
+    split strategy for block sources, and both again with the roles of l1
+    and l2 swapped (inverting any witness found); a fruitless bounded search
+    is not conclusive, and is reported as such.
+    """
+    height_bound = _height_bound(height_bound)
+    sig = l1.signature()
+    if (l1.rank, sig, l1.determinant()) != (l2.rank, l2.signature(), l2.determinant()):
         return IsometrySearchResult(None, True)
     if l1 == l2:
         return IsometrySearchResult(identity_embedding(l1), True)
-    witness = _box_witness(l1, l2, height_bound)
-    if witness is None:
-        witness = _split_witness(l1, l2, height_bound)
+    if 0 in sig:
+        return IsometrySearchResult(is_isometric_definite(l1, l2), True)
+    witness = _box_witness(l1, l2, height_bound) or _split_witness(l1, l2, height_bound)
     if witness is None:
         rev = _box_witness(l2, l1, height_bound) or _split_witness(l2, l1, height_bound)
         if rev is not None:
             witness = _invert_witness(rev)
     return IsometrySearchResult(witness, witness is not None)
-
-
-def _block(lat: Lattice, k: int) -> Lattice | None:
-    """Q if lat = Q + (-k) with Q positive definite of rank 2, else None."""
-    g = lat.gram
-    if lat.rank != 3 or g[0][2] or g[1][2] or g[2][2] != -k:
-        return None
-    q = Lattice([g[0][:2], g[1][:2]])
-    return q if q.is_positive_definite() else None
 
 
 def _reduced_class(pos: Lattice) -> tuple[int, int, int]:
@@ -376,36 +385,31 @@ def level_walk(sources, target: Lattice,
     is_isometric_definite also returns improper isometries.  The walk stops
     once every source has a witness.  It takes every u with |z| up to the
     bound, so it reaches whatever the forward box search of
-    indefinite_isometry_search reaches at the same bound.
+    indefinite_isometry_search reaches at the same bound.  height_bound must
+    be an int of at least 1.
     """
-    if height_bound < 1:
-        raise EnumerationError("height bound must be positive")
+    height_bound = _height_bound(height_bound)
     k = -target.gram[-1][-1]
-    blocks = [_block(lat, k) for lat in (target, *sources)]
-    if k <= 0 or any(b is None for b in blocks):
+    blocks = [_block(lat) for lat in (target, *sources)]
+    if k <= 0 or any(b is None or b[1] != -k or not b[0].is_positive_definite()
+                     for b in blocks):
         raise EnumerationError(
             "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
-    q0, blocks = blocks[0], blocks[1:]
+    q0, *blocks = [q for q, _ in blocks]
     open_by_class: dict[tuple[int, int, int], list[int]] = {}
     for j, q in enumerate(blocks):
         a, b, c = _reduced_class(q)
         open_by_class.setdefault((a, abs(b), c), []).append(j)
     witnesses: list[EmbeddingMatrix | None] = [None] * len(blocks)
-    det = target.determinant()
-    for z in range(1, height_bound + 1):
-        for v in vectors_of_norm(q0, k * (z * z - 1)):
-            u = v + (z,)
-            if not target.is_primitive(u):
-                continue
-            comp, basis = target.orthogonal_complement(u)
-            if comp.determinant() * -k != det:
-                continue  # u^perp + Zu sits in target with index > 1
-            a, b, c = _reduced_class(comp)
-            for j in open_by_class.pop((a, abs(b), c), ()):
-                w = is_isometric_definite(blocks[j], comp)
-                witnesses[j] = _lift_split(sources[j], target, basis, w, u)
-            if not open_by_class:
-                return tuple(witnesses)
+    us = (v + (z,) for z in range(1, height_bound + 1)
+          for v in vectors_of_norm(q0, k * (z * z - 1)))
+    for u, comp, basis in _splits(target, us, -k):
+        a, b, c = _reduced_class(comp)
+        for j in open_by_class.pop((a, abs(b), c), ()):
+            w = is_isometric_definite(blocks[j], comp)
+            witnesses[j] = _lift_split(sources[j], target, basis, w, u)
+        if not open_by_class:
+            break
     return tuple(witnesses)
 
 

@@ -114,6 +114,16 @@ class TestMinusTwo:
         res = has_minus_two_class(Lattice([[2, 0], [0, -6]]), search_bound=2)
         assert not res.found and not res.certified
 
+    @pytest.mark.parametrize("search_bound", [2.5, True])
+    def test_search_bound_that_is_not_an_integer_rejected(self, search_bound):
+        for lat in (Lattice([[2, 0], [0, -6]]), A2.twist(-4)):
+            with pytest.raises(CensusError, match="integers"):
+                has_minus_two_class(lat, search_bound=search_bound)
+
+    def test_negative_search_bound_is_an_uncertified_miss(self):
+        res = has_minus_two_class(Lattice([[2, 0], [0, -2]]), search_bound=-1)
+        assert not res.found and not res.certified
+
     @pytest.mark.parametrize("gram", [[[2]], [[6, 1], [1, 6]], [[1, 1], [1, 1]]],
                              ids=["rank-one", "definite", "semidefinite"])
     def test_positive_semidefinite_is_certified(self, gram):

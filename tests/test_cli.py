@@ -68,6 +68,13 @@ class TestParsing:
         res = run(["qform", "no-such-thing"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("argv", [["qform", "fm-count"],
+                                      ["qform", "fm-count", "-d", "12"]])
+    def test_command_of_another_group_exits_two(self, argv):
+        # both words name commands, but fm-count belongs to k3
+        res = run(argv + ["--json"])
+        assert res.exit_code == 2 and res.payload["status"] == "input-error"
+
     @pytest.mark.parametrize("argv", [
         ["qform", "classgroup", "-D", "-23", "--js"],
         ["qform", "classgroup", "-D", "-23", "--cache", "CACHE", "--json"],
@@ -230,12 +237,34 @@ class TestCommands:
         assert payload["result"] == {"isometric": False, "conclusive": True,
                                      "witness": None}
 
+    @pytest.mark.parametrize("gram1,gram2", [
+        ("2,1;1,2", "2,1;1,2"), ("1,0;0,-1", "0,1;1,0"), ("2,1;1,2", "2"),
+        ("0,0;0,0", "2,1;1,2")],
+        ids=["definite", "indefinite", "rank-mismatch", "degenerate"])
+    def test_isometric_checks_the_height_bound_for_every_pair(self, gram1, gram2):
+        res, payload = run_json(["lattice", "isometric", f"--gram1={gram1}",
+                                 f"--gram2={gram2}", "--height-bound", "0"])
+        assert res.exit_code == 1
+        assert payload["error"] == "height bound must be positive"
+
+    @pytest.mark.parametrize("gram1,gram2", [("1,0;0,-1", "0"), ("0", "1,0;0,-1"),
+                                             ("2", "0,0;0,0"), ("0,0;0,0", "2")])
+    def test_isometric_refuses_a_degenerate_gram_in_either_order(self, gram1, gram2):
+        res, payload = run_json(["lattice", "isometric", f"--gram1={gram1}",
+                                 f"--gram2={gram2}"])
+        assert res.exit_code == 1
+        assert payload["error"] == "degenerate Gram matrix"
+
     def test_cm_commands(self):
         _, payload = run_json(["cm", "bound", "--degree", "21"])
         assert payload["result"]["bound"] == 132
         assert payload["result"]["max_order"] == 66
         _, payload = run_json(["cm", "roots", "--disc", "3"])
         assert payload["result"]["count"] == 6
+        res, payload = run_json(["cm", "roots", "--cyclotomic", "12",
+                                 "--element", "0,1,0,0"])
+        assert res.exit_code == 0
+        assert payload["result"] == {"element": ["0", "1", "0", "0"], "order": 12}
         _, payload = run_json(["cm", "fibers", "--gram", "2,-1;-1,2",
                                "--mu", "1,0;1/2,1/2", "-d", "2", "--disc", "3"])
         assert payload["result"]["count"] == 12
@@ -362,6 +391,16 @@ def test_command_loads_only_the_modules_it_uses():
         "    print(exc.code, sorted({'k3lat.forms', 'k3lat.census', 'k3lat.cm'}",
         "                           & set(sys.modules)))"])
     assert fresh_interpreter(code) == "0 ['k3lat.forms']"
+
+
+def test_human_output_of_a_successful_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qform", "classgroup", "-D", "-23"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["command: qform classgroup", "discriminant: -23",
+                         "forms: [[1, 1, 6], [2, -1, 3], [2, 1, 3]]", "h: 3"]
+    assert re.fullmatch(r"time: \d+\.\d ms", lines[4]) and len(lines) == 5
 
 
 def test_exit_code_property():

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, Symbol, cyclotomic_poly
+from sympy import (I, Poly, Rational, Symbol, cyclotomic_poly, exp,
+                   minimal_polynomial, pi, real_roots)
 
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
-                      _has_real_root, _is_irreducible,
+                      _has_real_root, _is_irreducible, _totally_nonneg,
                       enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
@@ -70,6 +71,34 @@ class TestFieldArithmetic:
         z8 = CMField.cyclotomic(8)
         sq = z8.gen() ** 2
         assert sq.min_poly_coeffs() == (Fraction(1), Fraction(0), Fraction(1))
+
+
+def _sympy_totally_nonneg(y: CMElement, k: int) -> bool:
+    # y = sum c_i zeta_k^i; every embedding is real and >= 0 exactly when
+    # every root of the minimal polynomial is, and sympy isolates them exactly
+    x = Symbol("x")
+    zeta = exp(2 * pi * I / k)
+    value = sum(Rational(c.numerator, c.denominator) * zeta ** i
+                for i, c in enumerate(y.coords))
+    mp = Poly(minimal_polynomial(value, x), x)
+    roots = real_roots(mp)
+    return len(roots) == mp.degree() and all(r >= 0 for r in roots)
+
+
+@pytest.mark.parametrize("k", [5, 8])
+@pytest.mark.parametrize("of_trace,expected", [
+    (lambda t: t, False), (lambda t: 1 + t, False), (lambda t: t * t, True),
+    (lambda t: 2 + t, True), (lambda t: -2 - t, False)],
+    ids=["trace", "one-plus-trace", "trace-squared", "two-plus-trace",
+         "minus-two-minus-trace"])
+def test_totally_nonneg_on_real_quadratic_subfields(k, of_trace, expected):
+    # t = zeta + zetabar generates the real quadratic subfield of Q(zeta_k),
+    # with conjugates (-1 +- sqrt 5) / 2 for k = 5 and +- sqrt 2 for k = 8;
+    # -2 - t has both conjugates negative
+    field = CMField.cyclotomic(k)
+    y = of_trace(field.gen() + field.gen().conjugate())
+    assert _totally_nonneg(y) is expected
+    assert _sympy_totally_nonneg(y, k) is expected
 
 
 def _monic(degree):
@@ -350,6 +379,23 @@ class TestPeriodEmbeddings:
         object.__setattr__(pv, "mu", (EISEN.one(), zeta6(), EISEN.one()))
         with pytest.raises(CMError):
             enumerate_period_embeddings(pv, 2)
+
+
+def test_normalized_inverts_the_first_pairing_once(monkeypatch):
+    # one inverse for (gamma_1.sigma), one for the solving minor of the
+    # rescaled period
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    inverse = CMElement.inverse
+    pv = hex_period()
+    monkeypatch.setattr(CMElement, "inverse", counted)
+    normed = pv.normalized()
+    assert normed.sigma1() == EISEN.one()
+    assert len(calls) == 2
 
 
 def test_one_frame_per_period(monkeypatch):

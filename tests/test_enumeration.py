@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, embeddings,
+from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _box_witness,
+                               _split_witness, _splits, embeddings,
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
                                orbit_invariant, short_vectors_le,
@@ -172,6 +173,55 @@ class TestIndefiniteSearch:
         res = indefinite_isometry_search(l1, l2, 6)
         assert not res.found and not res.conclusive
 
+    def test_reversed_attempt_inverts_its_witness(self):
+        # neither the box nor the split finds l1 -> l2 at height 3; the box
+        # finds l2 -> l1, and its inverse is the witness
+        l1 = Lattice([[-3, -3, 3], [-3, 2, -3], [3, -3, -3]])
+        l2 = Lattice([[-16, -14, 6], [-14, -22, 21], [6, 21, -27]])
+        assert _box_witness(l1, l2, 3) is None
+        assert _split_witness(l1, l2, 3) is None
+        assert _box_witness(l2, l1, 3) is not None
+        res = indefinite_isometry_search(l1, l2, 3)
+        assert res.found and res.conclusive
+        w = res.witness
+        assert (w.source, w.target) == (l1, l2)
+        for i in range(3):
+            for j in range(3):
+                assert l2.inner(w.columns[i], w.columns[j]) == l1.gram[i][j]
+
+    @pytest.mark.parametrize("height_bound", [1, 10])
+    def test_definite_pairs_are_decided_completely(self, height_bound):
+        # (1, 1, 6) and (2, 1, 3) share rank, signature and determinant 23
+        # but are not isometric: the complete definite search proves it at
+        # any bound, where a box search could only miss
+        principal = form_to_lattice(BinaryForm(1, 1, 6))
+        other = form_to_lattice(BinaryForm(2, 1, 3))
+        for l1, l2 in [(principal, other), (principal.twist(-1), other.twist(-1))]:
+            res = indefinite_isometry_search(l1, l2, height_bound)
+            assert not res.found and res.conclusive
+        mirror = form_to_lattice(BinaryForm(2, -1, 3))
+        res = indefinite_isometry_search(other, mirror, height_bound)
+        assert res.found and res.conclusive
+        assert res.witness == is_isometric_definite(other, mirror)
+
+    @pytest.mark.parametrize("height_bound", [0, -3, 2.5, 10.0, True, "10"])
+    @pytest.mark.parametrize("l1,l2", [
+        (A2, A2), (A2, Lattice([[2, 1], [1, -2]])), (A2, Lattice([[2]])),
+        (Lattice([[0]]), Lattice([[0]]))],
+        ids=["definite", "mixed", "rank-mismatch", "degenerate"])
+    def test_height_bound_is_checked_for_every_pair(self, l1, l2, height_bound):
+        with pytest.raises(EnumerationError):
+            indefinite_isometry_search(l1, l2, height_bound)
+
+    @pytest.mark.parametrize("l1,l2", [
+        (Lattice([[1, 0], [0, -1]]), Lattice([[0]])),
+        (Lattice([[0]]), Lattice([[1, 0], [0, -1]])),
+        (A2, Lattice([[1, 1], [1, 1]])), (Lattice([[2]]), Lattice([[0, 0], [0, 0]]))],
+        ids=["indefinite-first", "degenerate-first", "same-rank", "definite-first"])
+    def test_degenerate_gram_is_refused_in_either_position(self, l1, l2):
+        with pytest.raises(LatticeError, match="degenerate"):
+            indefinite_isometry_search(l1, l2, 10)
+
 
 def ternaries(p, d0=1):
     return [form_to_lattice(f).direct_sum(Lattice([[-d0]]))
@@ -201,6 +251,13 @@ class TestLevelWalk:
         fake = Lattice([[9, 3, 0], [3, 24, 0], [0, 0, -3]])
         assert level_walk([fake], t0, 10) == (None,)
 
+    def test_split_step_keeps_only_vectors_that_split_off(self):
+        # in T_0 = (1, 1, 6) + (-1) the last basis vector splits off; twice
+        # it has the same complement, of index 2 together with it
+        t0 = ternaries(23)[0]
+        assert [u for u, _, _ in _splits(t0, [(0, 0, 1)], -1)] == [(0, 0, 1)]
+        assert list(_splits(t0, [(0, 0, 2)], -4)) == []
+
     @pytest.mark.parametrize("target,sources", [
         (Lattice([[2, 1, 1], [1, 2, 0], [1, 0, -1]]), None),
         (Lattice([[2, 1, 0], [1, 2, 0], [0, 0, 1]]), None),
@@ -216,6 +273,12 @@ class TestLevelWalk:
         ts = ternaries(23)
         with pytest.raises(EnumerationError, match="height bound"):
             level_walk(ts, ts[0], 0)
+
+    @pytest.mark.parametrize("height_bound", [2.5, 10.0, True])
+    def test_rejects_height_bound_that_is_not_an_integer(self, height_bound):
+        ts = ternaries(23)
+        with pytest.raises(EnumerationError, match="integers"):
+            level_walk(ts, ts[0], height_bound)
 
 
 class TestOrbitInvariant:
