@@ -94,6 +94,8 @@ def parse_mu(text: str, field) -> tuple:
 
 def _field_from_args(args):
     from . import cm
+    if args.disc is not None and args.cyclotomic is not None:
+        raise InputError("give the field by one of --disc M and --cyclotomic K, not both")
     if args.disc is not None:
         return cm.CMField.imaginary_quadratic(args.disc)
     if args.cyclotomic is not None:

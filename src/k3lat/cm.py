@@ -5,6 +5,11 @@ together with the automorphism acting as complex conjugation under every
 embedding.  Elements live in the power basis with Fraction coordinates, so
 all arithmetic, conjugation, integrality and total-positivity tests are
 exact; nothing here evaluates a complex embedding numerically.
+
+Each field keeps its trace lattice T_K = (Tr(b_i conj(b_j))) on the integral
+basis, the form sum |g(x)|^2.  It is positive definite exactly when the
+automorphism is complex conjugation under every embedding, which validates
+the field, and its vectors of norm [K:Q] are the roots of unity.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .enumeration import EmbeddingMatrix, embeddings, short_vectors_le
+from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
+                          vectors_of_norm)
 from .lattice import Lattice
 from .linalg import rank, solve
 
@@ -161,8 +167,12 @@ class CMField:
         object.__setattr__(self, "min_poly", mp)
         object.__setattr__(self, "conj_gen", conj)
         object.__setattr__(self, "integral_basis", basis)
-        object.__setattr__(self, "_red", _reduction_table(mp))
-        conj_pows = [tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))]
+        red = _reduction_table(mp)
+        object.__setattr__(self, "_red", red)
+        # Tr(theta^k) is the trace of multiplication by theta^k
+        object.__setattr__(self, "_traces", tuple(sum(red[k + j][j] for j in range(n))
+                                                  for k in range(n)))
+        conj_pows = [red[0]]
         for _ in range(n - 1):
             conj_pows.append(self._raw_mul(conj_pows[-1], conj))
         object.__setattr__(self, "_conj_pows", conj_pows)
@@ -190,8 +200,6 @@ class CMField:
             raise CMError("conjugation must be an involution")
         if conj_theta == theta:
             raise CMError("conjugation must be nontrivial")
-        if not _totally_nonneg(theta * conj_theta, strict=True):
-            raise CMError("conjugation is not complex conjugation")
         if not self.one().is_integral() or not theta.is_integral():
             raise CMError("integral basis must contain 1 and the generator's order")
         basis_elems = [self.element(row) for row in self.integral_basis]
@@ -199,6 +207,15 @@ class CMField:
             for bj in basis_elems:
                 if not (bi * bj).is_integral():
                     raise CMError("integral basis is not multiplicatively closed")
+        # each b_i conj(b_j) lies in an order, so its trace is an integer
+        conj_elems = [b.conjugate() for b in basis_elems]
+        traces = [[(bi * bj).trace() for bj in conj_elems] for bi in basis_elems]
+        if any(t.denominator != 1 for row in traces for t in row):
+            raise CMError("trace form is not integral")  # pragma: no cover
+        lattice = Lattice([[t.numerator for t in row] for row in traces])
+        if not lattice.is_positive_definite():
+            raise CMError("conjugation is not complex conjugation")
+        object.__setattr__(self, "_trace_lattice", lattice)
 
     # -- constructors ----------------------------------------------------------
 
@@ -221,15 +238,11 @@ class CMField:
         if k not in _CYCLOTOMIC:
             raise CMError("cyclotomic field must have degree 2 or 4")
         mp = _CYCLOTOMIC[k]
-        n = len(mp) - 1
         red = _reduction_table(mp)
-        conj = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-        gen = tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(n))
+        conj = red[0]
         for _ in range(k - 1):
-            conj = _poly_mul(red, conj, gen)
-        basis = tuple(tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-                      for j in range(n))
-        return cls(mp, conj, basis)
+            conj = _poly_mul(red, conj, red[1])
+        return cls(mp, conj, tuple(red[:len(mp) - 1]))  # the power basis
 
     # -- element helpers -------------------------------------------------------
 
@@ -253,24 +266,24 @@ class CMField:
         return self.rational(1)
 
     def gen(self) -> "CMElement":
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return self.element(coords)
+        return self.element(self._red[1])
 
     def from_integral(self, z) -> "CMElement":
         z = list(z)
         if len(z) != self.degree:
             raise CMError("coordinate length does not match the degree")
-        coords = [Fraction(0)] * self.degree
-        for zi, row in zip(z, self.integral_basis):
-            for i in range(self.degree):
-                coords[i] += zi * row[i]
-        return self.element(coords)
+        return self.element([sum(zi * b for zi, b in zip(z, col))
+                             for col in self._basis_cols])
 
     def roots_of_unity(self) -> list["CMElement"]:
-        """All roots of unity in the ring of integers, sorted by coordinates."""
-        return [x for x in enumerate_bounded_integers(self, 1)
-                if is_root_of_unity(x) is not None]
+        """All roots of unity in the ring of integers, sorted by coordinates.
+
+        They are the trace-lattice vectors of norm n = [K:Q]: as |N(x)| >= 1,
+        AM-GM gives sum |g(x)|^2 >= n, with equality exactly when every
+        |g(x)| = 1, and Kronecker's theorem makes such an x a root of unity.
+        """
+        roots = map(self.from_integral, vectors_of_norm(self._trace_lattice, self.degree))
+        return sorted(roots, key=lambda x: x.coords)
 
 
 @dataclass(frozen=True)
@@ -351,9 +364,7 @@ class CMElement:
         return all(c.denominator == 1 for c in self.integral_coords())
 
     def trace(self) -> Fraction:
-        n = self.field.degree
-        return sum(self.field._raw_mul(self.coords, self.field._red[j])[j]
-                   for j in range(n))
+        return sum(c * t for c, t in zip(self.coords, self.field._traces))
 
     def min_poly_coeffs(self) -> tuple[Fraction, ...]:
         """Ascending monic coefficients of the minimal polynomial over Q."""
@@ -390,24 +401,18 @@ def _totally_nonneg(y: CMElement, strict: bool = False) -> bool:
 def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
     """All algebraic integers with every complex embedding of modulus <= bound.
 
-    Candidates come from the trace form box (sum of |g(x)|^2 is a positive
-    definite rational quadratic form in the integral coordinates); acceptance
-    is the exact totally-nonnegative test on bound^2 - x * conj(x).
+    Candidates are the vectors of the field's trace lattice (the sum of
+    |g(x)|^2 in the integral coordinates) of norm at most n bound^2;
+    acceptance is the exact totally-nonnegative test on bound^2 - x * conj(x).
     """
     (bound,) = arith.integers((bound,), CMError)
     if bound < 0:
         raise CMError("bound must be nonnegative")
-    n = field.degree
-    basis = [field.element(row) for row in field.integral_basis]
-    gram = [[(bi * bj.conjugate()).trace() for bj in basis] for bi in basis]
-    out = []
     bsq = field.rational(bound * bound)
-    for z in short_vectors_le(gram, Fraction(n * bound * bound)):
-        x = field.from_integral(z)
-        if _totally_nonneg(bsq - x * x.conjugate()):
-            out.append(x)
-    out.sort(key=lambda e: e.coords)
-    return out
+    xs = map(field.from_integral,
+             short_vectors_le(field._trace_lattice.gram, field.degree * bound * bound))
+    return sorted((x for x in xs if _totally_nonneg(bsq - x * x.conjugate())),
+                  key=lambda x: x.coords)
 
 
 def max_root_of_unity_order(degree: int) -> int:

@@ -3,7 +3,8 @@
 The short-vector kernel descends the fraction-free LDL^T elimination each
 Lattice holds, in integers alone (isqrt and floor division), and on a
 fixed-norm shell solves the last coordinate it fixes by an exact square test,
-so it is deterministic and never touches floating point or a Fraction.
+so it is deterministic and never touches floating point or a Fraction: its
+Gram matrices and bounds are integers, and anything else is refused.
 A naive box scan is kept in the test suite as its oracle.  Isometries
 between block ternaries Q + (-k) come from one walk over the levels of the
 target (level_walk); indefinite_isometry_search answers any pair, completely
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import DomainError, integers
 from .forms import lattice_to_form, reduce_form
@@ -77,19 +77,14 @@ def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
     return out
 
 
-def short_vectors_le(gram, bound) -> list[Vector]:
+def short_vectors_le(gram, bound: int) -> list[Vector]:
     """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
 
-    gram may have Fraction entries (used for trace forms of number fields);
-    it is scaled to an integer Gram matrix, and bound with it, before the
-    descent; the scaled norms are integers, so the scaled bound is floored.
-    The zero vector is included.
+    gram is an integer Gram matrix and bound an int; anything else is
+    refused.  The zero vector is included.
     """
-    gram = [[Fraction(x) for x in row] for row in gram]
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    return _lattice_points(Lattice(ints), math.floor(Fraction(bound) * den),
-                           shell=False)
+    (bound,) = integers((bound,), EnumerationError)
+    return _lattice_points(Lattice(gram), bound, shell=False)
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:

@@ -113,6 +113,9 @@ class TestParsing:
         ["cm", "roots", "--disc", "3", "--element", "a,b"],
         ["cm", "roots", "--disc", "3", "--element", "1,0;0,1"],
         ["k3", "minus-two", "--gram", "2,1;1,2", "--bound", "-1"],
+        ["cm", "roots", "--disc", "3", "--cyclotomic", "12"],
+        ["cm", "fibers", "--gram", "2,-1;-1,2", "--mu", "1,0;1/2,1/2", "-d", "2",
+         "--disc", "3", "--cyclotomic", "12"],
     ])
     def test_bad_values_exit_two_with_envelope(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

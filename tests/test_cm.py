@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,6 +72,42 @@ class TestFieldArithmetic:
         z8 = CMField.cyclotomic(8)
         sq = z8.gen() ** 2
         assert sq.min_poly_coeffs() == (Fraction(1), Fraction(0), Fraction(1))
+
+
+# Q(i, sqrt 2) = Q(theta), theta = (2 + 2i) + (1 + 2i) sqrt 2, on the power
+# basis; the images of theta under complex conjugation and under the
+# automorphism sqrt 2 -> -sqrt 2, which fixes i
+_QI_SQRT2 = (36, -48, 44, -8, 1)
+_QI_SQRT2_CONJ = (Fraction(6, 5), Fraction(-16, 15), Fraction(1, 15), Fraction(-1, 30))
+_QI_SQRT2_TAU = (8, Fraction(-22, 3), Fraction(4, 3), Fraction(-1, 6))
+_POWER_BASIS_2 = ((1, 0), (0, 1))
+_POWER_BASIS_4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize("args,message", [
+        (((1, 0, 1), (1, 0), _POWER_BASIS_2), "does not fix the minimal polynomial"),
+        ((_CYCLOTOMIC[5], (0, 0, 1, 0), _POWER_BASIS_4), "must be an involution"),
+        (((1, 0, 1), (0, 1), _POWER_BASIS_2), "must be nontrivial"),
+        ((_QI_SQRT2, _QI_SQRT2_TAU, _POWER_BASIS_4), "is not complex conjugation"),
+        (((1, 0, 1), (0, -1), ((1, 0), (0, 2))),
+         "must contain 1 and the generator's order"),
+        (((1, 0, 1), (0, -1), ((1, 0), (0, Fraction(1, 2)))),
+         "is not multiplicatively closed"),
+    ], ids=["fixes-min-poly", "involution", "nontrivial", "complex-conjugation",
+            "contains-order", "closed"])
+    def test_structural_refusals(self, args, message):
+        # conjugation i -> 1; zeta_5 -> zeta_5^2 of order 4; the identity;
+        # sqrt 2 -> -sqrt 2, under which theta * tau(theta) = 6 is totally
+        # positive but the trace form has signature (2, 2); a basis missing
+        # 1 (2i spans no i); a basis with i / 2 whose square is -1 / 4
+        with pytest.raises(CMError, match=message):
+            CMField(*args)
+
+    def test_complex_conjugation_of_the_same_order_is_accepted(self):
+        field = CMField(_QI_SQRT2, _QI_SQRT2_CONJ, _POWER_BASIS_4)
+        assert field.element(_QI_SQRT2_CONJ) == field.gen().conjugate()
+        assert field.roots_of_unity() == [field.rational(-1), field.one()]
 
 
 def _sympy_totally_nonneg(y: CMElement, k: int) -> bool:
@@ -216,6 +253,30 @@ class TestRootsOfUnity:
 
     def test_gaussian_i(self):
         assert is_root_of_unity(GAUSS.gen()) == 4
+
+    @pytest.mark.parametrize("field,count", [
+        *((CMField.cyclotomic(k), k if k % 2 == 0 else 2 * k) for k in sorted(_CYCLOTOMIC)),
+        *((CMField.imaginary_quadratic(m), {1: 4, 3: 6}.get(m, 2))
+          for m in (1, 2, 3, 5, 7, 11, 15, 19, 10 ** 6 + 3)),
+    ], ids=[f"zeta{k}" for k in sorted(_CYCLOTOMIC)]
+        + [f"sqrt-{m}" for m in (1, 2, 3, 5, 7, 11, 15, 19, 10 ** 6 + 3)])
+    def test_against_powering_a_box(self, field, count):
+        # oracle: every element of a small integral-coordinate box whose
+        # power x^m is 1 for some m <= 24; the known count of roots shows
+        # the box holds them all
+        n = field.degree
+        radius = 2 if n == 2 else 1
+        found = []
+        for z in itertools.product(range(-radius, radius + 1), repeat=n):
+            x = power = field.from_integral(z)
+            for _ in range(24):
+                if power == field.one():
+                    found.append(x)
+                    break
+                power = power * x
+        got = field.roots_of_unity()
+        assert got == sorted(found, key=lambda x: x.coords)
+        assert len(got) == count
 
     def test_counts(self):
         assert len(EISEN.roots_of_unity()) == 6

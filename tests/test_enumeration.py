@@ -1,8 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
+from k3lat.arith import DomainError
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _box_witness,
                                _split_witness, _splits, embeddings,
                                indefinite_isometry_search,
@@ -62,20 +62,27 @@ class TestVectorsOfNorm:
 
 
 class TestShortVectorsLe:
-    def test_half_integral_gram_against_box_oracle(self, rng):
-        # x^T (G/2) x <= b exactly when x^T G x is one of 0, ..., floor(2b)
+    def test_integer_gram_against_box_oracle(self, rng):
         for _ in range(30):
             lat = random_positive_definite(rng.choice([1, 2, 3]), rng)
-            half = [[Fraction(x, 2) for x in row] for row in lat.gram]
-            bound = Fraction(rng.randint(0, 40), rng.choice([1, 2, 3]))
-            want = sorted(v for n in range(math.floor(2 * bound) + 1)
+            bound = rng.randint(0, 40)
+            want = sorted(v for n in range(bound + 1)
                           for v in box_vectors_of_norm(lat, n))
-            assert short_vectors_le(half, bound) == want, (lat, bound)
+            assert short_vectors_le(lat.gram, bound) == want, (lat, bound)
 
     def test_rejects_indefinite_and_negative_bound(self):
-        assert short_vectors_le([[Fraction(1, 2)]], Fraction(-1, 3)) == []
+        assert short_vectors_le([[2]], -1) == []
         with pytest.raises(EnumerationError):
-            short_vectors_le([[Fraction(1, 2), 1], [1, Fraction(1, 2)]], 3)
+            short_vectors_le([[1, 2], [2, 1]], 3)
+
+    @pytest.mark.parametrize("gram,bound", [
+        ([[Fraction(1, 2)]], 3), ([[Fraction(2)]], 3), ([[2]], Fraction(3)),
+        ([[2]], 2.5), ([[2]], True)],
+        ids=["half-entry", "integral-fraction-entry", "fraction-bound",
+             "float-bound", "bool-bound"])
+    def test_takes_integers_only(self, gram, bound):
+        with pytest.raises(DomainError, match="integers"):
+            short_vectors_le(gram, bound)
 
 
 class TestEmbeddings:

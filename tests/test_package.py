@@ -35,10 +35,13 @@ def _inexact(tree):
 
 
 def _names(tree):
-    """Every identifier a module uses, imports or defines."""
+    """Every identifier a module uses, imports (with the module of a
+    from-import) or defines."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
@@ -98,3 +101,17 @@ def test_only_lattice_eliminates_gram_matrices():
     "def ldl(g): pass"])
 def test_the_ldl_guard_sees_each_construct(source):
     assert "ldl" in set(_names(ast.parse(source))), source
+
+
+def test_enumeration_imports_no_fractions():
+    # the short-vector kernel takes integer Gram matrices only
+    path = Path(k3lat.__file__).with_name("enumeration.py")
+    names = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not names & {"fractions", "Fraction"}, names & {"fractions", "Fraction"}
+
+
+@pytest.mark.parametrize("source", [
+    "import fractions", "from fractions import Fraction as F", "import fractions as f",
+    "def f():\n    from fractions import Fraction"])
+def test_the_fractions_guard_sees_each_construct(source):
+    assert "fractions" in set(_names(ast.parse(source))), source
