@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from . import arith
 from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
                           vectors_of_norm)
 from .lattice import Lattice
-from .linalg import rank, solve
+from .linalg import inverse, rank, solve
 
 
 class CMError(arith.DomainError):
@@ -162,8 +164,11 @@ class CMField:
         basis = tuple(map(_rationals, self.integral_basis))
         if len(basis) != n or any(len(row) != n for row in basis):
             raise CMError("integral basis must be a square matrix")
-        if rank(basis) != n:
-            raise CMError("integral basis is not a basis")
+        basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
+        try:
+            basis_inv = tuple(map(tuple, inverse(basis_cols)))
+        except ZeroDivisionError:
+            raise CMError("integral basis is not a basis") from None
         object.__setattr__(self, "min_poly", mp)
         object.__setattr__(self, "conj_gen", conj)
         object.__setattr__(self, "integral_basis", basis)
@@ -176,8 +181,9 @@ class CMField:
         for _ in range(n - 1):
             conj_pows.append(self._raw_mul(conj_pows[-1], conj))
         object.__setattr__(self, "_conj_pows", conj_pows)
-        basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
         object.__setattr__(self, "_basis_cols", basis_cols)
+        # integral coordinates are power coordinates times this inverse
+        object.__setattr__(self, "_basis_inv", basis_inv)
         self._validate_structure()
 
     # -- raw coordinate arithmetic -------------------------------------------
@@ -269,7 +275,7 @@ class CMField:
         return self.element(self._red[1])
 
     def from_integral(self, z) -> "CMElement":
-        z = list(z)
+        z = arith.integers(z, CMError)
         if len(z) != self.degree:
             raise CMError("coordinate length does not match the degree")
         return self.element([sum(zi * b for zi, b in zip(z, col))
@@ -356,9 +362,7 @@ class CMElement:
         return CMElement(self.field, tuple(out))
 
     def integral_coords(self) -> tuple[Fraction, ...]:
-        sol = solve(self.field._basis_cols, list(self.coords))
-        assert sol is not None
-        return tuple(sol)
+        return tuple(sum(map(mul, row, self.coords)) for row in self.field._basis_inv)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.integral_coords())
@@ -416,12 +420,18 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
 
 
 def max_root_of_unity_order(degree: int) -> int:
-    """Largest m with phi(m) <= degree; phi(m) >= sqrt(m/2) bounds the scan."""
+    """Largest m with phi(m) <= degree; phi(m) >= sqrt(m/2) bounds the scan,
+    and one sieve gives every phi(m) up to that bound."""
     (degree,) = arith.integers((degree,), CMError)
     if degree < 1:
         raise CMError("degree must be positive")
     limit = 2 * degree * degree + 2
-    return max(m for m in range(1, limit + 1) if arith.totient(m) <= degree)
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched, so p is prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return max(m for m in range(1, limit + 1) if phi[m] <= degree)
 
 
 def is_root_of_unity(x: CMElement) -> int | None:
@@ -472,7 +482,8 @@ class PeriodVector:
     """Isotropic positive class sigma = sum mu_i gamma_i defining a weight-two
     Hodge structure on the lattice, with exact CM-field coordinates.  It keeps
     mubar, (sigma.sigmabar) and the frame (i, j, 1 / (mu_i mubar_j - mu_j
-    mubar_i)) of its first nonzero minor, which solve_lambda reuses."""
+    mubar_i)) of its first nonzero minor; on its first solve it builds from
+    them the integer tables of _PeriodTables, which every later solve reuses."""
 
     lattice: Lattice
     mu: tuple[CMElement, ...]
@@ -520,6 +531,86 @@ class PeriodVector:
         inv = self.sigma1().inverse()
         return PeriodVector(self.lattice, tuple(m * inv for m in self.mu))
 
+    @cached_property
+    def _tables(self) -> "_PeriodTables":
+        """The period's solving tables, built at most once, on first use."""
+        return _PeriodTables(self)
+
+
+def _int_rows(elems, den: int) -> list[tuple[int, ...]]:
+    """Row t holds the t-th coordinates of elems times den, as ints."""
+    return [tuple(c.numerator * (den // c.denominator) for c in coords)
+            for coords in zip(*(x.coords for x in elems))]
+
+
+def _common_denominator(elems) -> int:
+    return math.lcm(*(c.denominator for x in elems for c in x.coords))
+
+
+class _PeriodTables:
+    """Integer tables that solve phi(sigma) = lambda sigma + lambda' sigmabar
+    + nu e for an integer matrix phi, built once per period.
+
+    With x[r n + c] = phi_rc (row n is e's) and the frame (i, j, 1/det),
+    Cramer's rule gives lambda = sum_c (phi_ic mu_c mubar_j - phi_jc mu_c
+    mubar_i) / det and lambda' = sum_c (phi_jc mu_i mu_c - phi_ic mu_j mu_c)
+    / det, and nu = sum_c phi_nc mu_c.  These and the residuals phi(sigma)_k
+    - lambda mu_k - lambda' mubar_k are linear in x, and the norm value
+    (|lambda|^2 + |lambda'|^2)(sigma.sigmabar) + |nu|^2 d is a quadratic form
+    in x.  Their field coefficients are stored as integer coordinate rows
+    over a common denominator, so a solve takes integer dot products only.
+    A residual row that vanishes identically is left out; at rank 2 all do.
+    """
+
+    def __init__(self, pv: PeriodVector) -> None:
+        mu, mub, ssb, field = pv.mu, pv._conj, pv._ssb, pv.field
+        i, j, inv = pv._frame
+        n, size = len(mu), len(mu) * (len(mu) + 1)
+        zero = field.zero()
+        lam, lam_p = [zero] * size, [zero] * size
+        for c, m in enumerate(mu):
+            lam[i * n + c], lam[j * n + c] = m * mub[j] * inv, -(m * mub[i] * inv)
+            lam_p[i * n + c], lam_p[j * n + c] = -(mu[j] * m * inv), mu[i] * m * inv
+        nu = [zero] * (n * n) + list(mu)
+        res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
+                for a in range(size)] for k in range(n)]
+        den = _common_denominator(lam + lam_p + nu + sum(res, []))
+        self._field, self._n, self._den = field, n, den
+        self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
+        self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
+        support = [r * n + c for r in (i, j) for c in range(n)]
+        self._lam_pairs = [(a, b) for a in support for b in support]
+        self._nu_pairs = [(a, b) for a in range(n * n, size) for b in range(n * n, size)]
+        lam_w = [(lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb
+                 for a, b in self._lam_pairs]
+        nu_w = [nu[a] * nu[b].conjugate() for a, b in self._nu_pairs]
+        qden = _common_denominator(lam_w + nu_w + [ssb])
+        self._lam_w, self._nu_w = _int_rows(lam_w, qden), _int_rows(nu_w, qden)
+        self._ssb = [row[0] for row in _int_rows([ssb], qden)]
+
+    def solve(self, columns) -> tuple[tuple[int, ...], ...] | None:
+        """Numerators over the common denominator of lambda, lambda' and nu,
+        or None when a residual does not vanish."""
+        x = self._entries(columns)
+        if any(sum(map(mul, row, x)) for row in self._res):
+            return None
+        return tuple(tuple(sum(map(mul, row, x)) for row in rows)
+                     for rows in (self._lam, self._lam_p, self._nu))
+
+    def element(self, numerators) -> CMElement:
+        return CMElement(self._field, tuple(Fraction(v, self._den) for v in numerators))
+
+    def norm_holds(self, columns, d: int, scale: int) -> bool:
+        """Whether the norm value of phi equals scale (sigma.sigmabar)."""
+        x = self._entries(columns)
+        ps = [x[a] * x[b] for a, b in self._lam_pairs]
+        qs = [x[a] * x[b] for a, b in self._nu_pairs]
+        return all(sum(map(mul, s, ps)) + d * sum(map(mul, t, qs)) == scale * g
+                   for s, t, g in zip(self._lam_w, self._nu_w, self._ssb))
+
+    def _entries(self, columns) -> list[int]:
+        return [col[r] for r in range(self._n + 1) for col in columns]
+
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
     """Exact (sigma.sigmabar), as the period stored it; raises unless it is
@@ -533,27 +624,18 @@ def solve_lambda(pv: PeriodVector, phi: EmbeddingMatrix):
     """Coefficients (lambda, lambda', nu) with phi(sigma) = lambda sigma +
     lambda' sigmabar + nu e, or None when phi admits no such expression.
 
-    phi must map into lattice + Z e with e the final basis vector.  lambda
-    and lambda' come from the period's frame, without division, and are then
-    checked in every coordinate.
+    phi must map into lattice + Z e with e the final basis vector.  lambda,
+    lambda' and nu are integer combinations of the entries of phi, weighted
+    by the tables the period builds on its first solve (no division, no
+    field multiplication); lambda and lambda' are then checked in every
+    coordinate.  Fraction coordinates are made only for the three results.
     """
     n = pv.lattice.rank
     if phi.target.rank != n + 1 or phi.source.rank != n:
         raise CMError("embedding must map rank n into rank n+1")
-    mu, mub = pv.mu, pv._conj
-    i, j, inv = pv._frame
-    cvals = [_combine(col, mu) for col in zip(*phi.columns)]
-    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) * inv
-    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) * inv
-    if any(cvals[k] != lam * mu[k] + lam_p * mub[k] for k in range(n)):
-        return None
-    return lam, lam_p, cvals[n]
-
-
-def _norm_equation_value(lam, lam_p, nu, d, ssb) -> CMElement:
-    """(|lambda|^2 + |lambda'|^2) (sigma.sigmabar) + |nu|^2 d."""
-    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
-            + nu * nu.conjugate() * d)
+    tables = pv._tables
+    solved = tables.solve(phi.columns)
+    return None if solved is None else tuple(map(tables.element, solved))
 
 
 def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
@@ -563,7 +645,8 @@ def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
     |nu|^2 d = (sigma.sigmabar)."""
     if not _totally_nonneg(ssb, strict=True):
         raise CMError("(sigma.sigmabar) must be totally positive")
-    return _norm_equation_value(lam, lam_p, nu, d, ssb) == ssb
+    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
+            + nu * nu.conjugate() * d) == ssb
 
 
 @dataclass(frozen=True)
@@ -587,7 +670,9 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     overlattice index k.  So the list is the lattice embedding search, with
     lambda, lambda' and nu read off by solve_lambda; both facts are
     re-checked exactly, the norm identity multiplied through by
-    (sigma.sigmabar) != 0, and a failure raises CMError.  With
+    (sigma.sigmabar) != 0 and evaluated as an integer quadratic form in the
+    entries of phi from the period's tables, and a failure raises CMError.
+    So an embedding costs no field multiplication.  With
     overlattice_index = k > 1 the returned matrices represent k * phi for
     embeddings phi into an index-k overlattice, so their source carries the
     form scaled by k^2.
@@ -602,12 +687,11 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
         raise CMError("only rank-2 period lattices are supported")
     target = t.direct_sum(Lattice([[d]]))
     source = t if nn == 1 else t.twist(nn * nn)
-    ssb = pv._ssb
-    goal = ssb * (nn * nn)
+    tables = pv._tables
     out: list[PeriodEmbedding] = []
     for emb in embeddings(source, target):
         solved = solve_lambda(pv, emb)
-        if solved is None or _norm_equation_value(*solved, d, ssb) != goal:
+        if solved is None or not tables.norm_holds(emb.columns, d, nn * nn):
             raise CMError("embedding breaks the rank-2 period identity")
         out.append(PeriodEmbedding(emb, *solved))
     out.sort(key=lambda pe: pe.embedding.columns)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .arith import DomainError, integers
 from .forms import lattice_to_form, reduce_form
@@ -139,21 +140,23 @@ def _is_saturated(columns: tuple[Vector, ...]) -> bool:
 def _gram_compatible(source: Lattice, target: Lattice, vectors):
     """Every tuple of target vectors with the source Gram matrix, in
     backtracking order: column i runs through vectors(source.gram[i][i])
-    and is pruned on the first inner product that disagrees."""
-    g = source.gram
+    and is pruned on the first inner product that disagrees.  Each candidate
+    v is paired with G v once, so each test is a plain dot product."""
+    g, h = source.gram, target.gram
     norms = dict.fromkeys(g[i][i] for i in range(len(g)))
-    candidates = {nrm: vectors(nrm) for nrm in norms}
+    candidates = {nrm: [(v, tuple(sum(map(mul, row, v)) for row in h))
+                        for v in vectors(nrm)] for nrm in norms}
 
-    def extend(chosen: tuple[Vector, ...]):
+    def extend(chosen: tuple[Vector, ...], images: tuple[Vector, ...]):
         i = len(chosen)
         if i == len(g):
             yield chosen
             return
-        for v in candidates[g[i][i]]:
-            if all(target.inner(c, v) == g[j][i] for j, c in enumerate(chosen)):
-                yield from extend(chosen + (v,))
+        for v, gv in candidates[g[i][i]]:
+            if all(sum(map(mul, w, v)) == g[j][i] for j, w in enumerate(images)):
+                yield from extend(chosen + (v,), images + (gv,))
 
-    return extend(())
+    return extend((), ())
 
 
 def embeddings(source: Lattice, target: Lattice,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -272,6 +273,18 @@ class TestCommands:
                                "--mu", "1,0;1/2,1/2", "-d", "2", "--disc", "3"])
         assert payload["result"]["count"] == 12
 
+    @pytest.mark.parametrize("index,count,sha256", [
+        (16, 552, "5538e722b5bbefed86e25319841e4a9628bcb44789cb4c8892306c8484a66d96"),
+        (32, 1128, "b0d2a36b57291ff9658ba87cede7bed6ba4a0250be751459a7e5e09d7c4963fc"),
+    ])
+    def test_fibers_result_is_pinned(self, index, count, sha256):
+        # digests of the result documents recorded before the period solve
+        # became integer arithmetic
+        _, payload = run_json(_HEX_FIBERS + ["-d", "2", "--overlattice-index", str(index)])
+        blob = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
+        assert payload["result"]["count"] == count
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("argv,error", [
         (["cm", "roots", "--cyclotomic", "0"], "degree 2 or 4"),
         (["cm", "roots", "--cyclotomic", "-5"], "degree 2 or 4"),
@@ -435,8 +448,8 @@ def test_fuzz_integer_arguments_keep_the_envelope(prefix, value):
     assume(prefix[1] != "genus-check" or not 10 ** 7 < value < PRIME_BOUND
            or value % 4 != 3 or not is_prime(value))
     # the fibre search holds only the shell of norm k^2 g_ii at index k, and
-    # index 16 takes about 0.4 s on a 2-core host; it has no work bound yet
-    assume(prefix[-1] != "--overlattice-index" or value <= 16)
+    # index 32 takes about 0.5 s on a 2-core host; it has no work bound yet
+    assume(prefix[-1] != "--overlattice-index" or value <= 32)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
         main(prefix + [str(value), "--json"])

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from sympy import (I, Poly, Rational, Symbol, cyclotomic_poly, exp,
                    minimal_polynomial, pi, real_roots)
 
+from k3lat import cm
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       _has_real_root, _is_irreducible, _totally_nonneg,
                       enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
                       twistor_fiber_bound, verify_norm_equation)
-from k3lat.enumeration import EmbeddingMatrix
+from k3lat.enumeration import EmbeddingMatrix, embeddings
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
-from util import box_embeddings, period_image_matches
+from util import (box_embeddings, field_solve_lambda, period_image_matches,
+                  scanned_max_root_of_unity_order)
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
@@ -199,16 +201,20 @@ class TestPolynomialChecks:
     lambda: GAUSS.element(("1/2", 0)),
     lambda: GAUSS.rational(0.5),
     lambda: GAUSS.from_integral((0.5, 0)),
+    lambda: GAUSS.from_integral((Fraction(1, 2), 0)),
+    lambda: GAUSS.from_integral((True, 0)),
 ], ids=["imaginary-quadratic", "cyclotomic", "bounded-integers", "min-poly",
         "root-order", "fiber-bound", "fiber-bound-roots", "period-d",
         "overlattice-index", "field-floats", "basis-float", "element-float",
-        "element-bool", "element-string", "rational", "from-integral"])
+        "element-bool", "element-string", "rational", "from-integral",
+        "from-integral-fraction", "from-integral-bool"])
 def test_refuses_arguments_that_are_not_integers(call):
     # int() would truncate most of them, to Q(sqrt(-3)), Q(zeta_4), bound 1,
     # ...; the root-of-unity count would give the bound 5.0.  Coordinates may
     # be Fractions too, but Fraction() would take a float at its binary value
     # (0.1 as 3602879701896397/36028797018963968) and build Q(sqrt(-3)) from
-    # the field-floats case
+    # the field-floats case.  Integral-basis coordinates are integers only:
+    # Fraction(1, 2) would give the non-integral 1/2, and True the element 1
     with pytest.raises(CMError, match="integers"):
         call()
 
@@ -288,6 +294,10 @@ class TestRootsOfUnity:
         assert max_root_of_unity_order(2) == 6
         assert max_root_of_unity_order(4) == 12
         assert max_root_of_unity_order(21) == 66
+
+    def test_max_orders_match_one_totient_per_order(self):
+        assert [max_root_of_unity_order(d) for d in range(1, 22)] == \
+            [scanned_max_root_of_unity_order(d) for d in range(1, 22)]
 
     def test_fiber_bound(self):
         assert twistor_fiber_bound(21) == 132
@@ -473,3 +483,67 @@ def test_one_frame_per_period(monkeypatch):
     monkeypatch.setattr(CMElement, "inverse", counted)
     assert len(enumerate_period_embeddings(pv, 2, overlattice_index=2)) == 48
     assert len(calls) == 0
+
+
+def test_field_construction_solves_no_linear_system(monkeypatch):
+    # integrality reads the inverse of the integral basis that the field
+    # computes once; each of the 16 basis products of Q(zeta_12) used to
+    # solve its own system (18 solves per construction)
+    calls = []
+    solve = cm.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cm, "solve", counted)
+    field = CMField.cyclotomic(12)
+    assert calls == []
+    assert field.gen().is_integral() and not (field.gen() / 2).is_integral()
+
+
+_SQUARE = PeriodVector(Lattice([[2, 0], [0, 2]]), (GAUSS.one(), GAUSS.gen()))
+_ZETA12 = CMField.cyclotomic(12)
+# the hexagonal period over Q(zeta_12), with zeta_6 = zeta_12^2
+_HEX_QUARTIC = PeriodVector(T_HEX, (_ZETA12.one(), _ZETA12.element((0, 0, 1, 0))))
+
+
+@pytest.mark.parametrize("pv,d,index", [
+    *((hex_period(), d, index) for d in (2, 4) for index in (1, 2, 3, 4)),
+    *((_SQUARE, d, index) for d in (1, 2, 3) for index in (1, 2)),
+    *((_HEX_QUARTIC, d, index) for d, index in ((2, 1), (3, 2), (6, 1))),
+], ids=[*(f"hex-d{d}-index{k}" for d in (2, 4) for k in (1, 2, 3, 4)),
+        *(f"square-d{d}-index{k}" for d in (1, 2, 3) for k in (1, 2)),
+        "hex-zeta12-d2-index1", "hex-zeta12-d3-index2", "hex-zeta12-d6-index1"])
+def test_solve_matches_field_arithmetic(pv, d, index):
+    found = enumerate_period_embeddings(pv, d, overlattice_index=index)
+    assert found
+    for pe in found:
+        want = field_solve_lambda(pv, pe.embedding)
+        assert (pe.lam, pe.lam_prime, pe.nu) == want
+        assert solve_lambda(pv, pe.embedding) == want
+        assert all(type(c) is Fraction for x in want for c in x.coords)
+
+
+def test_rank_three_solve_matches_field_arithmetic():
+    # over Q(zeta_8), sigma = (1, i sqrt2, sqrt2 / 2) on <1> + <1> + <2> is
+    # isotropic with (sigma.sigmabar) = 4; most embeddings of the lattice into
+    # itself plus Z(d) send sigma outside the span of sigma, sigmabar and e,
+    # so the residual rows decide there, and None must agree too
+    z8 = CMField.cyclotomic(8)
+    t = Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    pv = PeriodVector(t, (z8.one(), z8.element((0, 1, 0, 1)),
+                          z8.element((0, Fraction(1, 2), 0, Fraction(-1, 2)))))
+    for d, misses in ((1, 40), (2, 28), (3, 12)):
+        embs = embeddings(t, t.direct_sum(Lattice([[d]])))
+        got = [solve_lambda(pv, e) for e in embs]
+        assert got == [field_solve_lambda(pv, e) for e in embs]
+        assert sum(x is None for x in got) == misses < len(embs)
+
+
+def test_period_tables_are_built_once_on_the_first_solve():
+    pv = hex_period()
+    assert "_tables" not in vars(pv)
+    tables = pv._tables
+    assert len(enumerate_period_embeddings(pv, 2)) == 12
+    assert pv._tables is tables

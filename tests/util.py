@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from k3lat.arith import totient
 from k3lat.lattice import Lattice
 
 
@@ -119,6 +120,39 @@ def period_image_matches(pv, pe):
         if image != expected:
             return False
     return True
+
+
+def field_solve_lambda(pv, phi):
+    """(lambda, lambda', nu) for phi by field arithmetic on the period's own
+    coordinates, or None: Cramer's rule on the first nonzero minor
+    mu_i mubar_j - mu_j mubar_i, then a check in every coordinate.
+
+    Independent of the integer tables of the library's solve_lambda; this is
+    the formula that solve_lambda evaluated in CM-field arithmetic before
+    those tables, rebuilt here from the public coordinates alone.
+    """
+    mu = pv.mu
+    mub = [m.conjugate() for m in mu]
+    zero = pv.field.zero()
+    n = len(mu)
+    i, j, det = next((i, j, det) for i in range(n) for j in range(i + 1, n)
+                     if (det := mu[i] * mub[j] - mu[j] * mub[i]) != zero)
+    cvals = []
+    for row in zip(*phi.columns):
+        value = zero
+        for m, entry in zip(mu, row):
+            value = value + m * entry
+        cvals.append(value)
+    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) / det
+    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) / det
+    if any(cvals[k] != lam * mu[k] + lam_p * mub[k] for k in range(n)):
+        return None
+    return lam, lam_p, cvals[n]
+
+
+def scanned_max_root_of_unity_order(degree):
+    """Largest m with phi(m) <= degree, by one totient per m up to 2 degree^2 + 2."""
+    return max(m for m in range(1, 2 * degree * degree + 3) if totient(m) <= degree)
 
 
 def _fraction_inverse(g):
