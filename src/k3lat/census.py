@@ -102,8 +102,7 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     if (all(g[i][i] % 4 == 0 for i in range(n))
             and all(g[i][j] % 2 == 0 for i in range(n) for j in range(i))):
         return MinusTwoResult(False, True)
-    minors = lat._elimination[0]
-    if all(a * b >= 0 for a, b in zip(minors, minors[1:])):
+    if lat._positive(strict=False):
         return MinusTwoResult(False, True)
     hits = _bounded_norm_vectors(lat, -2, search_bound)
     if hits:

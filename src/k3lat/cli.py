@@ -156,12 +156,12 @@ def _cache_put(cache_dir: str | None, key: dict, result: dict) -> None:
             os.unlink(tmp)
 
 
-def _memo(cache_dir: str | None, key: dict, compute):
-    """The result of compute(), read from the memo cache under key if there."""
-    result = _cache_get(cache_dir, key)
+def _memo(args, key: dict, compute):
+    """The result of compute(), read from the memo cache args.cache_dir if there."""
+    result = _cache_get(args.cache_dir, key)
     if result is None:
         result = compute()
-        _cache_put(cache_dir, key, result)
+        _cache_put(args.cache_dir, key, result)
     return result
 
 
@@ -197,7 +197,7 @@ _FIELD = (arg("--disc", type=int, help="field Q(sqrt(-M))"),
 
 
 @command("qform reduce", _FORM)
-def _cmd_qform_reduce(args, cache):
+def _cmd_qform_reduce(args):
     from . import forms
     f = parse_form(args.form)
     reduced, transform = forms.reduce_form(f)
@@ -206,18 +206,18 @@ def _cmd_qform_reduce(args, cache):
 
 
 @command("qform classgroup", arg("-D", "--discriminant", type=int, required=True))
-def _cmd_qform_classgroup(args, cache):
+def _cmd_qform_classgroup(args):
     from . import forms
 
     def compute():
         cl = forms.class_group(args.discriminant)
         return {"discriminant": cl.discriminant, "h": cl.order,
                 "forms": [list(f.as_tuple()) for f in cl.elements]}
-    return _memo(cache, {"op": "classgroup", "D": args.discriminant}, compute)
+    return _memo(args, {"op": "classgroup", "D": args.discriminant}, compute)
 
 
 @command("qform compose", _FORM, arg("-g", "--other", required=True, help="a,b,c"))
-def _cmd_qform_compose(args, cache):
+def _cmd_qform_compose(args):
     from . import forms
     f, g = parse_form(args.form), parse_form(args.other)
     return {"f": list(f.as_tuple()), "g": list(g.as_tuple()),
@@ -225,34 +225,34 @@ def _cmd_qform_compose(args, cache):
 
 
 @command("qform genus-check", _PRIME)
-def _cmd_qform_genus_check(args, cache):
+def _cmd_qform_genus_check(args):
     from . import forms
     return {"p": args.prime, "principal_genus": forms.verify_principal_genus(args.prime)}
 
 
 @command("lattice norm", _GRAM, _VECTOR)
-def _cmd_lattice_norm(args, cache):
+def _cmd_lattice_norm(args):
     lat = parse_gram(args.gram)
     v = parse_vector(args.vector)
     return {"gram": _gram_json(lat), "vector": list(v), "norm": lat.norm(v)}
 
 
 @command("lattice signature", _GRAM)
-def _cmd_lattice_signature(args, cache):
+def _cmd_lattice_signature(args):
     lat = parse_gram(args.gram)
     pos, neg = lat.signature()
     return {"gram": _gram_json(lat), "signature": [pos, neg]}
 
 
 @command("lattice disc-group", _GRAM)
-def _cmd_lattice_disc_group(args, cache):
+def _cmd_lattice_disc_group(args):
     lat = parse_gram(args.gram)
     return {"gram": _gram_json(lat), "determinant": lat.determinant(),
             "discriminant_group": list(lat.discriminant_group())}
 
 
 @command("lattice vectors", _GRAM, arg("-n", "--norm", type=int, required=True))
-def _cmd_lattice_vectors(args, cache):
+def _cmd_lattice_vectors(args):
     from . import enumeration
     lat = parse_gram(args.gram)
 
@@ -260,13 +260,13 @@ def _cmd_lattice_vectors(args, cache):
         vecs = enumeration.vectors_of_norm(lat, args.norm)
         return {"gram": _gram_json(lat), "norm": args.norm,
                 "count": len(vecs), "vectors": [list(v) for v in vecs]}
-    return _memo(cache, {"op": "vectors", "gram": _gram_json(lat), "norm": args.norm},
+    return _memo(args, {"op": "vectors", "gram": _gram_json(lat), "norm": args.norm},
                  compute)
 
 
 @command("lattice embeddings", arg("--source", required=True),
          arg("--target", required=True), arg("--primitive", action="store_true"))
-def _cmd_lattice_embeddings(args, cache):
+def _cmd_lattice_embeddings(args):
     from . import enumeration
     src = parse_gram(args.source)
     tgt = parse_gram(args.target)
@@ -277,7 +277,7 @@ def _cmd_lattice_embeddings(args, cache):
 
 
 @command("lattice isometric", *_GRAMS, arg("--height-bound", type=int, default=10))
-def _cmd_lattice_isometric(args, cache):
+def _cmd_lattice_isometric(args):
     from . import enumeration
     res = enumeration.indefinite_isometry_search(
         parse_gram(args.gram1), parse_gram(args.gram2), args.height_bound)
@@ -287,7 +287,7 @@ def _cmd_lattice_isometric(args, cache):
 
 
 @command("lattice complement", _GRAM, _VECTOR)
-def _cmd_lattice_complement(args, cache):
+def _cmd_lattice_complement(args):
     lat = parse_gram(args.gram)
     comp, basis = lat.orthogonal_complement(parse_vector(args.vector))
     return {"gram": _gram_json(lat), "complement_gram": _gram_json(comp),
@@ -295,14 +295,14 @@ def _cmd_lattice_complement(args, cache):
 
 
 @command("genus symbol", _GRAM, _PRIME)
-def _cmd_genus_symbol(args, cache):
+def _cmd_genus_symbol(args):
     from . import genus
     lat = parse_gram(args.gram)
     return genus.padic_symbol(lat, args.prime).to_json()
 
 
 @command("genus same", *_GRAMS)
-def _cmd_genus_same(args, cache):
+def _cmd_genus_same(args):
     from . import genus
     l1 = parse_gram(args.gram1)
     l2 = parse_gram(args.gram2)
@@ -313,7 +313,7 @@ def _cmd_genus_same(args, cache):
          arg("--height-bound", type=int, default=10,
              help="largest level |z| the witness walk may reach"),
          arg("--out", help="also write the certificate to this file"))
-def _cmd_k3_unbounded(args, cache):
+def _cmd_k3_unbounded(args):
     from . import census
     cert = census.build_unbounded_family(args.prime, args.d0,
                                          height_bound=args.height_bound)
@@ -325,14 +325,14 @@ def _cmd_k3_unbounded(args, cache):
 
 
 @command("k3 fm-count", _DEGREE)
-def _cmd_k3_fm_count(args, cache):
+def _cmd_k3_fm_count(args):
     from . import census
     return {"d": args.degree, "tau": census.tau(args.degree),
             "count": census.fm_partner_count(args.degree)}
 
 
 @command("k3 twistor-count", _GRAM, _DEGREE)
-def _cmd_k3_twistor_count(args, cache):
+def _cmd_k3_twistor_count(args):
     from . import census
     lat = parse_gram(args.gram)
     res = census.count_integral_twistor_classes(lat, args.degree)
@@ -341,7 +341,7 @@ def _cmd_k3_twistor_count(args, cache):
 
 
 @command("k3 minus-two", _GRAM, arg("--bound", type=int, default=6))
-def _cmd_k3_minus_two(args, cache):
+def _cmd_k3_minus_two(args):
     from . import census
     lat = parse_gram(args.gram)
     if args.bound < 0:
@@ -355,7 +355,7 @@ def _cmd_k3_minus_two(args, cache):
 @command("cm fibers", _GRAM,
          arg("--mu", required=True, help='period coordinates "1,0;1/2,1/2"'),
          _DEGREE, *_FIELD, arg("--overlattice-index", type=int, default=1))
-def _cmd_cm_fibers(args, cache):
+def _cmd_cm_fibers(args):
     from . import cm
     field = _field_from_args(args)
     lat = parse_gram(args.gram)
@@ -374,7 +374,7 @@ def _cmd_cm_fibers(args, cache):
 
 
 @command("cm bound", arg("--degree", type=int, required=True), arg("--roots", type=int))
-def _cmd_cm_bound(args, cache):
+def _cmd_cm_bound(args):
     from . import cm
     result = {"degree": args.degree,
               "bound": cm.twistor_fiber_bound(args.degree, args.roots)}
@@ -384,7 +384,7 @@ def _cmd_cm_bound(args, cache):
 
 
 @command("cm roots", *_FIELD, arg("--element", help="power-basis coordinates"))
-def _cmd_cm_roots(args, cache):
+def _cmd_cm_roots(args):
     from . import cm
     field = _field_from_args(args)
     if args.element:
@@ -445,7 +445,7 @@ def run(argv: list[str]) -> CommandResult:
             return _result(start, "ok")
         return _result(start, "input-error", error="malformed arguments")
     try:
-        outcome = {"status": "ok", "result": COMMANDS[name][0](args, args.cache_dir)}
+        outcome = {"status": "ok", "result": COMMANDS[name][0](args)}
     except InputError as exc:
         outcome = {"status": "input-error", "error": str(exc)}
     except DomainError as exc:

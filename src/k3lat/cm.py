@@ -9,7 +9,8 @@ exact; nothing here evaluates a complex embedding numerically.
 Each field keeps its trace lattice T_K = (Tr(b_i conj(b_j))) on the integral
 basis, the form sum |g(x)|^2.  It is positive definite exactly when the
 automorphism is complex conjugation under every embedding, which validates
-the field, and its vectors of norm [K:Q] are the roots of unity.
+the field, and its vectors of norm [K:Q] are the roots of unity.  Every
+positivity test is the LDL^T signature of such a trace form, Tr(y x conj(x)).
 """
 
 from __future__ import annotations
@@ -78,33 +79,6 @@ _CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
                8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1), 12: (1, 0, -1, 0, 1)}
 
 
-def _has_real_root(mp: tuple[int, ...]) -> bool:
-    """Whether a monic polynomial (ascending coefficients) has a real root.
-
-    Sturm's theorem: the number of distinct real roots is the drop in sign
-    changes of the Sturm sequence from -infinity to +infinity.
-    """
-    seq = [[Fraction(c) for c in mp], [Fraction(i * c) for i, c in enumerate(mp)][1:]]
-    while True:
-        rem = seq[-2][:]
-        while len(rem) >= len(seq[-1]):
-            q = rem[-1] / seq[-1][-1]
-            shift = len(rem) - len(seq[-1])
-            for i, c in enumerate(seq[-1]):
-                rem[shift + i] -= q * c
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-        seq.append([-c for c in rem])
-
-    def changes(at_minus_inf: bool) -> int:
-        signs = [(p[-1] > 0) != (at_minus_inf and len(p) % 2 == 0) for p in seq]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-    return changes(True) > changes(False)
-
-
 def _is_irreducible(mp: tuple[int, ...]) -> bool:
     """Irreducibility over Q of a monic integer polynomial of degree 2 or 4.
 
@@ -156,8 +130,6 @@ class CMField:
             raise CMError("minimal polynomial must be monic")
         if not _is_irreducible(mp):
             raise CMError("minimal polynomial must be irreducible")
-        if _has_real_root(mp):
-            raise CMError("field must be totally imaginary")
         conj = _rationals(self.conj_gen)
         if len(conj) != n:
             raise CMError("conjugation image has the wrong length")
@@ -174,9 +146,10 @@ class CMField:
         object.__setattr__(self, "integral_basis", basis)
         red = _reduction_table(mp)
         object.__setattr__(self, "_red", red)
-        # Tr(theta^k) is the trace of multiplication by theta^k
-        object.__setattr__(self, "_traces", tuple(sum(red[k + j][j] for j in range(n))
-                                                  for k in range(n)))
+        # Tr(theta^k) for k < n is the trace of multiplication by theta^k,
+        # and theta^m for m < 2n - 1 reduces to sum_i red[m][i] theta^i
+        traces = [sum(red[k + j][j] for j in range(n)) for k in range(n)]
+        object.__setattr__(self, "_traces", tuple(sum(map(mul, r, traces)) for r in red))
         conj_pows = [red[0]]
         for _ in range(n - 1):
             conj_pows.append(self._raw_mul(conj_pows[-1], conj))
@@ -213,15 +186,25 @@ class CMField:
             for bj in basis_elems:
                 if not (bi * bj).is_integral():
                     raise CMError("integral basis is not multiplicatively closed")
-        # each b_i conj(b_j) lies in an order, so its trace is an integer
         conj_elems = [b.conjugate() for b in basis_elems]
-        traces = [[(bi * bj).trace() for bj in conj_elems] for bi in basis_elems]
-        if any(t.denominator != 1 for row in traces for t in row):
-            raise CMError("trace form is not integral")  # pragma: no cover
-        lattice = Lattice([[t.numerator for t in row] for row in traces])
-        if not lattice.is_positive_definite():
+        object.__setattr__(self, "_products", tuple(tuple((bi * bj).coords for bj in conj_elems)
+                                                    for bi in basis_elems))
+        # T_K = sum_g g(x) g(conj x) is integral, as each b_i conj(b_j) lies in
+        # an order; a real g and g o conj != g would span a hyperbolic plane
+        lattice = self._trace_form(self.one())
+        if not lattice._positive(strict=True):
             raise CMError("conjugation is not complex conjugation")
         object.__setattr__(self, "_trace_lattice", lattice)
+
+    def _trace_form(self, y: "CMElement") -> Lattice:
+        """The form Tr(y x conj(x)) on the integral basis, scaled by one
+        positive integer to integer entries; symmetric when y = conj(y)."""
+        n = self.degree
+        # Tr(y theta^l) = sum_k y_k Tr(theta^(k+l)), and Tr(y p) is linear in p
+        w = [sum(map(mul, y.coords, self._traces[l:l + n])) for l in range(n)]
+        gram = [[sum(map(mul, p, w)) for p in row] for row in self._products]
+        den = math.lcm(*(t.denominator for row in gram for t in row))
+        return Lattice([[t.numerator * (den // t.denominator) for t in row] for row in gram])
 
     # -- constructors ----------------------------------------------------------
 
@@ -370,36 +353,15 @@ class CMElement:
     def trace(self) -> Fraction:
         return sum(c * t for c, t in zip(self.coords, self.field._traces))
 
-    def min_poly_coeffs(self) -> tuple[Fraction, ...]:
-        """Ascending monic coefficients of the minimal polynomial over Q."""
-        n = self.field.degree
-        powers = [self.field.one().coords]
-        for _ in range(n):
-            powers.append(self.field._raw_mul(powers[-1], self.coords))
-        for deg in range(1, n + 1):
-            rows = [[powers[k][i] for k in range(deg)] for i in range(n)]
-            rhs = [powers[deg][i] for i in range(n)]
-            sol = solve(rows, rhs)
-            if sol is not None:
-                return tuple(-c for c in sol) + (Fraction(1),)
-        raise CMError("no minimal polynomial found")  # pragma: no cover
-
     def __repr__(self) -> str:
         return f"CMElement({', '.join(str(c) for c in self.coords)})"
 
 
 def _totally_nonneg(y: CMElement, strict: bool = False) -> bool:
-    """Exact test that every embedding sends y to a real >= 0 (> 0 if strict;
-    a nonzero element has no zero embedding, so that just excludes y = 0)."""
-    if y.conjugate() != y or (strict and y == y.field.zero()):
-        return False
-    mp = y.min_poly_coeffs()
-    if len(mp) == 2:
-        return -mp[0] >= 0
-    c0, c1, _ = mp
-    disc = c1 * c1 - 4 * c0
-    # roots are (-c1 +- sqrt(disc)) / 2; both real and nonnegative
-    return disc >= 0 and -c1 >= 0 and c0 >= 0
+    """Exact test that every embedding sends y to a real >= 0 (> 0 if strict):
+    for y = conj(y), Tr(y x conj(x)) = sum_g g(y) |g(x)|^2 is positive
+    semidefinite exactly when every g(y) >= 0, definite when every g(y) > 0."""
+    return y.conjugate() == y and y.field._trace_form(y)._positive(strict)
 
 
 def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
@@ -407,7 +369,8 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
 
     Candidates are the vectors of the field's trace lattice (the sum of
     |g(x)|^2 in the integral coordinates) of norm at most n bound^2;
-    acceptance is the exact totally-nonnegative test on bound^2 - x * conj(x).
+    acceptance is that bound^2 - x * conj(x) is totally nonnegative, which
+    the trace form of that element decides.
     """
     (bound,) = arith.integers((bound,), CMError)
     if bound < 0:
@@ -614,7 +577,8 @@ class _PeriodTables:
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
     """Exact (sigma.sigmabar), as the period stored it; raises unless it is
-    totally positive."""
+    totally positive, which its trace form Tr(ssb x conj(x)) being positive
+    definite decides."""
     if not _totally_nonneg(pv._ssb, strict=True):
         raise CMError("(sigma.sigmabar) is not totally positive")
     return pv._ssb
@@ -642,7 +606,8 @@ def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
                          d: int, ssb: CMElement) -> bool:
     """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1,
     made without division as (|lambda|^2 + |lambda'|^2) (sigma.sigmabar) +
-    |nu|^2 d = (sigma.sigmabar)."""
+    |nu|^2 d = (sigma.sigmabar).  (sigma.sigmabar) must be totally positive,
+    read from the signature of its trace form, so that it is nonzero."""
     if not _totally_nonneg(ssb, strict=True):
         raise CMError("(sigma.sigmabar) must be totally positive")
     return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb

@@ -96,6 +96,14 @@ class Lattice:
         pos = sum(a * b > 0 for a, b in zip(minors, minors[1:]))
         return pos, self.rank - pos
 
+    def _positive(self, strict: bool) -> bool:
+        """Positive definite, or semidefinite unless strict: no LDL^T pivot is
+        negative, nor 0 if strict.  Minors past the rank are 0 and leave a
+        vanishing block, so a degenerate form is no error here."""
+        minors = self._elimination[0]
+        signs = [a * b for a, b in zip(minors, minors[1:])]
+        return all(x > 0 for x in signs) if strict else all(x >= 0 for x in signs)
+
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.rank, 0)
 

@@ -309,7 +309,7 @@ class TestCommands:
         name = " ".join(argv[:2])
         args = build_parser(name).parse_args(argv[2:])
         with pytest.raises(cls, match=message):
-            COMMANDS[name][0](args, None)
+            COMMANDS[name][0](args)
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--json"])
         assert exc.value.code == 1

@@ -10,7 +10,7 @@ from sympy import (I, Poly, Rational, Symbol, cyclotomic_poly, exp,
 
 from k3lat import cm
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
-                      _has_real_root, _is_irreducible, _totally_nonneg,
+                      _is_irreducible, _totally_nonneg,
                       enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
@@ -18,8 +18,8 @@ from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
 from k3lat.enumeration import EmbeddingMatrix, embeddings
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
-from util import (box_embeddings, field_solve_lambda, period_image_matches,
-                  scanned_max_root_of_unity_order)
+from util import (box_embeddings, field_solve_lambda, min_poly_totally_nonneg,
+                  period_image_matches, scanned_max_root_of_unity_order)
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
@@ -68,12 +68,12 @@ class TestFieldArithmetic:
         assert z ** 12 == z12.one() and z ** 6 != z12.one()
         assert z * z.conjugate() == z12.one()
         i = z ** 3
-        assert i.min_poly_coeffs() == (Fraction(1), Fraction(0), Fraction(1))
+        assert i * i == z12.rational(-1)
 
     def test_zeta8_square_minpoly(self):
         z8 = CMField.cyclotomic(8)
         sq = z8.gen() ** 2
-        assert sq.min_poly_coeffs() == (Fraction(1), Fraction(0), Fraction(1))
+        assert sq * sq == z8.rational(-1)
 
 
 # Q(i, sqrt 2) = Q(theta), theta = (2 + 2i) + (1 + 2i) sqrt 2, on the power
@@ -105,6 +105,20 @@ class TestFieldValidation:
         # 1 (2i spans no i); a basis with i / 2 whose square is -1 / 4
         with pytest.raises(CMError, match=message):
             CMField(*args)
+
+    @pytest.mark.parametrize("min_poly,conj_gen", [
+        ((-2, 0, 1), (0, -1)),
+        ((-1, 0, -2, 0, 1), (0, -1, 0, 0)),
+        ((1, 0, -10, 0, 1), (0, 10, 0, -1)),
+    ], ids=["real-quadratic", "two-real-embeddings", "totally-real"])
+    def test_fields_with_a_real_embedding_are_refused(self, min_poly, conj_gen):
+        # sqrt 2 -> -sqrt 2; theta -> -theta with theta^2 = 1 +- sqrt 2, so
+        # that +-sqrt(1 + sqrt 2) are real; theta = sqrt 2 + sqrt 3 -> 1 /
+        # theta = sqrt 3 - sqrt 2.  Each is a nontrivial involution, so a
+        # real embedding g and g o conj != g span a hyperbolic plane of T_K
+        basis = _POWER_BASIS_2 if len(min_poly) == 3 else _POWER_BASIS_4
+        with pytest.raises(CMError, match="is not complex conjugation"):
+            CMField(min_poly, conj_gen, basis)
 
     def test_complex_conjugation_of_the_same_order_is_accepted(self):
         field = CMField(_QI_SQRT2, _QI_SQRT2_CONJ, _POWER_BASIS_4)
@@ -140,6 +154,29 @@ def test_totally_nonneg_on_real_quadratic_subfields(k, of_trace, expected):
     assert _sympy_totally_nonneg(y, k) is expected
 
 
+_FIELDS = {**{f"zeta{k}": CMField.cyclotomic(k) for k in sorted(_CYCLOTOMIC)},
+           **{f"sqrt-{m}": CMField.imaginary_quadratic(m)
+              for m in (1, 2, 3, 5, 7, 11, 15, 19, 10 ** 6 + 3)}}
+
+
+@pytest.mark.parametrize("field", _FIELDS.values(), ids=_FIELDS.keys())
+def test_totally_nonneg_matches_the_minimal_polynomial(field):
+    # self-conjugate y from a box of integral x: x + xbar, x xbar, x xbar - r
+    # and (x + xbar)^2 - r for rationals r, and rationals; the shifts make
+    # y = 0 and embeddings of either sign
+    radius = 2 if field.degree == 2 else 1
+    shifts = [field.rational(r) for r in (1, 2, Fraction(5, 2), 5)]
+    ys = [field.rational(r) for r in (-1, 0, Fraction(1, 3), 7)]
+    for z in itertools.product(range(-radius, radius + 1), repeat=field.degree):
+        x = field.from_integral(z)
+        t, norm = x + x.conjugate(), x * x.conjugate()
+        ys += [t, norm, *(norm - r for r in shifts), *(t * t - r for r in shifts)]
+    decisions = {(y, strict): _totally_nonneg(y, strict) for y in ys for strict in (False, True)}
+    wrong = [key for key, got in decisions.items() if got != min_poly_totally_nonneg(*key)]
+    assert not wrong, wrong
+    assert set(decisions.values()) == {False, True}
+
+
 def _monic(degree):
     return st.lists(st.integers(-20, 20), min_size=degree,
                     max_size=degree).map(lambda c: tuple(c) + (1,))
@@ -170,7 +207,6 @@ class TestPolynomialChecks:
     def test_decisions_match_sympy(self, mp):
         poly = Poly(list(reversed(mp)), Symbol("x"))
         assert _is_irreducible(mp) == poly.is_irreducible
-        assert _has_real_root(mp) == bool(poly.real_roots())
 
     @pytest.mark.parametrize("k", sorted(_CYCLOTOMIC))
     def test_cyclotomic_table(self, k):

@@ -85,12 +85,15 @@ def test_the_float_guard_sees_each_construct(source):
 
 
 def test_only_lattice_eliminates_gram_matrices():
-    # determinant and signature come from one LDL^T per Lattice
+    # determinant, signature and positivity come from one LDL^T per Lattice;
+    # only the short-vector descent reads its rows
     root = Path(k3lat.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in root.glob("*.py")}
     users = {name for name, tree in trees.items() if "ldl" in set(_names(tree))}
     assert users <= {"linalg.py", "lattice.py"}, users
+    readers = {name for name, tree in trees.items() if "_elimination" in set(_names(tree))}
+    assert readers <= {"lattice.py", "enumeration.py"}, readers
     defined = {node.name for node in trees["linalg.py"].body
                if isinstance(node, ast.FunctionDef)}
     assert "determinant" not in defined

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from k3lat.arith import totient
 from k3lat.lattice import Lattice
+from k3lat.linalg import solve
 
 
 def random_unimodular(n, rng, steps=12, special=False):
@@ -148,6 +149,41 @@ def field_solve_lambda(pv, phi):
     if any(cvals[k] != lam * mu[k] + lam_p * mub[k] for k in range(n)):
         return None
     return lam, lam_p, cvals[n]
+
+
+def min_poly_coeffs(y):
+    """Ascending monic coefficients of the minimal polynomial of y over Q:
+    the first power of y that solves (k3lat.linalg.solve) as a rational
+    combination of the lower ones."""
+    field = y.field
+    powers = [field.one()]
+    for _ in range(field.degree):
+        powers.append(powers[-1] * y)
+    for deg in range(1, field.degree + 1):
+        rows = list(zip(*(p.coords for p in powers[:deg])))
+        sol = solve(rows, powers[deg].coords)
+        if sol is not None:
+            return tuple(-c for c in sol) + (Fraction(1),)
+    raise AssertionError("no minimal polynomial found")
+
+
+def min_poly_totally_nonneg(y, strict=False):
+    """Whether every embedding sends y to a real >= 0 (> 0 if strict), from
+    the roots of its minimal polynomial.
+
+    Independent of the trace-form signature of the library's test.  y =
+    conj(y) lies in the real subfield, of degree 1 or 2 here; two roots are
+    real when the discriminant is >= 0, and then both are >= 0 (> 0)
+    exactly when their sum -c1 and product c0 are.
+    """
+    if y.conjugate() != y:
+        return False
+    sign = (lambda v: v > 0) if strict else (lambda v: v >= 0)
+    mp = min_poly_coeffs(y)
+    if len(mp) == 2:
+        return sign(-mp[0])
+    c0, c1, _ = mp
+    return c1 * c1 - 4 * c0 >= 0 and sign(-c1) and sign(c0)
 
 
 def scanned_max_root_of_unity_order(degree):
