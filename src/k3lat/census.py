@@ -303,7 +303,8 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
     # to divide both determinants, because a p-adic symbol at p | det has a
     # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
     # over the same primes, and equality of symbols is transitive.  T_0 ~ T_0
-    # holds by reflexivity and is not compared.
+    # holds by reflexivity and is not compared.  T_0 keeps its symbols, so
+    # the row computes them once, not h - 1 times.
     if not all(same_genus(ternaries[0], t) for t in ternaries[1:]):
         raise CensusError("genus check does not reproduce")
     for t, inv, w, alpha in zip(ternaries, cert.complement_invariants,

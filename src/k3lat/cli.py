@@ -5,7 +5,8 @@ enters it in COMMANDS under "group cmd", with its argument specs.  A call
 builds the parser of the one command its first two words name, so options
 must be spelled in full; any other argv gets the listing parser, which
 prints the command list.  Each handler imports only the modules its command
-uses; a DomainError from a computation is exit code 1, an InputError exit
+uses, and a memoized command imports its compute modules only on a cache
+miss; a DomainError from a computation is exit code 1, an InputError exit
 code 2."""
 
 from __future__ import annotations
@@ -207,9 +208,8 @@ def _cmd_qform_reduce(args):
 
 @command("qform classgroup", arg("-D", "--discriminant", type=int, required=True))
 def _cmd_qform_classgroup(args):
-    from . import forms
-
     def compute():
+        from . import forms
         cl = forms.class_group(args.discriminant)
         return {"discriminant": cl.discriminant, "h": cl.order,
                 "forms": [list(f.as_tuple()) for f in cl.elements]}
@@ -253,10 +253,10 @@ def _cmd_lattice_disc_group(args):
 
 @command("lattice vectors", _GRAM, arg("-n", "--norm", type=int, required=True))
 def _cmd_lattice_vectors(args):
-    from . import enumeration
     lat = parse_gram(args.gram)
 
     def compute():
+        from . import enumeration
         vecs = enumeration.vectors_of_norm(lat, args.norm)
         return {"gram": _gram_json(lat), "norm": args.norm,
                 "count": len(vecs), "vectors": [list(v) for v in vecs]}

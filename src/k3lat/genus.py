@@ -222,11 +222,21 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
     return GenusSymbol(2, tuple(_canonical_2adic(blocks)))
 
 
+def _symbol(lat: Lattice, p: int) -> GenusSymbol:
+    """padic_symbol(lat, p), computed at most once per lattice and prime."""
+    memo = lat._symbols
+    if p not in memo:
+        memo[p] = padic_symbol(lat, p)
+    return memo[p]
+
+
 def same_genus(l1: Lattice, l2: Lattice) -> bool:
     """Whether two lattices are isomorphic over R and over every Z_p.
 
     Compares rank, signature and the canonical symbols at 2 and at every
     prime dividing either determinant; agreement elsewhere is automatic.
+    Each lattice keeps the symbols it was compared by, so a lattice compared
+    with many others has each of its symbols computed once.
     """
     try:
         s1, s2 = l1.signature(), l2.signature()
@@ -236,4 +246,4 @@ def same_genus(l1: Lattice, l2: Lattice) -> bool:
         return False
     d1, d2 = l1.determinant(), l2.determinant()
     primes = {2} | set(arith.factor(abs(d1))) | set(arith.factor(abs(d2)))
-    return all(padic_symbol(l1, p) == padic_symbol(l2, p) for p in sorted(primes))
+    return all(_symbol(l1, p) == _symbol(l2, p) for p in sorted(primes))

@@ -2,7 +2,11 @@
 
 Everything here works over Z, or over Q internally, with no floating point,
 so results are exact for arbitrarily large entries.  Lattices are immutable
-values and all operations are pure functions, safe for concurrent use.
+values and all operations are pure functions.  A lattice computes its
+elimination, its Smith invariants and each p-adic symbol that
+genus.same_genus compares at most once, and keeps them on the object; a
+memo write stores the one value the Gram matrix determines, so concurrent
+use stays safe.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .arith import DomainError, integers
@@ -41,7 +46,7 @@ class Lattice:
             raise LatticeError("rank must be at least 1")
         if any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        if tuple(zip(*gram)) != gram:
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
@@ -66,8 +71,7 @@ class Lattice:
     def _inner(self, v: Vector, w: Vector) -> int:
         """(v.w) without checks, for int vectors of length rank that the
         library built or checked itself."""
-        return sum(x * sum(g * y for g, y in zip(row, w))
-                   for x, row in zip(v, self.gram))
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
 
     def norm(self, v) -> int:
         """Square (v.v) of a vector."""
@@ -110,13 +114,24 @@ class Lattice:
     def is_negative_definite(self) -> bool:
         return self.signature() == (0, self.rank)
 
+    @cached_property
+    def _smith(self) -> tuple[int, ...]:
+        """linalg.smith_invariants of the Gram matrix, computed at most once
+        per lattice."""
+        return tuple(linalg.smith_invariants(self.gram))
+
+    @cached_property
+    def _symbols(self) -> dict:
+        """p-adic genus symbols by prime, filled by genus.same_genus."""
+        return {}
+
     def discriminant_group(self) -> tuple[int, ...]:
         """Invariant factors (> 1) of Z^n / gram.Z^n, in divisibility order.
 
         Their product equals |det|; an empty tuple means the lattice is
         unimodular.
         """
-        factors = linalg.smith_invariants(self.gram)
+        factors = self._smith
         if len(factors) < self.rank:
             raise LatticeError("degenerate Gram matrix")
         return tuple(f for f in factors if f > 1)
@@ -161,7 +176,7 @@ class Lattice:
         if self.determinant() == 0:
             raise LatticeError("degenerate Gram matrix")
         n = self.rank
-        w = [sum(self.gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+        w = [sum(map(mul, row, v)) for row in self.gram]
         # on the columns (w_j, e_j) the sweep of the first row leaves the
         # canonical basis of the kernel of w in the other columns
         hnf = linalg.hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n))

@@ -70,31 +70,45 @@ def smith_invariants(rows) -> list[int]:
     positive Smith form entries; fewer than min(m, n) means rank deficient)."""
     a = [[index(x) for x in row] for row in rows]
     factors: list[int] = []
-    while any(any(row) for row in a):
-        _, i, j = min((abs(x), i, j) for i, row in enumerate(a)
-                      for j, x in enumerate(row) if x)
-        p = a[i][j]
-        others = [r for r in range(len(a)) if r != i]
-        for r in others:
-            q = a[r][j] // p
-            a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-        for c in range(len(a[i])):
-            q = a[i][c] // p
-            if q and c != j:
-                for row in a:
-                    row[c] -= q * row[j]
-        if any(a[r][j] for r in others) or any(a[i][:j] + a[i][j + 1:]):
-            continue  # a remainder smaller than the pivot is left
-        bad = next((r for r in others if any(x % p for x in a[r])), None)
-        if bad is not None:
-            # pull an entry the pivot does not divide into the pivot row
-            a[i] = [x + y for x, y in zip(a[i], a[bad])]
+    while True:
+        # the first entry of least absolute value, in row-major order
+        best = 0
+        for r, row in enumerate(a):
+            for c, x in enumerate(row):
+                if x and (not best or abs(x) < best):
+                    best, i, j = abs(x), r, c
+        if not best:
+            return factors
+        prow = a[i]
+        p = prow[j]
+        clean = True  # no remainder smaller than the pivot is left
+        for r, row in enumerate(a):
+            if r != i:
+                q = row[j] // p
+                if q:
+                    row = a[r] = [x - q * y for x, y in zip(row, prow)]
+                if row[j]:
+                    clean = False
+        for c in range(len(prow)):
+            if c != j:
+                q = prow[c] // p
+                if q:
+                    for row in a:
+                        row[c] -= q * row[j]
+                if prow[c]:
+                    clean = False
+        if not clean:
             continue
-        factors.append(abs(p))
+        if best > 1:  # a unit pivot divides every entry
+            bad = [row for r, row in enumerate(a) if r != i and any(x % p for x in row)]
+            if bad:
+                # pull an entry the pivot does not divide into the pivot row
+                a[i] = [x + y for x, y in zip(prow, bad[0])]
+                continue
+        factors.append(best)
         del a[i]
         for row in a:
             del row[j]
-    return factors
 
 
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:

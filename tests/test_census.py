@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from k3lat import census
+from k3lat import census, genus
 from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           build_unbounded_family, certificate_from_json,
                           certificate_to_json, count_integral_twistor_classes,
@@ -18,6 +19,41 @@ from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
 
 A2 = Lattice([[2, 1], [1, 2]])
+
+
+# sha256 of certificate_to_json (sorted keys, compact separators) for the 29
+# primes p = 3 mod 4 below 260 at d0 = 1 and height bound 10, witnesses included
+CERTIFICATE_DIGESTS = {
+    3: "f7e312ef0558abefe120ee85be68b81f9469fde4bb1ccd0f79cb1281482b7cf9",
+    7: "a8135fe71e2e2f51ed05b575228b7a844232a9c44e7e7269ce430ecdbb91696b",
+    11: "9b370d921c422af4efef68168a2e3de0c0bd1367d736a9fb67ac756cd6d02b9a",
+    19: "c04602667387df2fe716f426a35c3e3404fac6d788d2c7adc0beb0eb0344deaa",
+    23: "cb1a500d9f578aa10d19406a1d36882b54703e499aa7ac8154b7533de50aa8b1",
+    31: "9bea1b2bfb0a61f955c514bb711588db087b38647ad84a0d886f5fd0f9afb659",
+    43: "fc9c93d264a2c9c188f0d61f6883775b55aaf5b4fb5a5e1278a17a6009a6aa0a",
+    47: "dd028112bfd705fab199db061a1a8c827ce986a338fe8900f3ad567abcd66f52",
+    59: "7946cba9e3071b2ef5a0ddb1bda50799ea49921dd42e3de44c58d0b54ec57c7f",
+    67: "4c06d27595cc41a1bd82e208eef2de65da6797dc305f1be1b59210c85a94d34b",
+    71: "cabf47058f7d81918de0017665f7ca4a94b0e214e0ec74461e0309865bee5210",
+    79: "8073c8962b7b73af3e3316002786c32484ce0ea1d62eb47fe4871dc3c614920a",
+    83: "34fc4d5ac7b551fa23fcbba201688114d85579fb3c80d1009ac3e9dfa3e3f034",
+    103: "4c5782e9b719b8aa3aa3ef47b30515d2c460bf73583ed8449ba5dd0536b4e97f",
+    107: "ad6938aa98b830a2be03bd768d849f502f6cf5192c185245a9c974f62754a20b",
+    127: "7a304336744854eaa9306219491afffdd4dc141a4e749ffe5374aba8ce638885",
+    131: "4eafa28748cdc7482e7fbbab4360eb591e909fb28780fdf45fcb1bb1eb2fe642",
+    139: "3fa0da727c2dd004ea9d1cd4d596300b7803df2426f6da9bebb09ab136ed179a",
+    151: "d8ba21c1e94bcdb7477cc0fcc520ca50474cecfbc75a318934c46f662a66bdd8",
+    163: "4c404651ec9ab09428ed5a626baa5a43f863b908e83c20dc877906338fd51423",
+    167: "ec6b56613c37a54ee627b15b0c279f2b325add02aa0609d73a89ae77bebeb4b9",
+    179: "9fd5c9c690e50fe5b27b4a40a4d8784b0111ac6d422f62f02dba816c236a70bc",
+    191: "ce2770c48c8c4c9ebce28d2e86f131082e47088c0bfafe41735516ba5dbbfa68",
+    199: "bc6dfa7ee7bbe632d0fe008d5d5141f715b1473f5e4773aba356240724850b63",
+    211: "c4d528a3626ac3e31e2dba842b3a27b5dedf5a398eb7ff67dfcb3ab73db3e68a",
+    223: "afb350f55f28098a8a8090dcb0a1aa40399c4357d39a5edca295690f1c8e9fbe",
+    227: "3733c4a79e4ad92de2a356bc6e8cdba89dde5768a59b1e1f1ab1ad1460947755",
+    239: "f30eef317ea95e0bc7331ad5656e6c5f08982456fcbcb102b0ecd8209453f460",
+    251: "588f75c985c7ae866338e131639b02fe8c23d11da7ecfaa95396a9cb034652dd",
+}
 
 
 def assemble_family(p, d0, height_bound):
@@ -325,6 +361,25 @@ class TestUnboundedFamily:
         run(cert)
         # h = 3: the genus row compares T_0 with T_1 and T_2 only
         assert calls == {"_family": 1, "same_genus": cert.h - 1}
+
+    def test_certificate_documents_are_pinned(self):
+        for p, want in CERTIFICATE_DIGESTS.items():
+            doc = certificate_to_json(build_unbounded_family(p, 1, height_bound=10))
+            blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(blob.encode()).hexdigest() == want, p
+
+    def test_genus_row_computes_each_symbol_once(self, monkeypatch):
+        # a certificate read back from JSON: its lattices carry no symbols yet
+        cert = build_unbounded_family(239, 1)
+        cert = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+        calls = []
+        jordan = genus._jordan_decomposition
+        monkeypatch.setattr(genus, "_jordan_decomposition",
+                            lambda gram, p: calls.append(p) or jordan(gram, p))
+        census._check_claims(cert)
+        # every ternary has determinant -239: T_0 is compared with 14 others
+        # at 2 and 239, and each lattice's two symbols are computed once
+        assert cert.h == 15 and len(calls) == 2 * 15
 
     @pytest.mark.parametrize("d0", [1, 3])
     def test_built_certificates_pass_the_checker_after_a_round_trip(self, d0):

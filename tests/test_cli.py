@@ -409,6 +409,32 @@ def test_command_loads_only_the_modules_it_uses():
     assert fresh_interpreter(code) == "0 ['k3lat.forms']"
 
 
+@pytest.mark.parametrize("argv, module", [
+    (["qform", "classgroup", "-D", "-23"], "k3lat.forms"),
+    (["lattice", "vectors", "--gram", "2,1;1,2", "-n", "2"], "k3lat.enumeration"),
+], ids=["classgroup", "vectors"])
+def test_cache_hit_loads_no_compute_module(tmp_path, argv, module):
+    code = "\n".join([
+        "import runpy, sys",
+        f"sys.argv = ['k3lat', *{argv!r}, '--json', '--cache-dir', {str(tmp_path)!r}]",
+        "try:",
+        "    runpy.run_module('k3lat', run_name='__main__', alter_sys=True)",
+        "except SystemExit as exc:",
+        f"    print(exc.code, {module!r} in sys.modules)"])
+
+    def call():
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+        return out, last
+
+    miss_out, miss_loaded = call()
+    hit_out, hit_loaded = call()
+    assert (miss_loaded, hit_loaded) == ("0 True", "0 False")
+    assert hit_out == miss_out and json.loads(miss_out)["status"] == "ok"
+
+
 def test_human_output_of_a_successful_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qform", "classgroup", "-D", "-23"])

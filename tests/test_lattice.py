@@ -230,6 +230,21 @@ def test_one_elimination_per_lattice(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_smith_form_per_lattice(monkeypatch):
+    calls = []
+    smith = linalg.smith_invariants
+    monkeypatch.setattr(linalg, "smith_invariants",
+                        lambda rows: calls.append(rows) or smith(rows))
+    lat = Lattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])  # A3
+    assert lat.discriminant_group() == lat.discriminant_group() == (4,)
+    assert len(calls) == 1
+    degenerate = Lattice([[1, 1], [1, 1]])
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="degenerate"):
+            degenerate.discriminant_group()
+    assert len(calls) == 2
+
+
 # -- linalg against sympy's Matrix as the oracle --------------------------------
 
 ZERO_DIAGONAL_GRAMS = [
