@@ -132,12 +132,15 @@ def _cache_get(cache_dir: str | None, key: dict):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("schema") == SCHEMA and doc.get("key") == key:
+        if doc.get("schema") != SCHEMA or doc.get("key") != key:
+            return None
+        if isinstance(doc["result"], dict):
             return doc["result"]
     except FileNotFoundError:
         return None
-    except (OSError, json.JSONDecodeError, KeyError, TypeError):
-        print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
+    except (OSError, ValueError, AttributeError, KeyError):  # ValueError: bad JSON or UTF-8
+        pass
+    print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
     return None
 
 

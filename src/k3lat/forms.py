@@ -73,14 +73,6 @@ def det2(u: Transform) -> int:
     return u[0][0] * u[1][1] - u[0][1] * u[1][0]
 
 
-def inv2(u: Transform) -> Transform:
-    """Inverse of a determinant +/-1 integer matrix."""
-    d = det2(u)
-    if d not in (1, -1):
-        raise FormError("transform is not unimodular")
-    return ((d * u[1][1], -d * u[0][1]), (-d * u[1][0], d * u[0][0]))
-
-
 def apply_transform(f: BinaryForm, u: Transform) -> BinaryForm:
     """Form g with g(x, y) = f((x, y) mapped through the columns of u)."""
     (p, q), (r, s) = u
@@ -133,7 +125,8 @@ def is_equivalent(f: BinaryForm, g: BinaryForm):
     rg, ug = reduce_form(g)
     if rf != rg:
         return None
-    v = matmul2(uf, inv2(ug))
+    (p, q), (r, s) = ug
+    v = matmul2(uf, ((s, -q), (-r, p)))  # ug has determinant 1: invert by its adjugate
     assert apply_transform(f, v) == g
     return v
 
@@ -180,33 +173,14 @@ def class_group(d: int) -> FormClassGroup:
     return FormClassGroup(d, tuple(forms))
 
 
-def _coprime_representative(g: BinaryForm, n: int) -> BinaryForm:
-    """Equivalent form whose leading coefficient is coprime to n.
-
-    A primitive form represents values coprime to any modulus, so a small
-    spiral search over primitive (x, y) terminates.
-    """
-    if math.gcd(g.a, n) == 1:
-        return g
-    r = 1
-    while True:
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                if max(abs(x), abs(y)) != r or math.gcd(x, y) != 1:
-                    continue
-                if math.gcd(g(x, y), n) == 1:
-                    _, s, t = xgcd(x, y)
-                    u = ((x, -t), (y, s))
-                    assert det2(u) == 1
-                    return apply_transform(g, u)
-        r += 1
-
-
 def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Reduced Dirichlet composition of two primitive forms of equal discriminant.
 
-    Replaces g by an equivalent form whose leading coefficient is coprime to
-    f.a, so the classical united-forms formula applies directly.
+    With s = (b1 + b2)/2 and e = gcd(a1, a2, s) = u a1 + v a2 + w s, the
+    composite is (A, B, C) with A = a1 a2 / e^2,
+    B = (u a1 b2 + v a2 b1 + w (b1 b2 + D)/2) / e (mod 2A) and
+    C = (B^2 - D) / 4A (H. Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, section 5.4), then reduced.
     """
     d = f.discriminant()
     if d != g.discriminant():
@@ -215,13 +189,12 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise FormError("composition requires positive definite forms")
     if not f.is_primitive() or not g.is_primitive():
         raise FormError("composition requires primitive forms")
-    g = _coprime_representative(g, f.a)
-    a1, b1 = f.a, f.b
-    a2, b2 = g.a, g.b
-    # CRT: B = b1 (mod 2 a1), B = b2 (mod 2 a2) with gcd(a1, a2) = 1
-    t = ((b2 - b1) // 2 * pow(a1, -1, a2)) % a2
-    bb = b1 + 2 * a1 * t
-    aa = a1 * a2
+    a1, b1, a2, b2 = f.a, f.b, g.a, g.b
+    s = (b1 + b2) // 2
+    e1, u1, v1 = xgcd(a1, a2)
+    e, x, w = xgcd(e1, s)  # e = (x u1) a1 + (x v1) a2 + w s
+    aa = a1 * a2 // (e * e)
+    bb = (x * (u1 * a1 * b2 + v1 * a2 * b1) + w * ((b1 * b2 + d) // 2)) // e % (2 * aa)
     cc = (bb * bb - d) // (4 * aa)
     assert (bb * bb - d) % (4 * aa) == 0
     return reduce_form(BinaryForm(aa, bb, cc))[0]

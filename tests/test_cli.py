@@ -365,6 +365,29 @@ class TestDeterminismAndCache:
         assert again == good
         assert "corrupt cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        b"[]", b'"x"', b"\xff\xfe{",
+        b'{"schema": "k3lat/1", "key": {"D": -23, "op": "classgroup"}, "result": [1, 2]}',
+    ], ids=["list", "string", "not-utf8", "list-result"])
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "human"])
+    def test_non_object_cache_entry_is_corrupt(self, entry, mode, tmp_path, capsys):
+        argv = ["qform", "classgroup", "-D", "-23", *mode, "--cache-dir", str(tmp_path)]
+
+        def call():
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 0
+            return out.partition("time: ")[0], err  # human mode ends with a timing
+
+        miss, _ = call()
+        (path,) = tmp_path.glob("k3lat-*.json")
+        written = path.read_bytes()
+        path.write_bytes(entry)
+        out, err = call()
+        assert out == miss and "corrupt cache" in err
+        assert path.read_bytes() == written
+
     def test_cache_differentiates_inputs(self, tmp_path):
         a = run(["qform", "classgroup", "-D", "-23", "--json",
                  "--cache-dir", str(tmp_path)]).payload

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from k3lat.forms import (BinaryForm, FormError, apply_transform, class_group,
                          is_equivalent, is_fundamental_discriminant,
                          lattice_to_form, reduce_form, verify_principal_genus)
 from k3lat.lattice import LatticeError
-from util import random_unimodular
+from util import dirichlet_compose, random_unimodular
 
 
 def brute_force_reduce(f, entry_bound=6):
@@ -116,6 +117,25 @@ def test_class_group_rejects_bad_discriminant():
 ])
 def test_compose_examples(f, g, expected):
     assert compose(BinaryForm(*f), BinaryForm(*g)).as_tuple() == expected
+
+
+def test_compose_matches_dirichlet_oracle_on_every_small_class_group():
+    pairs = 0
+    for disc in range(-600, -2):
+        if disc % 4 in (0, 1):
+            elems = class_group(disc).elements
+            for f, g in itertools.product(elems, repeat=2):
+                assert compose(f, g) == dirichlet_compose(f, g), (f, g)
+            pairs += len(elems) ** 2
+    assert pairs == 20706
+
+
+def test_compose_matches_dirichlet_oracle_at_large_discriminant():
+    elems = class_group(-4000000).elements
+    rng = random.Random(19)
+    for _ in range(200):
+        f, g = rng.choice(elems), rng.choice(elems)
+        assert compose(f, g) == dirichlet_compose(f, g), (f, g)
 
 
 def test_compose_rejects():

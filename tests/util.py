@@ -5,8 +5,9 @@ import math
 from fractions import Fraction
 
 from k3lat.arith import totient
+from k3lat.forms import BinaryForm, apply_transform, reduce_form
 from k3lat.lattice import Lattice
-from k3lat.linalg import solve
+from k3lat.linalg import solve, xgcd
 
 
 def random_unimodular(n, rng, steps=12, special=False):
@@ -213,3 +214,26 @@ def change_basis(lat, u):
     g = lat.gram
     return Lattice([[sum(u[k][i] * g[k][l] * u[l][j] for k in range(n) for l in range(n))
                      for j in range(n)] for i in range(n)])
+
+
+def dirichlet_compose(f, g):
+    """Oracle: Dirichlet composition through united forms.
+
+    A spiral search over primitive (x, y) finds a form equivalent to g whose
+    leading coefficient is coprime to f.a (a primitive form represents such
+    values); then B solves B = b1 (mod 2 a1), B = b2 (mod 2 a2) by CRT.
+    """
+    d = f.discriminant()
+    r = 0
+    while math.gcd(g.a, f.a) != 1:
+        r += 1
+        for x, y in itertools.product(range(-r, r + 1), repeat=2):
+            if max(abs(x), abs(y)) == r and math.gcd(x, y) == 1 and math.gcd(g(x, y), f.a) == 1:
+                _, s, t = xgcd(x, y)
+                g = apply_transform(g, ((x, -t), (y, s)))
+                break
+    a1, b1, a2, b2 = f.a, f.b, g.a, g.b
+    bb = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
+    aa = a1 * a2
+    assert (bb * bb - d) % (4 * aa) == 0
+    return reduce_form(BinaryForm(aa, bb, (bb * bb - d) // (4 * aa)))[0]
