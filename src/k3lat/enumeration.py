@@ -279,7 +279,7 @@ def _block(lat: Lattice):
     g = lat.gram
     if lat.rank != 3 or g[0][2] or g[1][2]:
         return None
-    return Lattice([g[0][:2], g[1][:2]]), g[2][2]
+    return Lattice._of((g[0][:2], g[1][:2])), g[2][2]
 
 
 def _splits(lat: Lattice, us, k: int):

@@ -2,7 +2,8 @@
 
 Forms are triples (a, b, c) standing for aX^2 + bXY + cY^2.  The class-group
 machinery is restricted to positive definite forms (negative discriminant),
-which is all the downstream lattice constructions need.
+which is all the downstream lattice constructions need.  BinaryForm(...) checks
+coefficients where they enter; forms computed from checked ints use _of.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ class BinaryForm:
     def __post_init__(self) -> None:
         for name, x in zip("abc", _integers((self.a, self.b, self.c))):
             object.__setattr__(self, name, x)
+
+    @classmethod
+    def _of(cls, a: int, b: int, c: int) -> "BinaryForm":
+        f = object.__new__(cls)
+        f.__dict__.update(a=a, b=b, c=c)
+        return f
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -75,11 +82,11 @@ def det2(u: Transform) -> int:
 
 def apply_transform(f: BinaryForm, u: Transform) -> BinaryForm:
     """Form g with g(x, y) = f((x, y) mapped through the columns of u)."""
-    (p, q), (r, s) = u
+    (p, q), (r, s) = map(_integers, u)
     a = f(p, r)
     c = f(q, s)
     b = 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s
-    return BinaryForm(a, b, c)
+    return BinaryForm._of(a, b, c)
 
 
 def reduce_form(f: BinaryForm):
@@ -108,7 +115,7 @@ def reduce_form(f: BinaryForm):
     if b < 0 and a == c:
         a, b, c = c, -b, a
         u = matmul2(u, ((0, -1), (1, 0)))
-    return BinaryForm(a, b, c), u
+    return BinaryForm._of(a, b, c), u
 
 
 def is_equivalent(f: BinaryForm, g: BinaryForm):
@@ -164,9 +171,9 @@ def class_group(d: int) -> FormClassGroup:
             if m % a == 0:
                 c = m // a
                 if math.gcd(a, math.gcd(b, c)) == 1:
-                    forms.append(BinaryForm(a, b, c))
+                    forms.append(BinaryForm._of(a, b, c))
                     if 0 < b < a < c:
-                        forms.append(BinaryForm(a, -b, c))
+                        forms.append(BinaryForm._of(a, -b, c))
             a += 1
         b += 2
     forms.sort(key=BinaryForm.as_tuple)
@@ -212,7 +219,9 @@ def verify_principal_genus(p: int) -> bool:
 
 def form_to_lattice(f: BinaryForm) -> Lattice:
     """Rank-2 lattice with Gram matrix ((2a, b), (b, 2c)); det = -disc."""
-    return Lattice([[2 * f.a, f.b], [f.b, 2 * f.c]])
+    if not isinstance(f, BinaryForm):
+        raise FormError("form must be a BinaryForm")
+    return Lattice._of(((2 * f.a, f.b), (f.b, 2 * f.c)))
 
 
 def lattice_to_form(lat: Lattice) -> BinaryForm:
@@ -223,7 +232,7 @@ def lattice_to_form(lat: Lattice) -> BinaryForm:
     """
     if lat.rank != 2:
         raise FormError("lattice must have rank 2")
-    return BinaryForm(lat.gram[0][0], 2 * lat.gram[0][1], lat.gram[1][1])
+    return BinaryForm._of(lat.gram[0][0], 2 * lat.gram[0][1], lat.gram[1][1])
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -70,7 +70,7 @@ def _jordan_decomposition(gram, p: int):
     are 1 mod 8, its residue mod 8.
     """
     n = len(gram)
-    a = [[int(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     den = 1
     idx = list(range(n))
     ones: list[tuple[int, int]] = []

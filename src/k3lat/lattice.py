@@ -6,7 +6,8 @@ values and all operations are pure functions.  A lattice computes its
 elimination, its Smith invariants and each p-adic symbol that
 genus.same_genus compares at most once, and keeps them on the object; a
 memo write stores the one value the Gram matrix determines, so concurrent
-use stays safe.
+use stays safe.  Lattice(...) checks each Gram matrix where it enters; the
+lattices built from checked ones (sums, twists, complements) use Lattice._of.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ class Lattice:
         if tuple(zip(*gram)) != gram:
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
+
+    @classmethod
+    def _of(cls, rows) -> "Lattice":
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "gram", tuple(map(tuple, rows)))
+        return lat
 
     @property
     def rank(self) -> int:
@@ -137,22 +144,18 @@ class Lattice:
         return tuple(f for f in factors if f > 1)
 
     def direct_sum(self, other: "Lattice") -> "Lattice":
+        if not isinstance(other, Lattice):
+            raise LatticeError("direct summand must be a Lattice")
         n, m = self.rank, other.rank
-        gram = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
-        return Lattice(gram)
+        return Lattice._of([row + (0,) * m for row in self.gram]
+                           + [(0,) * n + row for row in other.gram])
 
     def twist(self, a: int) -> "Lattice":
         """Same module with the form scaled by a; written L(a)."""
         (a,) = _integers((a,))
         if a == 0:
             raise LatticeError("twist by zero is degenerate")
-        return Lattice([[a * x for x in row] for row in self.gram])
+        return Lattice._of([[a * x for x in row] for row in self.gram])
 
     def is_primitive(self, v) -> bool:
         """True iff v generates a saturated rank-1 sublattice (gcd of coords 1)."""
@@ -183,7 +186,7 @@ class Lattice:
                                   for j in range(n)])
         basis = [c[1:] for c in hnf[1:]]
         gram = [[self._inner(b1, b2) for b2 in basis] for b1 in basis]
-        return Lattice(gram), tuple(basis)
+        return Lattice._of(gram), tuple(basis)
 
 
 def _gram_json(lat: Lattice) -> list[list[int]]:

@@ -38,30 +38,35 @@ def ldl(gram) -> tuple[list[int], list[list[int]]]:
     Sylvester, the inertia in their signs.  If every P_k > 0, then
     x^T gram x = sum_k (rows[k].x)^2 / (P_k P_{k+1}).
     """
-    n = len(gram)
-    a = [[index(x) for x in row] for row in gram]
+    a = [list(map(index, row)) for row in gram]
     minors = [1]
     rows: list[list[int]] = []
-    rest = list(range(n))
+    rest = list(range(len(a)))
     while rest:
-        i = next((k for k in rest if a[k][k]), None)
-        if i is None:
+        for i in rest:
+            if a[i][i]:
+                break
+        else:
             pair = next(((k, j) for k in rest for j in rest if a[k][j]), None)
             if pair is None:
                 return minors + [0] * len(rest), rows
             i, j = pair
-            for k in rest:
+            for k in rest:  # a[j][j] = 0: the row and column passes commute
                 a[i][k] += a[j][k]
-            for k in rest:
                 a[k][i] += a[k][j]
         rest.remove(i)
         prev, pivot, row = minors[-1], a[i][i], a[i]
         minors.append(pivot)
-        rows.append([row[j] if j in rest or j == i else 0 for j in range(n)])
+        rows.append(row)  # final: each earlier step zeroed its pivot column
         for k in rest:
             ak, f = a[k], a[k][i]
-            for j in rest:
-                ak[j] = (pivot * ak[j] - f * row[j]) // prev
+            if f:
+                ak[i] = 0
+                for j in rest:
+                    ak[j] = (pivot * ak[j] - f * row[j]) // prev
+            else:
+                for j in rest:
+                    ak[j] = pivot * ak[j] // prev
     return minors, rows
 
 

@@ -381,6 +381,20 @@ class TestUnboundedFamily:
         # at 2 and 239, and each lattice's two symbols are computed once
         assert cert.h == 15 and len(calls) == 2 * 15
 
+    def test_each_gram_is_validated_once_where_it_enters(self, monkeypatch):
+        calls = []
+        check = Lattice.__post_init__
+        monkeypatch.setattr(Lattice, "__post_init__",
+                            lambda lat: check(lat) or calls.append(lat.gram))
+        cert = build_unbounded_family(239, 1)
+        doc = json.loads(json.dumps(certificate_to_json(cert)))
+        assert verify_certificate(certificate_from_json(doc))
+        # the h + 1 = 16 Grams read from the document and one (-d0) per
+        # _family call (build and verify); every lattice built from them is
+        # trusted
+        assert cert.h == 15 and len(calls) == cert.h + 1 + 2
+        assert calls.count(((-1,),)) == 2
+
     @pytest.mark.parametrize("d0", [1, 3])
     def test_built_certificates_pass_the_checker_after_a_round_trip(self, d0):
         # build skips the family comparison, so the full checker must accept

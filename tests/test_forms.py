@@ -185,6 +185,36 @@ def test_form_to_lattice(form, gram):
     assert lattice_to_form(lat).as_tuple() == (2 * form[0], 2 * form[1], 2 * form[2])
 
 
+def _trusted(f):
+    """f is what the public constructor makes of its coefficients."""
+    assert f == BinaryForm(*f.as_tuple()), f
+    assert all(type(x) is int for x in f.as_tuple()), f
+    return f
+
+
+def test_built_forms_equal_their_checked_construction():
+    rng = random.Random(20)
+    for d in (-3, -4, -23, -47, -56, -239, -1000):
+        for f in class_group(d).elements:
+            _trusted(f)
+            _trusted(lattice_to_form(form_to_lattice(f)))
+            u = random_unimodular(2, rng, special=True)
+            g = _trusted(apply_transform(f, ((u[0][0], u[0][1]), (u[1][0], u[1][1]))))
+            assert _trusted(reduce_form(g)[0]) == f
+            assert _trusted(lattice_to_form(form_to_lattice(g).twist(3))).a == 6 * g.a
+
+
+@pytest.mark.parametrize("f", [(1, 1, 1), [2, 1, 3], None])
+def test_form_to_lattice_refuses_what_is_not_a_form(f):
+    with pytest.raises(FormError, match="BinaryForm"):
+        form_to_lattice(f)
+
+
+def test_apply_transform_refuses_entries_that_are_not_integers():
+    with pytest.raises(LatticeError):
+        apply_transform(BinaryForm(1, 1, 6), ((1.5, 0), (0, 1)))
+
+
 def test_dirichlet_matches_scan_on_fundamentals():
     for d in range(-1999, -2):
         if not is_fundamental_discriminant(d):

@@ -9,10 +9,10 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from k3lat import linalg
 from k3lat.census import MinusTwoResult, has_minus_two_class
-from k3lat.enumeration import embeddings, vectors_of_norm
+from k3lat.enumeration import _block, embeddings, vectors_of_norm
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, random_nondegenerate, random_positive_definite,
-                  random_symmetric, random_unimodular)
+                  random_symmetric, random_unimodular, scanning_ldl)
 
 A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
@@ -364,3 +364,67 @@ def test_ldl_is_rational_cholesky_on_definite_grams(rng):
                               minors[k] * minors[k + 1])
                      for k, row in enumerate(rows))
         assert expand == lat.norm(x)
+
+
+def _ldl_cases(rng):
+    """Random symmetric matrices of size 1-6 with entries in [-5, 5]; a third
+    get a zero diagonal (the pair fold) and a third repeat a row and column,
+    so their elimination ends early."""
+    for t in range(2400):
+        n = rng.randint(1, 6)
+        g = random_symmetric(n, rng, scale=5)
+        if t % 3 == 1:
+            for i in range(n):
+                g[i][i] = 0
+        elif t % 3 == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            for row in g:
+                row[j] = row[i]
+            g[j] = list(g[i])
+        yield g
+
+
+def test_ldl_matches_the_scanning_elimination(rng):
+    folds = degenerate = 0
+    for g in _ldl_cases(rng):
+        minors, rows = linalg.ldl(g)
+        assert (minors, rows) == scanning_ldl(g), g
+        assert all(type(x) is int for row in rows for x in row), g
+        folds += any(g) and not any(g[i][i] for i in range(len(g)))
+        degenerate += minors[-1] == 0
+    assert folds > 500 and degenerate > 700, (folds, degenerate)
+
+
+def _trusted(lat):
+    """lat is what the public constructor makes of its Gram matrix."""
+    assert lat == Lattice(lat.gram) and type(lat.gram) is tuple
+    assert all(type(row) is tuple for row in lat.gram), lat
+    assert all(type(x) is int for row in lat.gram for x in row), lat
+    return lat
+
+
+def test_built_lattices_equal_their_checked_construction(rng):
+    for _ in range(200):
+        lat = random_nondegenerate(rng.randint(1, 4), rng)
+        other = Lattice(random_symmetric(rng.randint(1, 3), rng))
+        _trusted(lat.twist(rng.choice([-4, -1, 2, 3])))
+        total = _trusted(lat.direct_sum(other))
+        if lat.rank > 1:
+            v = [rng.randint(-3, 3) for _ in range(lat.rank)]
+            if any(v):
+                _trusted(lat.orthogonal_complement(v)[0])
+        if _block(total) is not None:
+            _trusted(_block(total)[0])
+    block = _block(A2.direct_sum(Lattice([[-1]])))
+    assert _trusted(block[0]) == A2 and block[1] == -1
+
+
+def test_direct_sum_refuses_what_is_not_a_lattice():
+    class Impostor:
+        gram = ((2.5,),)
+        rank = 1
+
+    with pytest.raises(LatticeError, match="Lattice"):
+        A2.direct_sum(Impostor())
+    with pytest.raises(LatticeError, match="Lattice"):
+        A2.direct_sum(((1,),))

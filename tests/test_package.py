@@ -106,6 +106,26 @@ def test_the_ldl_guard_sees_each_construct(source):
     assert "ldl" in set(_names(ast.parse(source))), source
 
 
+def test_only_library_constructions_skip_validation():
+    # Lattice._of and BinaryForm._of take their entries unchecked, so only
+    # code that computes them from lattices and forms it holds may call
+    # them; the CLI, the certificate reader and the scripts construct
+    # through the checking constructors
+    root = Path(k3lat.__file__).parent
+    paths = [*root.glob("*.py"), *root.parents[1].joinpath("scripts").glob("*.py")]
+    users = {path.name for path in paths
+             if "_of" in set(_names(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert users <= {"lattice.py", "forms.py", "enumeration.py"}, users
+    assert {"lattice.py", "forms.py", "enumeration.py"} <= users, users
+
+
+@pytest.mark.parametrize("source", [
+    "lat = Lattice._of(rows)", "of = BinaryForm._of", "from .lattice import _of as f",
+    "def _of(cls, rows): pass", "L = Lattice\nL._of(g)"])
+def test_the_trusted_construction_guard_sees_each_construct(source):
+    assert "_of" in set(_names(ast.parse(source))), source
+
+
 def test_enumeration_imports_no_fractions():
     # the short-vector kernel takes integer Gram matrices only
     path = Path(k3lat.__file__).with_name("enumeration.py")

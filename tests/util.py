@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from k3lat.arith import totient
@@ -237,3 +238,34 @@ def dirichlet_compose(f, g):
     aa = a1 * a2
     assert (bb * bb - d) % (4 * aa) == 0
     return reduce_form(BinaryForm(aa, bb, (bb * bb - d) // (4 * aa)))[0]
+
+
+def scanning_ldl(gram):
+    """Oracle: the steps of linalg.ldl written with generator pivot searches,
+    separate row and column passes of the pair fold and a membership test
+    for each kept entry of a pivot row."""
+    n = len(gram)
+    a = [[operator.index(x) for x in row] for row in gram]
+    minors = [1]
+    rows = []
+    rest = list(range(n))
+    while rest:
+        i = next((k for k in rest if a[k][k]), None)
+        if i is None:
+            pair = next(((k, j) for k in rest for j in rest if a[k][j]), None)
+            if pair is None:
+                return minors + [0] * len(rest), rows
+            i, j = pair
+            for k in rest:
+                a[i][k] += a[j][k]
+            for k in rest:
+                a[k][i] += a[k][j]
+        rest.remove(i)
+        prev, pivot, row = minors[-1], a[i][i], a[i]
+        minors.append(pivot)
+        rows.append([row[j] if j in rest or j == i else 0 for j in range(n)])
+        for k in rest:
+            ak, f = a[k], a[k][i]
+            for j in rest:
+                ak[j] = (pivot * ak[j] - f * row[j]) // prev
+    return minors, rows
