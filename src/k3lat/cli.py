@@ -51,7 +51,7 @@ def parse_gram(text: str) -> Lattice:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 rows = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot read Gram matrix file: {exc}") from exc
     else:
         try:

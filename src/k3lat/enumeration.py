@@ -443,10 +443,10 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     if lat.rank < 2 or lat.rank > 3 or sig != (1, lat.rank - 1):
         raise EnumerationError("lattice must have signature (1, m) with 1 <= m <= 2")
     v = lat.check_vector(v)
-    nrm = lat.norm(v)
+    nrm = lat._inner(v, v)
     if nrm <= 0:
         raise EnumerationError("vector must have positive norm")
-    if not lat.is_primitive(v):
+    if math.gcd(*v) != 1:
         raise EnumerationError("vector must be primitive")
     comp, _ = lat.orthogonal_complement(v)
     if not comp.is_negative_definite():

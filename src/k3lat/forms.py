@@ -89,6 +89,12 @@ def apply_transform(f: BinaryForm, u: Transform) -> BinaryForm:
     return BinaryForm._of(a, b, c)
 
 
+def _check_forms(*fs) -> None:
+    """FormError unless every argument is a BinaryForm."""
+    if not all(isinstance(f, BinaryForm) for f in fs):
+        raise FormError("form must be a BinaryForm")
+
+
 def reduce_form(f: BinaryForm):
     """Unique reduced representative of a positive definite form.
 
@@ -96,6 +102,7 @@ def reduce_form(f: BinaryForm):
     apply_transform(f, transform) == reduced.  Reduced means |b| <= a <= c
     with b >= 0 on the boundary cases |b| = a or a = c.
     """
+    _check_forms(f)
     if not f.is_positive_definite():
         raise FormError(f"form {f.as_tuple()} is not positive definite")
     a, b, c = f.a, f.b, f.c
@@ -124,6 +131,7 @@ def is_equivalent(f: BinaryForm, g: BinaryForm):
     Two positive definite forms are SL2(Z)-equivalent exactly when they share
     a reduced representative.
     """
+    _check_forms(f, g)
     if not f.is_positive_definite() or not g.is_positive_definite():
         raise FormError("equivalence test requires positive definite forms")
     if f.discriminant() != g.discriminant():
@@ -189,6 +197,7 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     C = (B^2 - D) / 4A (H. Cohen, A Course in Computational Algebraic Number
     Theory, GTM 138, section 5.4), then reduced.
     """
+    _check_forms(f, g)
     d = f.discriminant()
     if d != g.discriminant():
         raise FormError("forms must share a discriminant")
@@ -219,8 +228,7 @@ def verify_principal_genus(p: int) -> bool:
 
 def form_to_lattice(f: BinaryForm) -> Lattice:
     """Rank-2 lattice with Gram matrix ((2a, b), (b, 2c)); det = -disc."""
-    if not isinstance(f, BinaryForm):
-        raise FormError("form must be a BinaryForm")
+    _check_forms(f)
     return Lattice._of(((2 * f.a, f.b), (f.b, 2 * f.c)))
 
 
@@ -230,6 +238,8 @@ def lattice_to_form(lat: Lattice) -> BinaryForm:
     For Gram ((g11, g12), (g12, g22)) this is (g11, 2*g12, g22), the integral
     quadratic form the Gram matrix evaluates.
     """
+    if not isinstance(lat, Lattice):
+        raise FormError("lattice must be a Lattice")
     if lat.rank != 2:
         raise FormError("lattice must have rank 2")
     return BinaryForm._of(lat.gram[0][0], 2 * lat.gram[0][1], lat.gram[1][1])

@@ -5,7 +5,11 @@ p-adic integers.  At odd primes the constituent data (scale, dimension,
 sign) is already canonical; at p = 2 the raw data additionally carries a
 type and an oddity and is only well defined up to oddity fusion inside
 compartments and sign walking along trains, so the 2-adic symbol is pushed
-to the standard canonical representative before comparison.
+to the standard canonical representative before comparison (Conway and
+Sloane, SPLAG, ch. 15, section 7).  Constituents share a train only where no
+two adjacent scales are both type II, a missing scale counting as an empty
+type II constituent.  One record per scale, [dim, unit, odd, oddity],
+carries each constituent from the Jordan split to the symbol.
 """
 
 from __future__ import annotations
@@ -56,25 +60,26 @@ def _legendre(u: int, p: int) -> int:
     return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
-def _jordan_decomposition(gram, p: int):
+def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     """Split a nondegenerate Gram matrix over Z_p into 1x1 and 2x2 pieces.
 
-    Returns (ones, twos): ones is a list of (scale, unit) for diagonal
-    pieces u * p^scale; twos (nonempty only for p = 2) lists
-    (scale, det_unit) for even unimodular 2x2 pieces scaled by 2^scale.
-    The block still to split is a/den with a an integer matrix and den an
-    integer prime to p, so valuations are read off a.  A step on a pivot
-    p^v w/den divides exactly by p^v (p^2v for a 2x2 piece) and multiplies
-    den by w.  Each unit is returned as an integer in its square class
-    (w*den for w/den), which keeps its Legendre symbol and, as odd squares
-    are 1 mod 8, its residue mod 8.
+    Returns one record [dim, unit, odd, oddity] per Jordan constituent, by
+    scale, filled as each piece splits off: a 1x1 piece u * p^scale, or (at
+    p = 2 only) an even unimodular 2x2 piece of determinant unit u scaled by
+    2^scale.  dim counts the rank, unit is the product of the u mod p (mod 8
+    at p = 2), odd records whether a 1x1 piece occurred and oddity sums the
+    1x1 units mod 8.  The block still to split is a/den with a an integer
+    matrix and den an integer prime to p, so valuations are read off a.  A
+    step on a pivot p^v w/den divides exactly by p^v (p^2v for a 2x2 piece)
+    and multiplies den by w.  A 1x1 unit is taken as an integer in its
+    square class (w*den for w/den), which keeps its Legendre symbol and, as
+    odd squares are 1 mod 8, its residue mod 8.
     """
-    n = len(gram)
+    mod = 8 if p == 2 else p
     a = [list(row) for row in gram]
     den = 1
-    idx = list(range(n))
-    ones: list[tuple[int, int]] = []
-    twos: list[tuple[int, int]] = []
+    idx = list(range(len(gram)))
+    records: dict[int, list] = {}
 
     while idx:
         best_v = None
@@ -100,10 +105,15 @@ def _jordan_decomposition(gram, p: int):
                 a[k][gi] += a[k][gj]
             diag = [gi]
         pv = p ** best_v
+        rec = records.setdefault(best_v, [0, 1, False, 0])
         if diag:
             gi = diag[0]
             w = a[gi][gi] // pv
-            ones.append((best_v, w * den))
+            u = w * den
+            rec[0] += 1
+            rec[1] = rec[1] * u % mod
+            rec[2] = True
+            rec[3] = (rec[3] + u) % 8
             rest = [i for i in idx if i != gi]
             col = {r: a[r][gi] for r in rest}
             for r in rest:
@@ -116,7 +126,8 @@ def _jordan_decomposition(gram, p: int):
         # unimodular 2x2 block scaled by 2^best_v splits off
         b11, b12, b22 = a[gi][gi], a[gi][gj], a[gj][gj]
         w = (b11 * b22 - b12 * b12) // (pv * pv)
-        twos.append((best_v, w))
+        rec[0] += 2
+        rec[1] = rec[1] * w % 8
         rest = [i for i in idx if i not in (gi, gj)]
         pr = {r: a[r][gi] for r in rest}
         qr = {r: a[r][gj] for r in rest}
@@ -128,57 +139,48 @@ def _jordan_decomposition(gram, p: int):
         den *= w
         idx.remove(gj)
         idx.remove(gi)
-    return ones, twos
+    return records
 
 
-def _canonical_2adic(blocks: list[list]) -> list[GenusBlock]:
+def _canonical_2adic(records) -> tuple[GenusBlock, ...]:
     """Oddity fusion and sign walking, producing the canonical 2-adic symbol.
 
-    blocks: mutable [scale, dim, sign, is_type_I, oddity] sorted by scale.
-    Walking moves every negative sign to the front of its train; each walk
-    between adjacent train members flips both signs and adds 4 to the oddity
-    of every compartment containing either endpoint.
+    records: (scale, [dim, unit, odd, oddity]) sorted by scale; the sign is
+    + when the unit is +-1 mod 8.  A compartment is a maximal run of type I
+    constituents at consecutive scales; only its total oddity is an
+    invariant.  A train is a maximal run in which, a missing scale counting
+    as an empty type II constituent, one of any two adjacent scales is type
+    I: constituents at scales s < s' are neighbours in a train when
+    s' = s + 1 and either is type I, or s' = s + 2 and both are (Conway and
+    Sloane, SPLAG, ch. 15, section 7).  Walking moves every negative sign to
+    the front of its train; each walk between neighbours flips both signs
+    and adds 4 to the oddity of every compartment containing either one.
     """
-    # compartments: maximal runs of type I constituents at consecutive scales
-    compartments: list[list[int]] = []
-    i = 0
-    while i < len(blocks):
-        if blocks[i][3]:
-            run = [i]
-            while (i + 1 < len(blocks) and blocks[i + 1][3]
-                   and blocks[i + 1][0] == blocks[i][0] + 1):
-                i += 1
-                run.append(i)
-            compartments.append(run)
-        i += 1
-
-    # oddity fusion: only the compartment total is an invariant
-    for comp in compartments:
-        total = sum(blocks[k][4] for k in comp) % 8
-        for k in comp:
-            blocks[k][4] = 0
-        blocks[comp[0]][4] = total
-
-    # trains: adjacent constituents whose scales differ by at most 2
-    trains: list[list[int]] = []
-    for k in range(len(blocks)):
-        if trains and blocks[k][0] - blocks[trains[-1][-1]][0] <= 2:
-            trains[-1].append(k)
+    blocks: list[list] = []  # [scale, dim, sign, odd, oddity]
+    head: list = []          # first block of each block's compartment
+    joined: list[bool] = []  # in the train of the block before
+    last, last_odd = -3, False  # nothing before scale 0 is a neighbour
+    for scale, (dim, unit, odd, oddity) in records:
+        gap = scale - last
+        joined.append(gap == 1 and (odd or last_odd) or gap == 2 and odd and last_odd)
+        if gap == 1 and odd and last_odd:
+            h = head[-1]
+            blocks[h][4] = (blocks[h][4] + oddity) % 8
+            oddity = 0
         else:
-            trains.append([k])
-
-    for train in trains:
-        for pos in range(len(train) - 1, 0, -1):
-            k = train[pos]
-            if blocks[k][2] == -1:
-                prev = train[pos - 1]
-                blocks[k][2] = 1
-                blocks[prev][2] *= -1
-                for comp in compartments:
-                    if k in comp or prev in comp:
-                        blocks[comp[0]][4] = (blocks[comp[0]][4] + 4) % 8
-    return [GenusBlock(scale, dim, sign, "I" if odd_type else "II", oddity)
-            for scale, dim, sign, odd_type, oddity in blocks]
+            h = len(blocks) if odd else None
+        head.append(h)
+        blocks.append([scale, dim, 1 if unit in (1, 7) else -1, odd, oddity])
+        last, last_odd = scale, odd
+    # a train is a run of consecutive blocks, so each walk is from k to k - 1
+    for k in range(len(blocks) - 1, 0, -1):
+        if joined[k] and blocks[k][2] == -1:
+            blocks[k][2] = 1
+            blocks[k - 1][2] *= -1
+            for h in {head[k], head[k - 1]} - {None}:
+                blocks[h][4] = (blocks[h][4] + 4) % 8
+    return tuple(GenusBlock(scale, dim, sign, "I" if odd else "II", oddity)
+                 for scale, dim, sign, odd, oddity in blocks)
 
 
 def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
@@ -188,38 +190,11 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
         raise GenusError(f"{p} is not prime")
     if lat.determinant() == 0:
         raise GenusError("degenerate Gram matrix")
-    ones, twos = _jordan_decomposition(lat.gram, p)
-    if p != 2:
-        by_scale: dict[int, list[int]] = {}
-        for scale, unit in ones:
-            by_scale.setdefault(scale, []).append(unit)
-        blocks = []
-        for scale in sorted(by_scale):
-            units = by_scale[scale]
-            prod = 1
-            for u in units:
-                prod = prod * u % p
-            blocks.append(GenusBlock(scale, len(units), _legendre(prod, p)))
-        return GenusSymbol(p, tuple(blocks))
-    # at p = 2 a unit counts only mod 8: the oddity sums the units, and the
-    # sign is + when their product is +-1 mod 8
-    data: dict[int, list] = {}
-    for scale, unit in ones:
-        entry = data.setdefault(scale, [scale, 0, 1, False, 0])
-        entry[1] += 1
-        entry[2] = entry[2] * unit % 8
-        entry[3] = True
-        entry[4] = (entry[4] + unit) % 8
-    for scale, det_unit in twos:
-        entry = data.setdefault(scale, [scale, 0, 1, False, 0])
-        entry[1] += 2
-        entry[2] = entry[2] * det_unit % 8
-    blocks = []
-    for scale in sorted(data):
-        scale_, dim, det_unit, type_i, oddity = data[scale]
-        sign = 1 if det_unit in (1, 7) else -1
-        blocks.append([scale_, dim, sign, type_i, oddity])
-    return GenusSymbol(2, tuple(_canonical_2adic(blocks)))
+    records = sorted(_jordan_decomposition(lat.gram, p).items())
+    if p == 2:
+        return GenusSymbol(2, _canonical_2adic(records))
+    return GenusSymbol(p, tuple(GenusBlock(scale, dim, _legendre(unit, p))
+                                for scale, (dim, unit, _, _) in records))
 
 
 def _symbol(lat: Lattice, p: int) -> GenusSymbol:
@@ -233,17 +208,17 @@ def _symbol(lat: Lattice, p: int) -> GenusSymbol:
 def same_genus(l1: Lattice, l2: Lattice) -> bool:
     """Whether two lattices are isomorphic over R and over every Z_p.
 
-    Compares rank, signature and the canonical symbols at 2 and at every
-    prime dividing either determinant; agreement elsewhere is automatic.
-    Each lattice keeps the symbols it was compared by, so a lattice compared
-    with many others has each of its symbols computed once.
+    Compares rank, signature and determinant, then the canonical symbols at
+    2 and at every prime dividing the determinant; agreement elsewhere is
+    automatic.  Each lattice keeps the symbols it was compared by, so a
+    lattice compared with many others has each of its symbols computed once.
     """
     try:
         s1, s2 = l1.signature(), l2.signature()
     except LatticeError as exc:
         raise GenusError(str(exc)) from exc
-    if l1.rank != l2.rank or s1 != s2:
+    d = l1.determinant()
+    if l1.rank != l2.rank or s1 != s2 or d != l2.determinant():
         return False
-    d1, d2 = l1.determinant(), l2.determinant()
-    primes = {2} | set(arith.factor(abs(d1))) | set(arith.factor(abs(d2)))
-    return all(_symbol(l1, p) == _symbol(l2, p) for p in sorted(primes))
+    primes = sorted({2} | set(arith.factor(abs(d))))
+    return all(_symbol(l1, p) == _symbol(l2, p) for p in primes)

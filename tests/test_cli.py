@@ -48,6 +48,23 @@ class TestParsing:
         assert payload["status"] == "input-error"
         assert "integers" in payload["error"] or "rows" in payload["error"]
 
+    @pytest.mark.parametrize("mode", ["--json", "human"])
+    def test_gram_file_that_is_not_utf8_exits_two_with_envelope(self, mode, tmp_path,
+                                                                capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe[[2]]")
+        argv = ["lattice", "signature", "--gram", f"@{path}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ([mode] if mode == "--json" else []))
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        if mode == "--json":
+            payload = json.loads(out)
+            assert payload["status"] == "input-error"
+            assert "cannot read Gram matrix file" in payload["error"]
+        else:
+            assert out.startswith("input-error: cannot read Gram matrix file")
+
     def test_help_leaves_stdout_one_json_document(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["qform", "classgroup", "--help", "--json"])

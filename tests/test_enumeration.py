@@ -321,3 +321,23 @@ class TestOrbitInvariant:
             orbit_invariant(n, (0, 1))  # negative norm
         with pytest.raises(EnumerationError):
             orbit_invariant(n, (2, 0))  # imprimitive
+
+    def test_checks_its_vector_once(self, monkeypatch):
+        calls = []
+        check = Lattice.check_vector
+        monkeypatch.setattr(Lattice, "check_vector",
+                            lambda lat, w: calls.append(w) or check(lat, w))
+        assert orbit_invariant(Lattice([[2, 0], [0, -2]]), (1, 0)).norm == 2
+        # one check on entry and one in orthogonal_complement
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("v,error,message", [
+        ((1, 0, 0), LatticeError, "does not match rank"),
+        ((1.5, 0), LatticeError, "integers"),
+        ((0, 0), EnumerationError, "positive norm"),
+        ((0, 1), EnumerationError, "positive norm"),
+        ((2, 0), EnumerationError, "primitive"),
+    ])
+    def test_refuses_a_bad_vector(self, v, error, message):
+        with pytest.raises(error, match=message):
+            orbit_invariant(Lattice([[2, 0], [0, -2]]), v)

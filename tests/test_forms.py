@@ -210,6 +210,24 @@ def test_form_to_lattice_refuses_what_is_not_a_form(f):
         form_to_lattice(f)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: reduce_form((1, 1, 1)),
+    lambda: is_equivalent((1, 1, 6), BinaryForm(1, 1, 6)),
+    lambda: is_equivalent(BinaryForm(1, 1, 6), (2, 1, 3)),
+    lambda: compose((1, 1, 6), BinaryForm(1, 1, 6)),
+    lambda: compose(BinaryForm(1, 1, 6), (2, 1, 3)),
+], ids=["reduce_form", "is_equivalent-f", "is_equivalent-g", "compose-f", "compose-g"])
+def test_form_functions_refuse_what_is_not_a_form(call):
+    with pytest.raises(FormError, match="BinaryForm"):
+        call()
+
+
+@pytest.mark.parametrize("lat", [((2, 1), (1, 2)), [[2, 1], [1, 2]], None])
+def test_lattice_to_form_refuses_what_is_not_a_lattice(lat):
+    with pytest.raises(FormError, match="Lattice"):
+        lattice_to_form(lat)
+
+
 def test_apply_transform_refuses_entries_that_are_not_integers():
     with pytest.raises(LatticeError):
         apply_transform(BinaryForm(1, 1, 6), ((1.5, 0), (0, 1)))

@@ -1,5 +1,9 @@
+import collections
+import hashlib
 import itertools
+import json
 import math
+import random
 
 import pytest
 from sympy import legendre_symbol, primefactors
@@ -7,9 +11,15 @@ from sympy import legendre_symbol, primefactors
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.genus import GenusError, padic_symbol, same_genus
 from k3lat.lattice import Lattice, LatticeError
-from util import change_basis, random_nondegenerate, random_unimodular
+from util import (change_basis, discriminant_form_counts, random_nondegenerate,
+                  random_unimodular)
 
 A2 = Lattice([[2, 1], [1, 2]])
+U = Lattice([[0, 1], [1, 0]])
+
+# sha256 of the symbols at 2, 3 and 5 of the seeded corpus in
+# test_symbols_are_pinned
+SYMBOL_DIGEST = "09b9d3d29ff502fabed179f9a4ec1b828db97be2d9bf0a08bb737af4e4d35ca5"
 
 
 def diag(*xs):
@@ -110,6 +120,28 @@ class TestCanonical2adic:
         assert (padic_symbol(diag(*a), 2) == padic_symbol(diag(*b), 2)) == equal
         assert z2_equivalent(diag(*a).gram, diag(*b).gram) == equal
 
+    @pytest.mark.parametrize("l1,l2", [
+        (U.direct_sum(A2.twist(4)), A2.direct_sum(U.twist(4))),
+        (U.direct_sum(A2.twist(4)), U.twist(4).direct_sum(A2)),
+        (U.twist(2).direct_sum(A2.twist(8)), A2.twist(2).direct_sum(U.twist(8))),
+    ], ids=["U+A2(4)|A2+U(4)", "U+A2(4)|U(4)+A2", "U(2)+A2(8)|A2(2)+U(8)"])
+    def test_type_ii_constituents_two_scales_apart_share_no_train(self, l1, l2):
+        # scale 1 is missing, an empty type II form next to two type II
+        # forms, so the sign of the second cannot walk to the first
+        assert discriminant_form_counts(l1) != discriminant_form_counts(l2)
+        assert padic_symbol(l1, 2) != padic_symbol(l2, 2)
+        assert not same_genus(l1, l2)
+
+    def test_symbols_are_pinned(self):
+        rng = random.Random(21)
+        docs = []
+        for _ in range(600):
+            lat = random_nondegenerate(rng.randint(1, 6), rng, scale=rng.choice([3, 9]),
+                                       two_power_bias=True)
+            docs.append([lat.gram, [padic_symbol(lat, p).to_json() for p in (2, 3, 5)]])
+        blob = json.dumps(docs, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == SYMBOL_DIGEST
+
     def test_random_rank2_against_oracle(self, rng):
         def val2(x):
             c = 0
@@ -183,6 +215,28 @@ class TestSameGenus:
                 for k in range(n):
                     if rel[(i, j)] and rel[(j, k)]:
                         assert rel[(i, k)]
+
+    def test_agrees_with_the_discriminant_form_oracle(self):
+        # every sum of two of U, A2, <+-2>, <+-6>, <10>, each scaled by 1, 2,
+        # 4 or 8: even lattices, so same genus forces equal discriminant
+        # forms.  Value counts are not a complete invariant in general, but
+        # on this sample they separate every two genera, so a symbol that
+        # splits a genus fails here too.  Unequal determinants are told
+        # apart before any symbol.
+        blocks = [lat.twist(k) for lat in (U, A2, *(Lattice([[x]]) for x in (2, -2, 6, -6, 10)))
+                  for k in (1, 2, 4, 8)]
+        by_det = collections.defaultdict(list)
+        for a, b in itertools.product(blocks, repeat=2):
+            lat = a.direct_sum(b)
+            by_det[lat.determinant()].append(lat)
+        same = 0
+        for lats in by_det.values():
+            counts = [discriminant_form_counts(lat) for lat in lats]
+            for (x, cx), (y, cy) in itertools.combinations(zip(lats, counts), 2):
+                is_same = same_genus(x, y)
+                assert is_same == (x.signature() == y.signature() and cx == cy), (x, y)
+                same += is_same
+        assert same == 482
 
     def test_same_genus_implies_matching_invariants(self, rng):
         pairs = 0

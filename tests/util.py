@@ -1,9 +1,12 @@
 """Shared helpers: random generators and independent brute-force oracles."""
 
+import collections
 import itertools
 import math
 import operator
 from fractions import Fraction
+
+from sympy import Matrix
 
 from k3lat.arith import totient
 from k3lat.forms import BinaryForm, apply_transform, reduce_form
@@ -269,3 +272,36 @@ def scanning_ldl(gram):
             for j in rest:
                 ak[j] = (pivot * ak[j] - f * row[j]) // prev
     return minors, rows
+
+
+def discriminant_form_counts(lat):
+    """Oracle: how often the discriminant form of an even lattice takes each value.
+
+    The dual modulo the lattice is G^-1 Z^n / Z^n: with d the common
+    denominator of G^-1 (sympy Matrix.inv), its elements are the y/d for
+    integer vectors y mod d, generated by the columns of d G^-1 and listed
+    as the cosets of the subgroup each column adds.  The form is
+    q(y/d) = y^T G y / d^2 mod 2Z (x^T G^-1 x for y = d G^-1 x), kept as
+    y^T G y mod 2d^2 and updated along each coset by
+    q(y + s) = q(y) + 2 y^T G s + q(s).  Same genus implies isomorphic
+    discriminant forms (Nikulin), so two lattices of one genus have equal
+    counts.
+    """
+    g, n = lat.gram, lat.rank
+    assert all(g[i][i] % 2 == 0 for i in range(n)), "lattice must be even"
+    inv = Matrix(g).inv()
+    d = math.lcm(*(x.q for x in inv))
+    mod = 2 * d * d
+    form = {(0,) * n: 0}
+    for j in range(n):
+        col = [int(inv[i, j] * d) % d for i in range(n)]
+        base, step = list(form.items()), tuple(col)
+        while step not in form:
+            gs = [sum(map(operator.mul, row, step)) for row in g]
+            qs = sum(map(operator.mul, step, gs))
+            for y, qy in base:
+                form[tuple((a + b) % d for a, b in zip(y, step))] = (
+                    qy + 2 * sum(map(operator.mul, y, gs)) + qs) % mod
+            step = tuple((a + b) % d for a, b in zip(step, col))
+    counts = collections.Counter(form.values())
+    return {Fraction(v, d * d): k for v, k in counts.items()}
