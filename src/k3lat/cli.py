@@ -6,7 +6,9 @@ builds the parser of the one command its first two words name, so options
 must be spelled in full; any other argv gets the listing parser, which
 prints the command list.  Each handler imports only the modules its command
 uses, and a memoized command imports its compute modules only on a cache
-miss; a DomainError from a computation is exit code 1, an InputError exit
+miss; the floor of every call is arith, lattice and linalg, without
+dataclasses or fractions (parse_element imports Fraction where it builds
+one).  A DomainError from a computation is exit code 1, an InputError exit
 code 2."""
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import SCHEMA
 from .arith import DomainError
@@ -32,11 +32,13 @@ class InputError(ValueError):
     """Malformed command-line input (exit code 2)."""
 
 
-@dataclass(frozen=True)
 class CommandResult:
-    status: str              # ok | error | input-error
-    payload: dict
-    timing_ms: float
+    """The outcome of one call: its status, its JSON envelope and its time."""
+
+    def __init__(self, status: str, payload: dict, timing_ms: float) -> None:
+        self.status = status  # ok | error | input-error
+        self.payload = payload
+        self.timing_ms = timing_ms
 
     @property
     def exit_code(self) -> int:
@@ -83,6 +85,7 @@ def parse_form(text: str):
 
 
 def parse_element(text: str, field):
+    from fractions import Fraction
     try:
         return field.element([Fraction(x) for x in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:

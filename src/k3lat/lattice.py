@@ -8,12 +8,14 @@ genus.same_genus compares at most once, and keeps them on the object; a
 memo write stores the one value the Gram matrix determines, so concurrent
 use stays safe.  Lattice(...) checks each Gram matrix where it enters; the
 lattices built from checked ones (sums, twists, complements) use Lattice._of.
+Lattice is a plain class that compares and hashes as a frozen dataclass
+would, so this module, on the path of every CLI call with linalg and arith,
+imports neither dataclasses nor fractions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -31,15 +33,15 @@ def _integers(xs) -> Vector:
     return integers(xs, LatticeError)
 
 
-@dataclass(frozen=True)
 class Lattice:
-    """Free Z-module of finite rank with pairing (v.w) = v^T gram w."""
+    """Free Z-module of finite rank with pairing (v.w) = v^T gram w; an
+    immutable value, equal and hashed by its Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, gram) -> None:
         try:
-            gram = tuple(map(_integers, self.gram))
+            gram = tuple(map(_integers, gram))
         except TypeError:
             raise LatticeError("Gram matrix must be a sequence of rows") from None
         n = len(gram)
@@ -56,6 +58,20 @@ class Lattice:
         lat = object.__new__(cls)
         object.__setattr__(lat, "gram", tuple(map(tuple, rows)))
         return lat
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gram == other.gram
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gram,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rank(self) -> int:

@@ -1,13 +1,14 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
 a fraction-free symmetric LDL^T (the source of every determinant and
 signature, once per Lattice), Smith invariant factors, Hermite bases, and one
-rational row reduction behind solve, rank and inverse.
+rational row reduction behind solve, rank and inverse.  Only that reduction
+and solve import fractions, so the integer kernels under every CLI call
+load neither it nor the decimal module it pulls in.
 Inputs are sequences of rows and are never modified; the integer kernels
 raise TypeError on an entry that is not an integer instead of truncating it."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
 Vector = tuple[int, ...]
@@ -118,6 +119,7 @@ def smith_invariants(rows) -> list[int]:
 
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q and the list of its pivot columns."""
+    from fractions import Fraction
     a = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     for c in range(len(a[0]) if a else 0):
@@ -142,6 +144,7 @@ def rank(rows) -> int:
 
 def solve(rows, rhs) -> list[Fraction] | None:
     """A rational x with rows * x = rhs (free unknowns 0), or None if inconsistent."""
+    from fractions import Fraction
     k = len(rows[0])
     a, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
     if k in pivots:

@@ -383,9 +383,9 @@ class TestUnboundedFamily:
 
     def test_each_gram_is_validated_once_where_it_enters(self, monkeypatch):
         calls = []
-        check = Lattice.__post_init__
-        monkeypatch.setattr(Lattice, "__post_init__",
-                            lambda lat: check(lat) or calls.append(lat.gram))
+        check = Lattice.__init__
+        monkeypatch.setattr(Lattice, "__init__",
+                            lambda lat, gram: check(lat, gram) or calls.append(lat.gram))
         cert = build_unbounded_family(239, 1)
         doc = json.loads(json.dumps(certificate_to_json(cert)))
         assert verify_certificate(certificate_from_json(doc))

@@ -437,15 +437,21 @@ def test_cli_import_does_not_load(module):
     assert fresh_interpreter(code) == "False"
 
 
-def test_command_loads_only_the_modules_it_uses():
-    code = "\n".join([
+def main_then(argv, probe):
+    """Code that runs `python -m k3lat argv`, then prints its exit code and
+    the value of the expression probe."""
+    return "\n".join([
         "import runpy, sys",
-        "sys.argv = ['k3lat', 'qform', 'classgroup', '-D', '-23', '--json']",
+        f"sys.argv = ['k3lat', *{argv!r}]",
         "try:",
         "    runpy.run_module('k3lat', run_name='__main__', alter_sys=True)",
         "except SystemExit as exc:",
-        "    print(exc.code, sorted({'k3lat.forms', 'k3lat.census', 'k3lat.cm'}",
-        "                           & set(sys.modules)))"])
+        f"    print(exc.code, {probe})"])
+
+
+def test_command_loads_only_the_modules_it_uses():
+    code = main_then(["qform", "classgroup", "-D", "-23", "--json"],
+                     "sorted({'k3lat.forms', 'k3lat.census', 'k3lat.cm'} & set(sys.modules))")
     assert fresh_interpreter(code) == "0 ['k3lat.forms']"
 
 
@@ -454,13 +460,8 @@ def test_command_loads_only_the_modules_it_uses():
     (["lattice", "vectors", "--gram", "2,1;1,2", "-n", "2"], "k3lat.enumeration"),
 ], ids=["classgroup", "vectors"])
 def test_cache_hit_loads_no_compute_module(tmp_path, argv, module):
-    code = "\n".join([
-        "import runpy, sys",
-        f"sys.argv = ['k3lat', *{argv!r}, '--json', '--cache-dir', {str(tmp_path)!r}]",
-        "try:",
-        "    runpy.run_module('k3lat', run_name='__main__', alter_sys=True)",
-        "except SystemExit as exc:",
-        f"    print(exc.code, {module!r} in sys.modules)"])
+    code = main_then([*argv, "--json", "--cache-dir", str(tmp_path)],
+                     f"{module!r} in sys.modules")
 
     def call():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -473,6 +474,22 @@ def test_cache_hit_loads_no_compute_module(tmp_path, argv, module):
     hit_out, hit_loaded = call()
     assert (miss_loaded, hit_loaded) == ("0 True", "0 False")
     assert hit_out == miss_out and json.loads(miss_out)["status"] == "ok"
+
+
+_OFF_THE_FLOOR = "sorted({'dataclasses', 'fractions'} & set(sys.modules))"
+
+
+def test_floor_commands_load_neither_dataclasses_nor_fractions(tmp_path):
+    # which of the two a bare interpreter loads at start-up
+    bare = fresh_interpreter(f"import sys; print({_OFF_THE_FLOOR})")
+    a8 = ";".join(",".join(str(2 if i == j else -1 if abs(i - j) == 1 else 0)
+                           for j in range(8)) for i in range(8))
+    classgroup = ["qform", "classgroup", "-D", "-23", "--json", "--cache-dir", str(tmp_path)]
+    fresh_interpreter(main_then(classgroup, "''"))  # the miss fills the cache
+    for argv, code in [(["lattice", "signature", "--gram", "1,2;3", "--json"], 2),
+                       (["lattice", "disc-group", "--gram", a8, "--json"], 0),
+                       (classgroup, 0)]:
+        assert fresh_interpreter(main_then(argv, _OFF_THE_FLOOR)) == f"{code} {bare}", argv
 
 
 def test_human_output_of_a_successful_command(capsys):

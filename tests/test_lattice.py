@@ -18,6 +18,21 @@ A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
 
 
+def test_lattice_is_a_frozen_value():
+    g = ((2, 1), (1, 2))
+    lat = Lattice([[2, 1], [1, 2]])
+    assert lat == Lattice(gram=g) == Lattice._of(g) and lat != Lattice([[2, -1], [-1, 2]])
+    assert hash(lat) == hash(Lattice._of([[2, 1], [1, 2]])) == hash((g,))
+    assert lat != g and lat.__eq__(g) is NotImplemented
+    assert len({lat, Lattice(g), Lattice._of(g)}) == 1
+    with pytest.raises(AttributeError):
+        lat.gram = ((1,),)
+    with pytest.raises(AttributeError):
+        del lat.gram
+    assert lat.gram == g and repr(lat) == "Lattice(2,1;1,2)"
+    assert lat.determinant() == 3  # the memos are still written
+
+
 def test_rejects_bad_gram():
     with pytest.raises(LatticeError):
         Lattice([[1, 2], [3, 4]])
