@@ -313,7 +313,8 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
             if alpha is not None:
                 raise CensusError("class present without an isometry witness")
             continue
-        # EmbeddingMatrix construction re-verified Gram compatibility already
+        # no Gram re-test: level_walk's lift and certificate_from_json build
+        # witnesses by the checking EmbeddingMatrix constructor, never by _of
         if (w.source, w.target) != (t, ternaries[0]):
             raise CensusError("witness does not map its ternary to the first one")
         if alpha != w.columns[2]:

@@ -523,6 +523,7 @@ class _PeriodTables:
     in x.  Their field coefficients are stored as integer coordinate rows
     over a common denominator, so a solve takes integer dot products only.
     A residual row that vanishes identically is left out; at rank 2 all do.
+    element keeps one CMElement per numerator tuple, built on first sight.
     """
 
     def __init__(self, pv: PeriodVector) -> None:
@@ -538,7 +539,7 @@ class _PeriodTables:
         res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
                 for a in range(size)] for k in range(n)]
         den = _common_denominator(lam + lam_p + nu + sum(res, []))
-        self._field, self._n, self._den = field, n, den
+        self._field, self._n, self._den, self._elements = field, n, den, {}
         self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
         self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
         support = [r * n + c for r in (i, j) for c in range(n)]
@@ -561,7 +562,10 @@ class _PeriodTables:
                      for rows in (self._lam, self._lam_p, self._nu))
 
     def element(self, numerators) -> CMElement:
-        return CMElement(self._field, tuple(Fraction(v, self._den) for v in numerators))
+        if (x := self._elements.get(numerators)) is None:
+            x = self._elements.setdefault(numerators, CMElement(
+                self._field, tuple(Fraction(v, self._den) for v in numerators)))
+        return x
 
     def norm_holds(self, columns, d: int, scale: int) -> bool:
         """Whether the norm value of phi equals scale (sigma.sigmabar)."""
@@ -592,7 +596,7 @@ def solve_lambda(pv: PeriodVector, phi: EmbeddingMatrix):
     lambda' and nu are integer combinations of the entries of phi, weighted
     by the tables the period builds on its first solve (no division, no
     field multiplication); lambda and lambda' are then checked in every
-    coordinate.  Fraction coordinates are made only for the three results.
+    coordinate.  Fractions are made only for a value new to the period.
     """
     n = pv.lattice.rank
     if phi.target.rank != n + 1 or phi.source.rank != n:
@@ -637,10 +641,10 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     re-checked exactly, the norm identity multiplied through by
     (sigma.sigmabar) != 0 and evaluated as an integer quadratic form in the
     entries of phi from the period's tables, and a failure raises CMError.
-    So an embedding costs no field multiplication.  With
-    overlattice_index = k > 1 the returned matrices represent k * phi for
-    embeddings phi into an index-k overlattice, so their source carries the
-    form scaled by k^2.
+    So an embedding costs no field multiplication, and a lambda, lambda' or
+    nu met before no Fraction.  With overlattice_index = k > 1 the returned
+    matrices represent k * phi for embeddings phi into an index-k
+    overlattice, so their source carries the form scaled by k^2.
     """
     d, nn = arith.integers((d, overlattice_index), CMError)
     if d <= 0:

@@ -8,7 +8,9 @@ Gram matrices and bounds are integers, and anything else is refused.
 A naive box scan is kept in the test suite as its oracle.  Isometries
 between block ternaries Q + (-k) come from one walk over the levels of the
 target (level_walk); indefinite_isometry_search answers any pair, completely
-for a definite pair and by a bounded search for an indefinite one.
+for a definite pair and by a bounded search for an indefinite one.  A
+search hit is built unchecked, as the search tested its Gram matrix; lifted,
+inverted and read-back matrices are checked.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class EmbeddingMatrix:
     """Integer matrix realizing an isometric embedding source -> target.
 
     columns[i] holds the target coordinates of the i-th source basis vector;
-    Gram compatibility is verified exactly on construction.
+    EmbeddingMatrix(...) verifies Gram compatibility exactly, _of (for search
+    hits, which the search has checked entry by entry) does not.
     """
 
     source: Lattice
@@ -119,6 +122,14 @@ class EmbeddingMatrix:
                         f"columns are not Gram compatible at ({i}, {j})")
         object.__setattr__(self, "columns", cols)
 
+    @classmethod
+    def _of(cls, source: Lattice, target: Lattice, columns) -> "EmbeddingMatrix":
+        e = object.__new__(cls)
+        object.__setattr__(e, "source", source)
+        object.__setattr__(e, "target", target)
+        object.__setattr__(e, "columns", columns)
+        return e
+
     def apply(self, v) -> Vector:
         v = self.source.check_vector(v)
         m = self.target.rank
@@ -129,7 +140,7 @@ class EmbeddingMatrix:
 def identity_embedding(lat: Lattice) -> EmbeddingMatrix:
     n = lat.rank
     cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return EmbeddingMatrix(lat, lat, tuple(cols))
+    return EmbeddingMatrix._of(lat, lat, tuple(cols))
 
 
 def _is_saturated(columns: tuple[Vector, ...]) -> bool:
@@ -173,7 +184,7 @@ def embeddings(source: Lattice, target: Lattice,
         return []
     hits = _gram_compatible(source, target,
                             lambda nrm: vectors_of_norm(target, nrm))
-    return [EmbeddingMatrix(source, target, cols) for cols in hits
+    return [EmbeddingMatrix._of(source, target, cols) for cols in hits
             if not primitive_only or _is_saturated(cols)]
 
 
@@ -193,9 +204,9 @@ def is_isometric_definite(l1: Lattice, l2: Lattice):
         return identity_embedding(l1)
     a, b = (l1, l2) if s1[1] == 0 else (l1.twist(-1), l2.twist(-1))
     # a full-rank Gram-compatible map between equal-determinant lattices is
-    # automatically unimodular, hence an isometry
+    # automatically unimodular, hence an isometry (of l1, l2 too, if twisted)
     cols = next(_gram_compatible(a, b, lambda nrm: vectors_of_norm(b, nrm)), None)
-    return None if cols is None else EmbeddingMatrix(l1, l2, cols)
+    return None if cols is None else EmbeddingMatrix._of(l1, l2, cols)
 
 
 @dataclass(frozen=True)

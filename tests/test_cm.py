@@ -395,6 +395,29 @@ class TestSolveLambda:
         assert not verify_norm_equation(one, one, zero, 2, ssb)
 
 
+class TestInternedResults:
+    def test_a_reused_period_gives_the_results_of_fresh_ones(self):
+        shared, values = hex_period(), set()
+        for index in (1, 2, 4):
+            for d in (2, 4, 6):
+                found = enumerate_period_embeddings(shared, d, overlattice_index=index)
+                assert found == enumerate_period_embeddings(
+                    hex_period(), d, overlattice_index=index)
+                for pe in found:
+                    solved = (pe.lam, pe.lam_prime, pe.nu)
+                    assert solved == field_solve_lambda(shared, pe.embedding)
+                    values.update(solved)
+                assert len(shared._tables._elements) <= len(values)
+
+    def test_one_entry_per_distinct_value_on_the_benchmark_cases(self):
+        pv, values = hex_period(), set()
+        for index, d in [(1, 2), (1, 4), (1, 6), (1, 8), (2, 2)]:
+            for pe in enumerate_period_embeddings(pv, d, overlattice_index=index):
+                values.update((pe.lam, pe.lam_prime, pe.nu))
+            assert len(pv._tables._elements) <= len(values)
+        assert len(values) == 19
+
+
 def assert_matches_box_oracle(pv, d, index=1):
     """The enumeration equals the box-scan embedding list, and every entry's
     lambda, lambda' and nu pass substitution and the norm equation."""

@@ -149,6 +149,47 @@ class TestIsometricDefinite:
             is_isometric_definite(A2, A2.twist(-1))
 
 
+E8 = Lattice([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+              [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+              [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+              [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]])
+T_HEX = Lattice([[2, -1], [-1, 2]])
+
+
+def assert_checked(matrices):
+    """Each matrix equals, with an equal hash, what the checking constructor
+    builds from its source, target and columns."""
+    for e in matrices:
+        checked = EmbeddingMatrix(e.source, e.target, e.columns)
+        assert checked == e and hash(checked) == hash(e), e
+
+
+class TestSearchHitsMatchCheckedConstruction:
+    # the search builds its hits without the constructor's check
+    def test_a2_into_e8(self):
+        found = embeddings(T_HEX, E8)
+        assert len(found) == 13440  # 240 roots, 56 at inner product -1 with each
+        assert_checked(found)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_hexagonal_into_hexagonal_plus_d(self, k, d):
+        source, target = T_HEX.twist(k * k), T_HEX.direct_sum(Lattice([[d]]))
+        found = embeddings(source, target)
+        primitive = embeddings(source, target, primitive_only=True)
+        assert found and len(primitive) == (12 if k == 1 else 0)
+        assert_checked(found + primitive)
+
+    def test_negative_definite_pair(self):
+        w = is_isometric_definite(A2.twist(-1), T_HEX.twist(-1))
+        assert (w.source, w.target) == (A2.twist(-1), T_HEX.twist(-1))
+        assert_checked([w])
+
+    def test_equal_lattices(self):
+        assert_checked([is_isometric_definite(A2, A2),
+                        is_isometric_definite(E8.twist(-1), E8.twist(-1))])
+
+
 class TestIndefiniteSearch:
     def test_discriminant23_ternary_pair_within_bound_ten(self):
         t1 = form_to_lattice(BinaryForm(1, 1, 6)).direct_sum(Lattice([[-1]]))

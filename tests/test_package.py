@@ -106,24 +106,55 @@ def test_the_ldl_guard_sees_each_construct(source):
     assert "ldl" in set(_names(ast.parse(source))), source
 
 
+# the only functions whose EmbeddingMatrix._of is a tautology of the search
+TRUSTED_EMBEDDING_SITES = {"embeddings", "is_isometric_definite", "identity_embedding"}
+
+
+def _unchecked_embedding_sites(tree):
+    """The top-level definition enclosing each _of that is not Lattice._of
+    or BinaryForm._of, so EmbeddingMatrix._of under any name; "<module>"
+    outside a definition."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "_of"
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("Lattice", "BinaryForm"))):
+                yield getattr(top, "name", "<module>")
+
+
 def test_only_library_constructions_skip_validation():
     # Lattice._of and BinaryForm._of take their entries unchecked, so only
     # code that computes them from lattices and forms it holds may call
     # them; the CLI, the certificate reader and the scripts construct
-    # through the checking constructors
+    # through the checking constructors.  EmbeddingMatrix._of is narrower:
+    # only search hits, whose every Gram entry the search tested, skip the
+    # check, while lifted, inverted and certificate witnesses keep it
     root = Path(k3lat.__file__).parent
     paths = [*root.glob("*.py"), *root.parents[1].joinpath("scripts").glob("*.py")]
-    users = {path.name for path in paths
-             if "_of" in set(_names(ast.parse(path.read_text(encoding="utf-8"))))}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    users = {name for name, tree in trees.items() if "_of" in set(_names(tree))}
     assert users <= {"lattice.py", "forms.py", "enumeration.py"}, users
     assert {"lattice.py", "forms.py", "enumeration.py"} <= users, users
+    sites = {(name, site) for name, tree in trees.items()
+             for site in _unchecked_embedding_sites(tree)}
+    assert sites == {("enumeration.py", site) for site in TRUSTED_EMBEDDING_SITES}, sites
 
 
 @pytest.mark.parametrize("source", [
     "lat = Lattice._of(rows)", "of = BinaryForm._of", "from .lattice import _of as f",
-    "def _of(cls, rows): pass", "L = Lattice\nL._of(g)"])
+    "def _of(cls, rows): pass", "L = Lattice\nL._of(g)", "EmbeddingMatrix._of(s, t, c)"])
 def test_the_trusted_construction_guard_sees_each_construct(source):
     assert "_of" in set(_names(ast.parse(source))), source
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def f(s, t, c):\n    return EmbeddingMatrix._of(s, t, c)", ["f"]),
+    ("def f(hits):\n    return [EmbeddingMatrix._of(*h) for h in hits]", ["f"]),
+    ("E = EmbeddingMatrix\ndef g():\n    return E._of(s, t, c)", ["g"]),
+    ("w = EmbeddingMatrix._of(s, t, c)", ["<module>"]),
+    ("def f():\n    return Lattice._of(g), BinaryForm._of(1, 1, 1)", [])])
+def test_the_embedding_guard_names_the_enclosing_definition(source, sites):
+    assert list(_unchecked_embedding_sites(ast.parse(source))) == sites
 
 
 def test_enumeration_imports_no_fractions():
