@@ -5,16 +5,19 @@ Lattice holds, in integers alone (isqrt and floor division), and on a
 fixed-norm shell solves the last coordinate it fixes by an exact square test,
 so it is deterministic and never touches floating point or a Fraction: its
 Gram matrices and bounds are integers, and anything else is refused.
-A naive box scan is kept in the test suite as its oracle.  Isometries
-between block ternaries Q + (-k) come from one walk over the levels of the
-target (level_walk); indefinite_isometry_search answers any pair, completely
-for a definite pair and by a bounded search for an indefinite one.  A
-search hit is built unchecked, as the search tested its Gram matrix; lifted,
-inverted and read-back matrices are checked.
+Naive box scans in the test suite are its oracle and the indefinite scan's.
+Isometries between block ternaries Q + (-k) come from one walk over the
+levels of the target (level_walk), and indefinite_isometry_search answers
+any pair, completely if definite and by a bounded search if indefinite;
+both match a split-off norm-k vector by the reduced class of its
+complement (_split_matches).  A search hit is built unchecked, as the
+search tested its Gram matrix; lifted, inverted and read-back matrices are
+checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -226,53 +229,28 @@ class IsometrySearchResult:
 
 
 def _bounded_norm_vectors(lat: Lattice, norm: int, bound: int) -> list[Vector]:
-    """Vectors v with (v.v) = norm and |v_i| <= bound, any signature.
-
-    Scans all but the last coordinate and solves the remaining quadratic
-    exactly, so indefinite Gram matrices are fine.
-    """
-    n = lat.rank
+    """Vectors v with (v.v) = norm and |v_i| <= bound, in lexicographic order:
+    the scan runs over all but the last coordinate in that order and solves
+    the remaining quadratic exactly, roots ascending, for any signature."""
     g = lat.gram
+    a = g[-1][-1]
+    box = range(-bound, bound + 1)
     out = []
-
-    def rec(prefix: list[int]) -> None:
-        i = len(prefix)
-        if i == n - 1:
-            # g[n-1][n-1] t^2 + 2 s t + (q - norm) = 0 over the integers
-            a = g[n - 1][n - 1]
-            s = sum(g[n - 1][j] * prefix[j] for j in range(n - 1))
-            q = sum(prefix[j] * g[j][k] * prefix[k]
-                    for j in range(n - 1) for k in range(n - 1))
-            c = q - norm
-            if a == 0:
-                if s == 0:
-                    if c == 0:
-                        for t in range(-bound, bound + 1):
-                            out.append(tuple(prefix) + (t,))
-                elif (-c) % (2 * s) == 0:
-                    t = (-c) // (2 * s)
-                    if abs(t) <= bound:
-                        out.append(tuple(prefix) + (t,))
-                return
+    for prefix in itertools.product(box, repeat=lat.rank - 1):
+        # (w, s) = gram (prefix, 0), and a t^2 + 2 s t + c = 0 over the integers
+        *w, s = [sum(map(mul, row, prefix)) for row in g]
+        c = sum(map(mul, prefix, w)) - norm
+        if a:
             disc = s * s - a * c
-            if disc < 0:
-                return
-            r = math.isqrt(disc)
+            r = math.isqrt(max(disc, 0))
             if r * r != disc:
-                return
-            for num in sorted({-s + r, -s - r}):
-                if num % a == 0:
-                    t = num // a
-                    if abs(t) <= bound:
-                        out.append(tuple(prefix) + (t,))
-            return
-        for x in range(-bound, bound + 1):
-            prefix.append(x)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    out.sort()
+                continue
+            ts = sorted({num // a for num in (-s + r, -s - r) if num % a == 0})
+        elif s:
+            ts = [-c // (2 * s)] if c % (2 * s) == 0 else []
+        else:
+            ts = box if c == 0 else []
+        out.extend(prefix + (t,) for t in ts if abs(t) <= bound)
     return out
 
 
@@ -305,22 +283,6 @@ def _splits(lat: Lattice, us, k: int):
             yield u, comp, basis
 
 
-def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
-    """Witness for block sources (definite rank 2) + (k): pick a norm-k vector
-    u in l2 whose complement splits off integrally, then solve the remaining
-    definite rank-2 problem exactly."""
-    block = _block(l1)
-    if block is None or 0 not in block[0].signature():
-        return None
-    c1, k = block
-    for u, comp, basis in _splits(l2, _bounded_norm_vectors(l2, k, height_bound), k):
-        if comp.signature() == c1.signature():
-            w = is_isometric_definite(c1, comp)
-            if w is not None:
-                return _lift_split(l1, l2, basis, w, u)
-    return None
-
-
 def _lift_split(l1: Lattice, l2: Lattice, basis, w: EmbeddingMatrix,
                 u: Vector) -> EmbeddingMatrix:
     """The isometry l1 -> l2 of a block source (definite rank 2) + (k) that
@@ -329,6 +291,50 @@ def _lift_split(l1: Lattice, l2: Lattice, basis, w: EmbeddingMatrix,
     cols = tuple(tuple(sum(basis[r][t] * w.columns[i][r] for r in range(2))
                        for t in range(3)) for i in range(2))
     return EmbeddingMatrix(l1, l2, cols + (u,))
+
+
+def _reduced_class(q: Lattice) -> tuple[int, int, int]:
+    """Reduced form (doubled convention) of a definite rank-2 lattice, of
+    its twist by -1 if negative definite (a negative first entry)."""
+    if q.gram[0][0] < 0:
+        q = q.twist(-1)
+    return reduce_form(lattice_to_form(q))[0].as_tuple()
+
+
+def _split_matches(sources, target: Lattice, us, k: int):
+    """Isometries sources[j] -> target of blocks Q_j + (k), Q_j definite of
+    rank 2, sending the last basis vector to the first u in us (all of norm
+    k) that splits off (_splits) with u^perp isometric to Q_j; else None.
+    Definite binary lattices are isometric exactly when their reduced forms
+    agree up to the sign of b, so the unoriented class of u^perp names the
+    sources u reaches, and is_isometric_definite runs only on a hit.  A
+    mirror pair shares its hits, since is_isometric_definite also returns
+    improper isometries.  The match stops once every source has a witness.
+    """
+    blocks = [_block(lat)[0] for lat in sources]
+    open_by_class: dict[tuple[int, int, int], list[int]] = {}
+    for j, q in enumerate(blocks):
+        a, b, c = _reduced_class(q)
+        open_by_class.setdefault((a, abs(b), c), []).append(j)
+    witnesses: list[EmbeddingMatrix | None] = [None] * len(blocks)
+    for u, comp, basis in _splits(target, us, k):
+        a, b, c = _reduced_class(comp)
+        for j in open_by_class.pop((a, abs(b), c), ()):
+            w = is_isometric_definite(blocks[j], comp)
+            witnesses[j] = _lift_split(sources[j], target, basis, w, u)
+        if not open_by_class:
+            break
+    return tuple(witnesses)
+
+
+def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
+    """Witness for a block source l1 = Q + (k), Q definite of rank 2: the
+    level walk's matcher run on the norm-k vectors of l2 in the box."""
+    block = _block(l1)
+    if block is None or 0 not in block[0].signature():
+        return None
+    k = block[1]
+    return _split_matches([l1], l2, _bounded_norm_vectors(l2, k, height_bound), k)[0]
 
 
 def _invert_witness(w: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -367,17 +373,12 @@ def indefinite_isometry_search(l1: Lattice, l2: Lattice,
         return IsometrySearchResult(identity_embedding(l1), True)
     if 0 in sig:
         return IsometrySearchResult(is_isometric_definite(l1, l2), True)
-    witness = _box_witness(l1, l2, height_bound) or _split_witness(l1, l2, height_bound)
-    if witness is None:
-        rev = _box_witness(l2, l1, height_bound) or _split_witness(l2, l1, height_bound)
-        if rev is not None:
-            witness = _invert_witness(rev)
-    return IsometrySearchResult(witness, witness is not None)
-
-
-def _reduced_class(pos: Lattice) -> tuple[int, int, int]:
-    """Reduced form of a positive definite rank-2 lattice (doubled convention)."""
-    return reduce_form(lattice_to_form(pos))[0].as_tuple()
+    for a, b in ((l1, l2), (l2, l1)):
+        witness = _box_witness(a, b, height_bound) or _split_witness(a, b, height_bound)
+        if witness is not None:
+            return IsometrySearchResult(
+                witness if a is l1 else _invert_witness(witness), True)
+    return IsometrySearchResult(None, False)
 
 
 def level_walk(sources, target: Lattice,
@@ -386,16 +387,12 @@ def level_walk(sources, target: Lattice,
     one walk over the levels of target; None where no level reached one.
 
     An isometry onto target = Q_0 + (-k) sends the last basis vector to a
-    primitive u = (v, z) with u.u = -k, u^perp + Zu = target and
-    u^perp = Q_j.  As -u has the same complement and z = 0 would need
-    v.v = -k < 0, the walk takes z = 1, ..., height_bound and lets v run over
-    the vectors of Q_0-norm k(z^2 - 1); the reduced class of u^perp names the
-    sources u reaches.  A mirror pair shares its hits, since
-    is_isometric_definite also returns improper isometries.  The walk stops
-    once every source has a witness.  It takes every u with |z| up to the
-    bound, so it reaches whatever the forward box search of
-    indefinite_isometry_search reaches at the same bound.  height_bound must
-    be an int of at least 1.
+    primitive u = (v, z) with u.u = -k.  As -u has the same complement and
+    z = 0 would need v.v = -k < 0, the walk takes z = 1, ..., height_bound,
+    lets v run over the vectors of Q_0-norm k(z^2 - 1) and matches each u
+    (_split_matches).  It takes every u with |z| up to the bound, so it
+    reaches whatever the forward box search of indefinite_isometry_search
+    reaches at the same bound.  height_bound must be an int of at least 1.
     """
     height_bound = _height_bound(height_bound)
     k = -target.gram[-1][-1]
@@ -404,22 +401,9 @@ def level_walk(sources, target: Lattice,
                      for b in blocks):
         raise EnumerationError(
             "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
-    q0, *blocks = [q for q, _ in blocks]
-    open_by_class: dict[tuple[int, int, int], list[int]] = {}
-    for j, q in enumerate(blocks):
-        a, b, c = _reduced_class(q)
-        open_by_class.setdefault((a, abs(b), c), []).append(j)
-    witnesses: list[EmbeddingMatrix | None] = [None] * len(blocks)
     us = (v + (z,) for z in range(1, height_bound + 1)
-          for v in vectors_of_norm(q0, k * (z * z - 1)))
-    for u, comp, basis in _splits(target, us, -k):
-        a, b, c = _reduced_class(comp)
-        for j in open_by_class.pop((a, abs(b), c), ()):
-            w = is_isometric_definite(blocks[j], comp)
-            witnesses[j] = _lift_split(sources[j], target, basis, w, u)
-        if not open_by_class:
-            break
-    return tuple(witnesses)
+          for v in vectors_of_norm(blocks[0][0], k * (z * z - 1)))
+    return _split_matches(sources, target, us, -k)
 
 
 @dataclass(frozen=True)
@@ -465,6 +449,6 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     if comp.rank == 1:
         cls: tuple[int, ...] = (-comp.gram[0][0],)
     else:
-        cls = _reduced_class(comp.twist(-1))
+        cls = _reduced_class(comp)
     return OrbitInvariant(nrm, lat.discriminant_group(),
                           comp.discriminant_group(), cls)

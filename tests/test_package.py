@@ -169,3 +169,35 @@ def test_enumeration_imports_no_fractions():
     "def f():\n    from fractions import Fraction"])
 def test_the_fractions_guard_sees_each_construct(source):
     assert "fractions" in set(_names(ast.parse(source))), source
+
+
+def _callers(tree, callee):
+    """The top-level definitions that call callee by name ("<module>" for a
+    call outside a definition), each once."""
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == callee}
+
+
+def test_one_split_matcher():
+    # the census walk and the split strategy of the isometry search share
+    # one split-and-match step, and only it runs the definite test on a split
+    path = Path(k3lat.__file__).with_name("enumeration.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for callee in ("_splits", "_lift_split"):
+        assert len(_callers(tree, callee)) == 1, (callee, _callers(tree, callee))
+    assert _callers(tree, "_splits") == _callers(tree, "_lift_split")
+    assert "_split_witness" not in _callers(tree, "is_isometric_definite")
+
+
+@pytest.mark.parametrize("source, callers", [
+    ("def f(l, us, k):\n    return list(_splits(l, us, k))", {"f"}),
+    ("def f(xs):\n    return [_splits(*x) for x in xs]", {"f"}),
+    ("def f():\n    def g():\n        return _splits()\n    return g", {"f"}),
+    ("def f():\n    _splits()\ndef g():\n    _splits()", {"f", "g"}),
+    ("class C:\n    def m(self):\n        return _splits()", {"C"}),
+    ("x = _splits(l, us, k)", {"<module>"}),
+    ("def f():\n    return splits(), self._splits", set())])
+def test_the_matcher_guard_names_each_caller(source, callers):
+    assert _callers(ast.parse(source), "_splits") == callers
