@@ -53,7 +53,7 @@ def parse_gram(text: str) -> Lattice:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 rows = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: over-nested JSON
             raise InputError(f"cannot read Gram matrix file: {exc}") from exc
     else:
         try:
@@ -141,7 +141,8 @@ def _cache_get(cache_dir: str | None, key: dict):
             return doc["result"]
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, AttributeError, KeyError):  # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8; RecursionError: over-nested JSON
+    except (OSError, ValueError, RecursionError, AttributeError, KeyError):
         pass
     print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
     return None

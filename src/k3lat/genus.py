@@ -64,16 +64,18 @@ def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     """Split a nondegenerate Gram matrix over Z_p into 1x1 and 2x2 pieces.
 
     Returns one record [dim, unit, odd, oddity] per Jordan constituent, by
-    scale, filled as each piece splits off: a 1x1 piece u * p^scale, or (at
-    p = 2 only) an even unimodular 2x2 piece of determinant unit u scaled by
-    2^scale.  dim counts the rank, unit is the product of the u mod p (mod 8
-    at p = 2), odd records whether a 1x1 piece occurred and oddity sums the
-    1x1 units mod 8.  The block still to split is a/den with a an integer
-    matrix and den an integer prime to p, so valuations are read off a.  A
-    step on a pivot p^v w/den divides exactly by p^v (p^2v for a 2x2 piece)
-    and multiplies den by w.  A 1x1 unit is taken as an integer in its
-    square class (w*den for w/den), which keeps its Legendre symbol and, as
-    odd squares are 1 mod 8, its residue mod 8.
+    scale, filled as each piece splits off: a 1x1 piece u * p^scale, or a
+    2x2 piece p^scale times a unimodular block of determinant unit u.  dim
+    counts the rank, unit is the product of the u mod p (mod 8 at p = 2),
+    odd records whether a 1x1 piece occurred and oddity sums the 1x1 units
+    mod 8.  The block still to split is a/den with a an integer matrix and
+    den an integer prime to p, so valuations are read off a.  The pivot is an
+    entry of least valuation v, diagonal if possible; else both diagonal
+    entries of its 2x2 block B lie deeper, so det B has valuation exactly 2v,
+    at p = 2 as at odd p.  A step divides exactly by p^(v*dim), multiplies
+    den by w = det B / p^(v*dim) and takes u = w * den^dim, an integer in the
+    unit's square class, which keeps its Legendre symbol and, as odd squares
+    are 1 mod 8, its residue mod 8.
     """
     mod = 8 if p == 2 else p
     a = [list(row) for row in gram]
@@ -82,63 +84,36 @@ def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     records: dict[int, list] = {}
 
     while idx:
-        best_v = None
-        best = None
-        for i in idx:
-            for j in idx:
-                if j < i or a[i][j] == 0:
-                    continue
-                v = _valuation(a[i][j], p)
-                if best_v is None or v < best_v:
-                    best_v, best = v, (i, j)
-        if best is None:
-            raise GenusError("degenerate Gram matrix")
-        gi, gj = best
-        diag = [i for i in idx if a[i][i] != 0 and _valuation(a[i][i], p) == best_v]
-        if not diag and p != 2:
-            # off-diagonal minimum at an odd prime: adding row and column gj
-            # to gi makes a diagonal entry 2*a_ij + higher, of minimal
-            # valuation, because 2 is a unit
-            for k in idx:
-                a[gi][k] += a[gj][k]
-            for k in idx:
-                a[k][gi] += a[k][gj]
-            diag = [gi]
-        pv = p ** best_v
-        rec = records.setdefault(best_v, [0, 1, False, 0])
-        if diag:
-            gi = diag[0]
-            w = a[gi][gi] // pv
-            u = w * den
-            rec[0] += 1
-            rec[1] = rec[1] * u % mod
+        v, off, i, j = min((_valuation(a[r][s], p), r != s, r, s)
+                           for r in idx for s in idx if s >= r and a[r][s])
+        dim = 1 + off
+        pv = p ** (v * dim)
+        b11, b12, b22 = a[i][i], a[i][j], a[j][j]
+        if off:
+            w = (b11 * b22 - b12 * b12) // pv
+            c11, c12, c22 = b22, -b12, b11
+        else:
+            # adj([b11]) = [1], padded to 2x2 as i == j
+            w = b11 // pv
+            c11, c12, c22 = 1, 0, 0
+        u = w * den ** dim
+        rec = records.setdefault(v, [0, 1, False, 0])
+        rec[0] += dim
+        rec[1] = rec[1] * u % mod
+        if not off:
             rec[2] = True
             rec[3] = (rec[3] + u) % 8
-            rest = [i for i in idx if i != gi]
-            col = {r: a[r][gi] for r in rest}
-            for r in rest:
-                for s in rest:
-                    a[r][s] = a[r][s] * w - col[r] // pv * col[s]
-            den *= w
-            idx.remove(gi)
-            continue
-        # p = 2 with the minimum strictly off the diagonal: an even
-        # unimodular 2x2 block scaled by 2^best_v splits off
-        b11, b12, b22 = a[gi][gi], a[gi][gj], a[gj][gj]
-        w = (b11 * b22 - b12 * b12) // (pv * pv)
-        rec[0] += 2
-        rec[1] = rec[1] * w % 8
-        rest = [i for i in idx if i not in (gi, gj)]
-        pr = {r: a[r][gi] for r in rest}
-        qr = {r: a[r][gj] for r in rest}
-        for r in rest:
-            for s in rest:
-                num = (pr[r] * b22 * pr[s] - pr[r] * b12 * qr[s]
-                       - qr[r] * b12 * pr[s] + qr[r] * b11 * qr[s])
-                a[r][s] = a[r][s] * w - num // (pv * pv)
+        idx = [r for r in idx if r != i and r != j]
+        # the rest becomes its Schur complement times w: a_rs * w minus
+        # x_r^T adj(B) x_s / p^(v*dim) with x_s = (a_si, a_sj), where
+        # adj(B) x_s / p^(v*dim) is integral as every entry has valuation >= v
+        z = [((c11 * a[s][i] + c12 * a[s][j]) // pv, (c12 * a[s][i] + c22 * a[s][j]) // pv)
+             for s in idx]
+        for r in idx:
+            y, t = a[r][i], a[r][j]
+            for s, (m, n) in zip(idx, z):
+                a[r][s] = a[r][s] * w - y * m - t * n
         den *= w
-        idx.remove(gj)
-        idx.remove(gi)
     return records
 
 

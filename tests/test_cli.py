@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from k3lat.arith import PRIME_BOUND, DomainError, is_prime
 from k3lat.cli import COMMANDS, CommandResult, build_parser, main, parse_gram, run
 
+# deeper than the json decoder's recursion limit
+DEEP_JSON = b"[" * 10_000 + b"]" * 10_000
+
 
 def run_json(argv):
     res = run(argv + ["--json"])
@@ -48,11 +51,13 @@ class TestParsing:
         assert payload["status"] == "input-error"
         assert "integers" in payload["error"] or "rows" in payload["error"]
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe[[2]]", DEEP_JSON],
+                             ids=["not-utf8", "over-nested"])
     @pytest.mark.parametrize("mode", ["--json", "human"])
-    def test_gram_file_that_is_not_utf8_exits_two_with_envelope(self, mode, tmp_path,
+    def test_gram_file_that_is_not_utf8_exits_two_with_envelope(self, mode, data, tmp_path,
                                                                 capsys):
         path = tmp_path / "g.json"
-        path.write_bytes(b"\xff\xfe[[2]]")
+        path.write_bytes(data)
         argv = ["lattice", "signature", "--gram", f"@{path}"]
         with pytest.raises(SystemExit) as exc:
             main(argv + ([mode] if mode == "--json" else []))
@@ -385,7 +390,8 @@ class TestDeterminismAndCache:
     @pytest.mark.parametrize("entry", [
         b"[]", b'"x"', b"\xff\xfe{",
         b'{"schema": "k3lat/1", "key": {"D": -23, "op": "classgroup"}, "result": [1, 2]}',
-    ], ids=["list", "string", "not-utf8", "list-result"])
+        DEEP_JSON,
+    ], ids=["list", "string", "not-utf8", "list-result", "over-nested"])
     @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "human"])
     def test_non_object_cache_entry_is_corrupt(self, entry, mode, tmp_path, capsys):
         argv = ["qform", "classgroup", "-D", "-23", *mode, "--cache-dir", str(tmp_path)]

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ import pytest
 from sympy import legendre_symbol, primefactors
 
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
-from k3lat.genus import GenusError, padic_symbol, same_genus
+from k3lat.genus import GenusBlock, GenusError, GenusSymbol, padic_symbol, same_genus
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, discriminant_form_counts, random_nondegenerate,
                   random_unimodular)
@@ -103,6 +104,36 @@ class TestPadicSymbol:
                 if p != 2:
                     assert (math.prod(b.sign for b in blocks)
                             == legendre_symbol(unit % p, p)), (lat, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_odd_pieces_with_known_symbols(self, p, rng):
+        # orthogonal sums of p^s * u and p^s * [[p a, b], [b, p c]] with p
+        # dividing neither u nor b: the 2x2 block has its least valuation off
+        # the diagonal and is p^s times a unimodular form of determinant
+        # -b^2 mod p, so its sign is (-1/p)
+        minus_one = 1 if p % 4 == 1 else -1
+        units = [x for x in range(-2 * p, 2 * p) if x % p]
+        for _ in range(40):
+            pieces, expected = [], {}  # scale -> [dim, sign]
+            for _ in range(rng.randint(1, 4)):
+                s, u = rng.randint(0, 2), rng.choice(units)
+                block = expected.setdefault(s, [0, 1])
+                if rng.random() < 0.4:
+                    pieces.append(Lattice([[u]]).twist(p ** s))
+                    block[0] += 1
+                    block[1] *= legendre_symbol(u % p, p)
+                else:
+                    a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+                    pieces.append(Lattice([[p * a, u], [u, p * c]]).twist(p ** s))
+                    block[0] += 2
+                    block[1] *= minus_one
+            lat = functools.reduce(Lattice.direct_sum, pieces)
+            want = GenusSymbol(p, tuple(GenusBlock(s, dim, sign)
+                                        for s, (dim, sign) in sorted(expected.items())))
+            assert padic_symbol(lat, p) == want, lat
+            if lat.rank > 1:
+                other = change_basis(lat, random_unimodular(lat.rank, rng))
+                assert padic_symbol(other, p) == want, other
 
 
 class TestCanonical2adic:

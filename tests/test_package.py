@@ -201,3 +201,44 @@ def test_one_split_matcher():
     ("def f():\n    return splits(), self._splits", set())])
 def test_the_matcher_guard_names_each_caller(source, callers):
     assert _callers(ast.parse(source), "_splits") == callers
+
+
+def _entry_writes(tree):
+    """(kind, loops) for each write to a matrix entry m[r][s] in tree: kind
+    is "Assign" or "AugAssign", loops the number of for loops around it."""
+    writes = []
+
+    def visit(node, loops):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Subscript):
+                        writes.append((type(node).__name__, loops))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops + isinstance(node, ast.For))
+
+    visit(tree, 0)
+    return writes
+
+
+def test_one_jordan_split_step():
+    # the Jordan split takes one Schur-complement step at every prime, with
+    # no row/column fold: one entry write, in the update's nested loops
+    path = Path(k3lat.__file__).with_name("genus.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (split,) = [node for node in tree.body
+                if getattr(node, "name", None) == "_jordan_decomposition"]
+    writes = _entry_writes(split)
+    assert sum(kind == "Assign" and loops >= 2 for kind, loops in writes) == 1, writes
+    assert all(kind == "Assign" for kind, _ in writes), writes
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("for r in a:\n    for s in a:\n        a[r][s] = 0", [("Assign", 2)]),
+    ("while a:\n    for k in a:\n        a[i][k] += a[j][k]", [("AugAssign", 1)]),
+    ("a[0][0], a[1][1] = 1, 2", [("Assign", 0), ("Assign", 0)]),
+    ("for r in a:\n    a[r] = [0]\n    row[r] = a[r][r]", []),
+    ("def f():\n    for r in a:\n        a[r][r] -= 1", [("AugAssign", 1)])])
+def test_the_split_guard_sees_each_entry_write(source, writes):
+    assert _entry_writes(ast.parse(source)) == writes
