@@ -12,13 +12,14 @@ _EXPORTS = {
     "arith": "DomainError",
     "census": "MinusTwoResult TwistorCount UnboundedFamilyCertificate build_unbounded_family"
               " certificate_from_json certificate_to_json count_integral_twistor_classes"
-              " fm_partner_count has_minus_two_class tau verify_certificate write_certificate",
+              " has_minus_two_class verify_certificate write_certificate",
     "cm": "CMElement CMField PeriodEmbedding PeriodVector enumerate_bounded_integers"
-          " enumerate_period_embeddings is_root_of_unity max_root_of_unity_order"
-          " pairing_sigma_sigmabar solve_lambda twistor_fiber_bound verify_norm_equation",
+          " enumerate_period_embeddings is_root_of_unity pairing_sigma_sigmabar"
+          " solve_lambda verify_norm_equation",
     "enumeration": "EmbeddingMatrix IsometrySearchResult OrbitInvariant embeddings"
                    " indefinite_isometry_search is_isometric_definite orbit_invariant"
                    " vectors_of_norm",
+    "formulas": "fm_partner_count max_root_of_unity_order tau twistor_fiber_bound",
     "forms": "BinaryForm FormClassGroup class_group compose dirichlet_class_number"
              " form_to_lattice is_equivalent reduce_form verify_principal_genus",
     "genus": "GenusBlock GenusSymbol padic_symbol same_genus",

@@ -1,16 +1,30 @@
-"""Proven integer arithmetic: primality, factorization, Euler's phi.
+"""Proven integer arithmetic: primality, factorization, Euler's phi; and
+Record, the immutable value every other module builds its results from.
 
 Miller-Rabin with the prime bases 2..41 is proven below PRIME_BOUND
 (Sorenson and Webster, Math. Comp. 86 (2017)); factor certifies every factor
 with it.  At or beyond the bound both raise RangeError, never guess.
 """
 
+import itertools
 import math
 import operator
 
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_TRIAL = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+QUOTE_LIMIT = 200  # characters of an offending input that an error message quotes
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+_TRIAL = _primes_below(1000)
 
 
 class DomainError(ValueError):
@@ -33,7 +47,16 @@ def integers(xs, error: type[DomainError] = DomainError) -> tuple[int, ...]:
             raise TypeError
         return tuple(map(operator.index, out))
     except TypeError:
-        raise error(f"entries must be integers, got {xs!r}") from None
+        raise error(f"entries must be integers, got {quoted(xs)}") from None
+
+
+def quoted(x) -> str:
+    """repr(x) cut after QUOTE_LIMIT characters, for an error message."""
+    try:
+        text = repr(x)
+    except RecursionError:
+        text = f"<{type(x).__name__} nested too deep to print>"
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 def _check(n: int) -> int:
@@ -129,3 +152,55 @@ def totient(n: int) -> int:
 
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factor(n).values())
+
+
+# a frozen dataclass's __init__, __eq__ and __hash__.  __init__ stores through
+# __s = object.__setattr__, which keeps CPython's fast attribute reads (a write
+# through self.__dict__ would not); no field is named __s, as a class body
+# mangles that name
+_RECORD_METHODS = """\
+def __init__(self{params}):
+{stores}{post}    pass
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class Record:
+    """An immutable value with the contract of a frozen dataclass, without
+    the dataclasses import.  The annotated names are the fields, class
+    attributes their defaults; __init__ (unless the class writes one) sets
+    them and runs __post_init__, if any.  Equality (with the same class
+    only), hash and repr are the dataclass's; assignment and deletion raise
+    AttributeError.  A __dict__ remains, for cached_property and _of."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = vars(cls)
+        cls._fields = names = tuple(own.get("__annotations__", ()))
+        mine = "".join(f"self.{n}, " for n in names)
+        ns = {"__s": object.__setattr__, **{f"__default_{n}": own[n] for n in names if n in own}}
+        exec(_RECORD_METHODS.format(
+            params="".join(f", {n}=__default_{n}" if n in own else f", {n}" for n in names),
+            stores="".join(f"    __s(self, {n!r}, {n})\n" for n in names),
+            post="    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "",
+            mine=mine, theirs=mine.replace("self.", "other.")), ns)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in own:
+                setattr(cls, name, ns[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -16,40 +16,17 @@ carry both counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
                           orbit_invariant, vectors_of_norm, _bounded_norm_vectors)
 from .forms import BinaryForm, class_group, form_to_lattice
+from .formulas import CensusError, fm_partner_count, tau  # the last two re-exported
 from .genus import same_genus
 from .lattice import Lattice, Vector, _gram_json, _integers
 
 
-class CensusError(arith.DomainError):
-    """A census precondition failed or a certificate could not be assembled."""
-
-
-def tau(d: int) -> int:
-    """Number of distinct primes dividing d/2, for even d > 0."""
-    (d,) = _integers((d,))
-    if d <= 0 or d % 2 != 0:
-        raise CensusError("d must be a positive even integer")
-    return len(arith.factor(d // 2))
-
-
-def fm_partner_count(d: int) -> int:
-    """Generic Fourier-Mukai partner count 2^(tau(d)-1) in degree d.
-
-    The formula has no meaning at tau(d) = 0 (degree 2), where the generic
-    surface is its own unique partner, so the count is clamped to 1 there.
-    """
-    t = tau(d)
-    return 1 if t == 0 else 2 ** (t - 1)
-
-
-@dataclass(frozen=True)
-class TwistorCount:
+class TwistorCount(arith.Record):
     count: int
     representatives: tuple[Vector, ...]
 
@@ -73,8 +50,7 @@ def count_integral_twistor_classes(pos: Lattice, d: int) -> TwistorCount:
     return TwistorCount(len(reps), reps)
 
 
-@dataclass(frozen=True)
-class MinusTwoResult:
+class MinusTwoResult(arith.Record):
     """Outcome of a (-2)-class check.
 
     certified is True when the answer is proven (by the mod-4 congruence,
@@ -110,8 +86,7 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     return MinusTwoResult(False, False)
 
 
-@dataclass(frozen=True)
-class UnboundedFamilyCertificate:
+class UnboundedFamilyCertificate(arith.Record):
     """Certified degree-4*d0 family with h(-p) distinct oriented complement
     classes inside one rank-3 ambient lattice free of (-2)-classes.
 

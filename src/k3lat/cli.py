@@ -8,8 +8,8 @@ prints the command list.  Each handler imports only the modules its command
 uses, and a memoized command imports its compute modules only on a cache
 miss; the floor of every call is arith, lattice and linalg, without
 dataclasses or fractions (parse_element imports Fraction where it builds
-one).  A DomainError from a computation is exit code 1, an InputError exit
-code 2."""
+one), and k3 fm-count and cm bound add only formulas.  A DomainError from a
+computation is exit code 1, an InputError exit code 2."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import tempfile
 import time
 
 from . import SCHEMA
-from .arith import DomainError
+from .arith import DomainError, quoted
 from .lattice import Lattice, LatticeError, _gram_json
 
 CACHE_ENV = "K3LAT_CACHE_DIR"
@@ -59,7 +59,7 @@ def parse_gram(text: str) -> Lattice:
         try:
             rows = [[int(x) for x in row.split(",")] for row in text.split(";")]
         except ValueError as exc:
-            raise InputError(f"bad Gram matrix {text!r}") from exc
+            raise InputError(f"bad Gram matrix {quoted(text)}") from exc
     try:
         return Lattice(rows)
     except LatticeError as exc:
@@ -70,18 +70,18 @@ def parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise InputError(f"bad vector {text!r}") from exc
+        raise InputError(f"bad vector {quoted(text)}") from exc
 
 
 def parse_form(text: str):
     from . import forms
     parts = text.split(",")
     if len(parts) != 3:
-        raise InputError(f"a form needs three coefficients, got {text!r}")
+        raise InputError(f"a form needs three coefficients, got {quoted(text)}")
     try:
         return forms.BinaryForm(*(int(x) for x in parts))
     except ValueError as exc:
-        raise InputError(f"bad form {text!r}") from exc
+        raise InputError(f"bad form {quoted(text)}") from exc
 
 
 def parse_element(text: str, field):
@@ -89,7 +89,7 @@ def parse_element(text: str, field):
     try:
         return field.element([Fraction(x) for x in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad field element {text!r}: {exc}") from exc
+        raise InputError(f"bad field element {quoted(text)}: {exc}") from exc
 
 
 def parse_mu(text: str, field) -> tuple:
@@ -333,9 +333,9 @@ def _cmd_k3_unbounded(args):
 
 @command("k3 fm-count", _DEGREE)
 def _cmd_k3_fm_count(args):
-    from . import census
-    return {"d": args.degree, "tau": census.tau(args.degree),
-            "count": census.fm_partner_count(args.degree)}
+    from . import formulas
+    return {"d": args.degree, "tau": formulas.tau(args.degree),
+            "count": formulas.fm_partner_count(args.degree)}
 
 
 @command("k3 twistor-count", _GRAM, _DEGREE)
@@ -382,11 +382,11 @@ def _cmd_cm_fibers(args):
 
 @command("cm bound", arg("--degree", type=int, required=True), arg("--roots", type=int))
 def _cmd_cm_bound(args):
-    from . import cm
+    from . import formulas
     result = {"degree": args.degree,
-              "bound": cm.twistor_fiber_bound(args.degree, args.roots)}
+              "bound": formulas.twistor_fiber_bound(args.degree, args.roots)}
     if args.roots is None:
-        result["max_order"] = cm.max_root_of_unity_order(args.degree)
+        result["max_order"] = formulas.max_root_of_unity_order(args.degree)
     return result
 
 

@@ -16,7 +16,6 @@ positivity test is the LDL^T signature of such a trace form, Tr(y x conj(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -24,12 +23,9 @@ from operator import mul
 from . import arith
 from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
                           vectors_of_norm)
+from .formulas import CMError, max_root_of_unity_order, twistor_fiber_bound  # the last re-exported
 from .lattice import Lattice
 from .linalg import inverse, rank, solve
-
-
-class CMError(arith.DomainError):
-    """A CM-field or period precondition was violated."""
 
 
 def _rationals(xs) -> tuple[Fraction, ...]:
@@ -39,7 +35,7 @@ def _rationals(xs) -> tuple[Fraction, ...]:
     if all(type(x) is Fraction for x in out):
         return out
     if not all(type(x) in (int, Fraction) for x in out):
-        raise CMError(f"entries must be integers or Fractions, got {out!r}")
+        raise CMError(f"entries must be integers or Fractions, got {arith.quoted(out)}")
     return tuple(map(Fraction, out))
 
 
@@ -113,8 +109,7 @@ def _is_irreducible(mp: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CMField:
+class CMField(arith.Record):
     """Totally imaginary field of degree 2 or 4 with a designated conjugation."""
 
     min_poly: tuple[int, ...]          # ascending coefficients, monic
@@ -275,8 +270,7 @@ class CMField:
         return sorted(roots, key=lambda x: x.coords)
 
 
-@dataclass(frozen=True)
-class CMElement:
+class CMElement(arith.Record):
     field: CMField
     coords: tuple[Fraction, ...]
 
@@ -382,21 +376,6 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
                   key=lambda x: x.coords)
 
 
-def max_root_of_unity_order(degree: int) -> int:
-    """Largest m with phi(m) <= degree; phi(m) >= sqrt(m/2) bounds the scan,
-    and one sieve gives every phi(m) up to that bound."""
-    (degree,) = arith.integers((degree,), CMError)
-    if degree < 1:
-        raise CMError("degree must be positive")
-    limit = 2 * degree * degree + 2
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # untouched, so p is prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return max(m for m in range(1, limit + 1) if phi[m] <= degree)
-
-
 def is_root_of_unity(x: CMElement) -> int | None:
     """Least m with x^m = 1, or None.
 
@@ -417,31 +396,12 @@ def is_root_of_unity(x: CMElement) -> int | None:
     return None
 
 
-def twistor_fiber_bound(field_degree: int, roots_of_unity: int | None = None) -> int:
-    """Upper bound for the number of twistor fibres isomorphic to the base.
-
-    Twice the number of roots of unity when that count is known, else twice
-    the largest possible order of a root of unity in a field of the given
-    degree.  Transcendental ranks above 21 cannot occur.
-    """
-    (field_degree,) = arith.integers((field_degree,), CMError)
-    if not 1 <= field_degree <= 21:
-        raise CMError("field degree must be between 1 and 21")
-    if roots_of_unity is not None:
-        (roots_of_unity,) = arith.integers((roots_of_unity,), CMError)
-        if roots_of_unity < 1:
-            raise CMError("root-of-unity count must be positive")
-        return 2 * roots_of_unity
-    return 2 * max_root_of_unity_order(field_degree)
-
-
 def _combine(coeffs, elems) -> CMElement:
     """Sum of c * x over the pairs whose integer coefficient c is nonzero."""
     return sum((x * c for c, x in zip(coeffs, elems) if c), elems[0].field.zero())
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(arith.Record):
     """Isotropic positive class sigma = sum mu_i gamma_i defining a weight-two
     Hodge structure on the lattice, with exact CM-field coordinates.  It keeps
     mubar, (sigma.sigmabar) and the frame (i, j, 1 / (mu_i mubar_j - mu_j
@@ -618,8 +578,7 @@ def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
             + nu * nu.conjugate() * d) == ssb
 
 
-@dataclass(frozen=True)
-class PeriodEmbedding:
+class PeriodEmbedding(arith.Record):
     embedding: EmbeddingMatrix
     lam: CMElement
     lam_prime: CMElement

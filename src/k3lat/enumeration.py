@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
 
-from .arith import DomainError, integers
+from .arith import DomainError, Record, integers
 from .forms import lattice_to_form, reduce_form
 from .lattice import Lattice, Vector
 from .linalg import inverse, smith_invariants
@@ -101,8 +100,7 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     return _lattice_points(lat, n, shell=True)
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
+class EmbeddingMatrix(Record):
     """Integer matrix realizing an isometric embedding source -> target.
 
     columns[i] holds the target coordinates of the i-th source basis vector;
@@ -212,8 +210,7 @@ def is_isometric_definite(l1: Lattice, l2: Lattice):
     return None if cols is None else EmbeddingMatrix._of(l1, l2, cols)
 
 
-@dataclass(frozen=True)
-class IsometrySearchResult:
+class IsometrySearchResult(Record):
     """Outcome of a bounded indefinite isometry search.
 
     conclusive is True when either a witness was found or the invariants
@@ -406,8 +403,7 @@ def level_walk(sources, target: Lattice,
     return _split_matches(sources, target, us, -k)
 
 
-@dataclass(frozen=True)
-class OrbitInvariant:
+class OrbitInvariant(Record):
     """Orbit record of a positive-norm primitive vector: its square, the
     ambient discriminant group, and the discriminant group and reduced form
     class of the definite complement (a single entry when rank 1).

@@ -9,7 +9,6 @@ coefficients where they enter; forms computed from checked ints use _of.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import arith
 from .lattice import Lattice, _integers
@@ -24,8 +23,7 @@ class FormError(arith.DomainError):
     """A precondition on a binary quadratic form was violated."""
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(arith.Record):
     a: int
     b: int
     c: int
@@ -146,8 +144,7 @@ def is_equivalent(f: BinaryForm, g: BinaryForm):
     return v
 
 
-@dataclass(frozen=True)
-class FormClassGroup:
+class FormClassGroup(arith.Record):
     """All reduced primitive positive definite forms of one discriminant."""
 
     discriminant: int

@@ -14,8 +14,6 @@ carries each constituent from the Jordan split to the symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import arith
 from .lattice import Lattice, LatticeError, _integers
 
@@ -24,8 +22,7 @@ class GenusError(arith.DomainError):
     """A precondition of a genus computation was violated."""
 
 
-@dataclass(frozen=True)
-class GenusBlock:
+class GenusBlock(arith.Record):
     scale: int
     dim: int
     sign: int
@@ -37,8 +34,7 @@ class GenusBlock:
                 "type": self.type, "oddity": self.oddity}
 
 
-@dataclass(frozen=True)
-class GenusSymbol:
+class GenusSymbol(arith.Record):
     prime: int
     blocks: tuple[GenusBlock, ...]
 

@@ -8,8 +8,8 @@ genus.same_genus compares at most once, and keeps them on the object; a
 memo write stores the one value the Gram matrix determines, so concurrent
 use stays safe.  Lattice(...) checks each Gram matrix where it enters; the
 lattices built from checked ones (sums, twists, complements) use Lattice._of.
-Lattice is a plain class that compares and hashes as a frozen dataclass
-would, so this module, on the path of every CLI call with linalg and arith,
+Lattice is an arith.Record, an immutable value equal and hashed by its Gram
+matrix; this module, on the path of every CLI call with linalg and arith,
 imports neither dataclasses nor fractions.
 """
 
@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .arith import DomainError, integers
+from .arith import DomainError, Record, integers
 from .linalg import Vector
 
 
@@ -33,7 +33,7 @@ def _integers(xs) -> Vector:
     return integers(xs, LatticeError)
 
 
-class Lattice:
+class Lattice(Record):
     """Free Z-module of finite rank with pairing (v.w) = v^T gram w; an
     immutable value, equal and hashed by its Gram matrix."""
 
@@ -58,20 +58,6 @@ class Lattice:
         lat = object.__new__(cls)
         object.__setattr__(lat, "gram", tuple(map(tuple, rows)))
         return lat
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gram == other.gram
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gram,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rank(self) -> int:

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
-from sympy import factorint, isprime, nextprime, prevprime, totient
+from sympy import factorint, isprime, nextprime, prevprime, primerange, totient
 from sympy.ntheory.primetest import mr
 
-from k3lat import arith
+from k3lat import arith, census, cm, enumeration, forms, genus
+from k3lat.lattice import Lattice
 
 # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 (Jaeschke 1993;
 # Sorenson and Webster 2017)
@@ -91,3 +94,109 @@ def test_range_error_at_the_proven_bound():
     assert arith.factor(bound - 1) == factorint(bound - 1)
     assert arith.factor(1 - bound) == factorint(1 - bound)
     assert arith.is_prime(prevprime(bound))
+
+
+def test_trial_primes_are_the_primes_below_1000():
+    assert arith._TRIAL == tuple(primerange(2, 1000))
+
+
+@pytest.mark.parametrize("value, text", [
+    (["x"], "['x']"), ("x" * 200, repr("x" * 200)[:200] + "..."),
+    (list(range(100)), repr(list(range(100)))[:200] + "...")],
+    ids=["short", "long-string", "long-list"])
+def test_quoted_cuts_after_the_limit(value, text):
+    assert arith.quoted(value) == text
+    assert len(arith.quoted(value)) <= arith.QUOTE_LIMIT + 3
+
+
+def test_quoted_names_a_value_too_deep_to_print():
+    deep = []
+    for _ in range(10 ** 5):
+        deep = [deep]
+    assert arith.quoted(deep) == "<list nested too deep to print>"
+
+
+# -- Record: the frozen-dataclass contract --------------------------------------
+
+A2 = Lattice([[2, 1], [1, 2]])
+EISEN = cm.CMField.imaginary_quadratic(3)
+PERIOD = cm.PeriodVector(Lattice([[2, -1], [-1, 2]]),
+                         (EISEN.one(), EISEN.element((Fraction(1, 2), Fraction(1, 2)))))
+T23 = forms.form_to_lattice(forms.BinaryForm(2, 1, 3)).direct_sum(Lattice([[-1]]))
+
+# one instance of every record class, with its field names as the frozen
+# dataclass it replaces declared them
+RECORDS = {
+    "Lattice": (lambda: A2, "gram"),
+    "BinaryForm": (lambda: forms.BinaryForm(2, 1, 3), "a b c"),
+    "FormClassGroup": (lambda: forms.class_group(-23), "discriminant elements"),
+    "GenusBlock": (lambda: genus.padic_symbol(T23, 2).blocks[0],
+                   "scale dim sign type oddity"),
+    "GenusSymbol": (lambda: genus.padic_symbol(T23, 23), "prime blocks"),
+    "EmbeddingMatrix": (lambda: enumeration.embeddings(A2, A2)[0], "source target columns"),
+    "IsometrySearchResult": (
+        lambda: enumeration.indefinite_isometry_search(T23, T23, 3), "witness conclusive"),
+    "OrbitInvariant": (lambda: enumeration.orbit_invariant(T23.twist(-4), (0, 0, 1)),
+                       "norm ambient_disc complement_disc complement_class"),
+    "TwistorCount": (lambda: census.count_integral_twistor_classes(A2, 2),
+                     "count representatives"),
+    "MinusTwoResult": (lambda: census.has_minus_two_class(Lattice([[0, 1], [1, 0]])),
+                       "found certified witness"),
+    "UnboundedFamilyCertificate": (
+        lambda: census.build_unbounded_family(23, 1),
+        "p d0 degree h forms ternaries genus_checks isometry_witnesses ns_lattice"
+        " classes complement_invariants minus_two_free height_bound"),
+    "CMField": (lambda: EISEN, "min_poly conj_gen integral_basis"),
+    "CMElement": (lambda: EISEN.one(), "field coords"),
+    "PeriodVector": (lambda: PERIOD, "lattice mu"),
+    "PeriodEmbedding": (lambda: cm.enumerate_period_embeddings(PERIOD, 2)[0],
+                        "embedding lam lam_prime nu"),
+}
+CUSTOM_REPRS = {"Lattice": "Lattice(2,1;1,2)", "BinaryForm": "BinaryForm(2, 1, 3)",
+                "CMElement": "CMElement(1, 0)"}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_keeps_the_frozen_dataclass_contract(name):
+    make, names = RECORDS[name]
+    x = make()
+    assert type(x).__name__ == name
+    names = names.split()
+    values = [getattr(x, n) for n in names]
+    oracle = dataclasses.make_dataclass(name, names, frozen=True)(*values)
+    assert repr(x) == CUSTOM_REPRS.get(name, repr(oracle))
+    assert hash(x) == hash(oracle) == hash(tuple(values))
+    again = type(x)(*values)
+    assert x == again and not x != again and hash(again) == hash(x)
+    assert x != oracle and oracle != x  # equal only to the same class
+    assert (x == tuple(values)) is False
+    for attr in (names[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert [getattr(x, n) for n in names] == values
+
+
+def test_record_fields_defaults_and_post_init():
+    class Point(arith.Record):
+        x: int
+        y: int = 7
+        label: str = "p"
+
+        def __post_init__(self):
+            self.__dict__["norm"] = self.x * self.x + self.y * self.y
+
+    class Pair(arith.Record):
+        x: int
+        y: int = 7
+        label: str = "p"
+
+    assert Point._fields == ("x", "y", "label")
+    p = Point(1)
+    assert (p.x, p.y, p.label, p.norm) == (1, 7, "p", 50)
+    assert p == Point(1, 7, label="p") != Point(1, 8)
+    assert repr(p).endswith("<locals>.Point(x=1, y=7, label='p')")
+    assert p != Pair(1) and hash(p) == hash(Pair(1)) == hash((1, 7, "p"))
+    with pytest.raises(TypeError):
+        Point()

@@ -51,6 +51,25 @@ class TestParsing:
         assert payload["status"] == "input-error"
         assert "integers" in payload["error"] or "rows" in payload["error"]
 
+    @pytest.mark.parametrize("doc", [json.dumps([["x" * 200_000]]),
+                                     "[" + "[" * 990 + "]" * 990 + "]"],
+                             ids=["huge-entry", "row-nested-990-deep"])
+    def test_input_error_quotes_a_bounded_excerpt(self, doc, tmp_path):
+        # a fresh interpreter, as a user runs it: its stack is shallow, so
+        # the decoder gets as deep as it can
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        proc = subprocess.run([sys.executable, "-m", "k3lat", "lattice", "signature",
+                               "--gram", f"@{path}", "--json"],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stdout) < 4096
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "input-error"
+        if "x" in doc:
+            assert payload["error"].startswith("entries must be integers, got ['xxx")
+            assert payload["error"].endswith("...")
+
     @pytest.mark.parametrize("data", [b"\xff\xfe[[2]]", DEEP_JSON],
                              ids=["not-utf8", "over-nested"])
     @pytest.mark.parametrize("mode", ["--json", "human"])
@@ -485,6 +504,10 @@ def test_cache_hit_loads_no_compute_module(tmp_path, argv, module):
 _OFF_THE_FLOOR = "sorted({'dataclasses', 'fractions'} & set(sys.modules))"
 
 
+_COMPUTE_MODULES = ("sorted({'k3lat.census', 'k3lat.cm', 'k3lat.enumeration',"
+                    " 'k3lat.forms', 'k3lat.genus'} & set(sys.modules))")
+
+
 def test_floor_commands_load_neither_dataclasses_nor_fractions(tmp_path):
     # which of the two a bare interpreter loads at start-up
     bare = fresh_interpreter(f"import sys; print({_OFF_THE_FLOOR})")
@@ -494,8 +517,16 @@ def test_floor_commands_load_neither_dataclasses_nor_fractions(tmp_path):
     fresh_interpreter(main_then(classgroup, "''"))  # the miss fills the cache
     for argv, code in [(["lattice", "signature", "--gram", "1,2;3", "--json"], 2),
                        (["lattice", "disc-group", "--gram", a8, "--json"], 0),
-                       (classgroup, 0)]:
+                       (classgroup, 0),
+                       (["genus", "same", "--gram1", "2,1;1,2", "--gram2", "2,0;0,2",
+                         "--json"], 0),
+                       (["qform", "genus-check", "-p", "199", "--json"], 0)]:
         assert fresh_interpreter(main_then(argv, _OFF_THE_FLOOR)) == f"{code} {bare}", argv
+    # the integer formulas load no compute module at all
+    for argv in (["k3", "fm-count", "-d", "12", "--json"],
+                 ["cm", "bound", "--degree", "21", "--json"]):
+        probe = f"{_OFF_THE_FLOOR}, {_COMPUTE_MODULES}"
+        assert fresh_interpreter(main_then(argv, probe)) == f"0 {bare} []", argv
 
 
 def test_human_output_of_a_successful_command(capsys):

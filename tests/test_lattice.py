@@ -18,6 +18,15 @@ A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
 
 
+def test_nested_entry_is_refused_with_a_bounded_message():
+    row = []
+    for _ in range(989):
+        row = [row]  # a row nested 990 deep
+    with pytest.raises(LatticeError, match="entries must be integers") as exc:
+        Lattice([row])
+    assert len(str(exc.value)) < 300
+
+
 def test_lattice_is_a_frozen_value():
     g = ((2, 1), (1, 2))
     lat = Lattice([[2, 1], [1, 2]])

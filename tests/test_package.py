@@ -171,6 +171,23 @@ def test_the_fractions_guard_sees_each_construct(source):
     assert "fractions" in set(_names(ast.parse(source))), source
 
 
+def test_no_module_imports_dataclasses():
+    # records derive from arith.Record, so no call pays for the dataclasses
+    # import or for generating each class's methods through it
+    root = Path(k3lat.__file__).parent
+    users = sorted(path.name for path in root.glob("*.py")
+                   if "dataclasses" in set(_names(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not users, users
+
+
+@pytest.mark.parametrize("source", [
+    "import dataclasses", "from dataclasses import dataclass", "import dataclasses as dc",
+    "from dataclasses import dataclass as frozen",
+    "def f():\n    from dataclasses import replace"])
+def test_the_dataclasses_guard_sees_each_construct(source):
+    assert "dataclasses" in set(_names(ast.parse(source))), source
+
+
 def _callers(tree, callee):
     """The top-level definitions that call callee by name ("<module>" for a
     call outside a definition), each once."""
