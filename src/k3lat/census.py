@@ -128,9 +128,10 @@ def _family(p: int, d0: int, height_bound: int):
     """Check the parameters of the degree-4*d0 family of p and derive it.
 
     p must be a prime = 3 mod 4 and d0 positive and odd with p*d0 cube free
-    (the ternary classification needs it); p, d0 and height_bound must be
-    ints, the bound at least 1.  Returns the reduced forms, the ternaries
-    Q_j + (-d0), T_0(-4) and the invariants of (0, 0, 1) in each T_j(-4).
+    (the ternary classification needs it: Conway and Sloane, SPLAG, ch. 15,
+    section 9); p, d0 and height_bound must be ints, the bound at least 1.
+    Returns the reduced forms, the ternaries Q_j + (-d0), T_0(-4) and the
+    invariants of (0, 0, 1) in each T_j(-4).
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")

@@ -87,8 +87,13 @@ def parse_form(text: str):
 def parse_element(text: str, field):
     from fractions import Fraction
     try:
-        return field.element([Fraction(x) for x in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+        coords = [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):  # their text repeats a token whole
+        raise InputError(f"bad field element {quoted(text)}: "
+                         "coordinates must be rationals a or a/b, b nonzero") from None
+    try:
+        return field.element(coords)
+    except DomainError as exc:
         raise InputError(f"bad field element {quoted(text)}: {exc}") from exc
 
 

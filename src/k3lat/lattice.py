@@ -169,9 +169,9 @@ class Lattice(Record):
     def orthogonal_complement(self, v) -> tuple["Lattice", tuple[Vector, ...]]:
         """Saturated sublattice {x : (x.v) = 0} and its defining basis.
 
-        The basis columns are primitive vectors of self, normalized via the
-        Hermite normal form so output is deterministic; the returned lattice
-        carries the induced Gram matrix.
+        The basis columns are primitive vectors of self: the HNF basis, in
+        closed form at rank 3 (linalg.kernel_basis), so output is
+        deterministic; the returned lattice carries the induced Gram matrix.
         """
         v = self.check_vector(v)
         if all(x == 0 for x in v):
@@ -180,13 +180,7 @@ class Lattice(Record):
             raise LatticeError("complement in a rank-1 lattice is trivial")
         if self.determinant() == 0:
             raise LatticeError("degenerate Gram matrix")
-        n = self.rank
-        w = [sum(map(mul, row, v)) for row in self.gram]
-        # on the columns (w_j, e_j) the sweep of the first row leaves the
-        # canonical basis of the kernel of w in the other columns
-        hnf = linalg.hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n))
-                                  for j in range(n)])
-        basis = [c[1:] for c in hnf[1:]]
+        basis = linalg.kernel_basis([sum(map(mul, row, v)) for row in self.gram])
         gram = [[self._inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice._of(gram), tuple(basis)
 

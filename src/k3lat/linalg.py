@@ -4,11 +4,16 @@ signature, once per Lattice), Smith invariant factors, Hermite bases, and one
 rational row reduction behind solve, rank and inverse.  Only that reduction
 and solve import fractions, so the integer kernels under every CLI call
 load neither it nor the decimal module it pulls in.
+Two kernels have a closed form at the sizes the census uses: the Smith
+invariants of a square matrix of size at most 3 (gcds of minors) and the
+Hermite kernel basis of a row of length 3 (one xgcd).  Rectangular and larger
+matrices keep the pivot-scan elimination, and longer rows the Hermite sweep.
 Inputs are sequences of rows and are never modified; the integer kernels
 raise TypeError on an entry that is not an integer instead of truncating it."""
 
 from __future__ import annotations
 
+from math import gcd
 from operator import index
 
 Vector = tuple[int, ...]
@@ -75,6 +80,23 @@ def smith_invariants(rows) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix (the
     positive Smith form entries; fewer than min(m, n) means rank deficient)."""
     a = [[index(x) for x in row] for row in rows]
+    n = len(a)
+    if n <= 3 and all(len(row) == n for row in a):
+        # d_k = D_k / D_(k-1) for the gcd D_k of the k x k minors (Newman,
+        # ch. II); D_k = 0 makes every later D_k 0
+        if n == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+            m0, m1, m2 = b1 * c2 - b2 * c1, b0 * c2 - b2 * c0, b0 * c1 - b1 * c0
+            ds = (gcd(a0, a1, a2, b0, b1, b2, c0, c1, c2),
+                  gcd(m0, m1, m2, a1 * c2 - a2 * c1, a0 * c2 - a2 * c0, a0 * c1 - a1 * c0,
+                      a1 * b2 - a2 * b1, a0 * b2 - a2 * b0, a0 * b1 - a1 * b0),
+                  abs(a0 * m0 - a1 * m1 + a2 * m2))
+        elif n == 2:
+            (a0, a1), (b0, b1) = a
+            ds = (gcd(a0, a1, b0, b1), abs(a0 * b1 - a1 * b0))
+        else:
+            ds = tuple(abs(x) for row in a for x in row)
+        return [d // c for c, d in zip((1,) + ds, ds) if d]
     factors: list[int] = []
     while True:
         # the first entry of least absolute value, in row-major order
@@ -194,3 +216,25 @@ def hnf_columns(cols) -> list[Vector]:
     if piv != len(a):
         raise ValueError("columns are not linearly independent")
     return [tuple(c) for c in a]
+
+
+def kernel_basis(w) -> list[Vector]:
+    """Hermite basis of {x : w.x = 0} for a nonzero integer row w: the last
+    n - 1 columns of hnf_columns on the columns (w_j, e_j), w-row dropped.
+    At n = 3 it comes from one xgcd of the primitive row (w0, w1, w2): a first
+    column with first entry gcd(w1, w2), reduced modulo the kernel of (w1, w2)."""
+    n = len(w)
+    if n != 3:
+        hnf = hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n)) for j in range(n)])
+        return [c[1:] for c in hnf[1:]]
+    c = gcd(*w)
+    w0, w1, w2 = w[0] // c, w[1] // c, w[2] // c
+    if not (w1 or w2):
+        return [(0, 1, 0), (0, 0, 1)]
+    g, s, t = xgcd(w1, w2)
+    if w2:
+        b2 = (0, w2 // g, -w1 // g) if w2 > 0 else (0, -w2 // g, w1 // g)
+        q = -w0 * s // b2[1]
+    else:
+        b2, q = (0, 0, 1), -w0 * t
+    return [(g, -w0 * s - q * b2[1], -w0 * t - q * b2[2]), b2]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lat.arith import PRIME_BOUND, DomainError, is_prime
+from k3lat.arith import PRIME_BOUND, DomainError, is_prime, quoted
 from k3lat.cli import COMMANDS, CommandResult, build_parser, main, parse_gram, run
 
 # deeper than the json decoder's recursion limit
@@ -69,6 +69,21 @@ class TestParsing:
         if "x" in doc:
             assert payload["error"].startswith("entries must be integers, got ['xxx")
             assert payload["error"].endswith("...")
+
+    @pytest.mark.parametrize("token", ["x" * 100_000, "1/" + "0" * 100_000],
+                             ids=["not-a-number", "zero-denominator"])
+    def test_bad_field_element_is_quoted_once_and_bounded(self, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cm", "roots", "--disc", "3", "--element", f"1,{token}", "--json"])
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        payload = json.loads(out)
+        assert payload["status"] == "input-error"
+        head = f"bad field element {quoted('1,' + token)}: "
+        assert payload["error"].startswith(head)
+        rest = payload["error"][len(head):]  # names no part of the token again
+        assert "xx" not in rest and "00" not in rest
 
     @pytest.mark.parametrize("data", [b"\xff\xfe[[2]]", DEEP_JSON],
                              ids=["not-utf8", "over-nested"])

@@ -350,7 +350,8 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
     (linalg.ldl, [[Fraction(3, 2), 0], [0, 2.7]]),
     (linalg.smith_invariants, [[2.5]]),
     (linalg.hnf_columns, [(1, 0), (0, 2.7)]),
-], ids=["ldl", "smith_invariants", "hnf_columns"])
+    (linalg.kernel_basis, [2, 4.0, 6]),
+], ids=["ldl", "smith_invariants", "hnf_columns", "kernel_basis"])
 def test_integer_kernels_refuse_entries_that_are_not_integers(kernel, rows):
     # int() would truncate these to minors [1, 1, 2], [2] and a basis
     with pytest.raises(TypeError):
@@ -369,6 +370,41 @@ def test_smith_invariants_rectangular_and_imprimitive(rng):
         factors = linalg.smith_invariants(a)
         assert factors == _sympy_invariants(a), a
         assert all(f2 % f1 == 0 for f1, f2 in zip(factors, factors[1:])), a
+
+
+def test_small_square_smith_invariants_match_sympy(rng):
+    # sizes 1-3 take the gcds of minors; singular, zero and non-symmetric
+    # matrices included
+    cases = [[[0]], [[0, 0], [0, 0]], [[0] * 3] * 3, [[-5]], [[2, 4], [3, 6]]]
+    while len(cases) < 5000:
+        n, scale = rng.randint(1, 3), rng.choice([1, 2, 6, 100, 10**6])
+        a = [[0 if rng.random() < 0.3 else rng.randint(-scale, scale) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a multiple of another row
+            a[-1] = [rng.randint(-3, 3) * x for x in a[0]]
+        cases.append(a)
+    for a in cases:
+        assert linalg.smith_invariants(a) == _sympy_invariants(a), a
+
+
+def _hermite_kernel(w):
+    n = len(w)
+    hnf = linalg.hnf_columns([(w[j],) + tuple(int(i == j) for i in range(n))
+                              for j in range(n)])
+    return [c[1:] for c in hnf[1:]]
+
+
+def test_kernel_basis_is_the_hermite_sweep(rng):
+    rows = [[1, 0, 0], [-3, 0, 0], [0, 0, 5], [0, -4, 0], [6, 10, 15], [4, -6, 0]]
+    while len(rows) < 20000:
+        scale = 10 ** rng.randint(0, 6)
+        w = [0 if rng.random() < 0.25 else rng.randint(-scale, scale) for _ in range(3)]
+        if rng.random() < 0.2:  # not primitive
+            w = [rng.randint(2, 30) * x for x in w]
+        if any(w):
+            rows.append(w)
+    for w in rows:
+        assert linalg.kernel_basis(w) == _hermite_kernel(w), w
 
 
 def test_ldl_is_rational_cholesky_on_definite_grams(rng):
