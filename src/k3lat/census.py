@@ -269,11 +269,10 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
 
 
 def _check_claims(cert: UnboundedFamilyCertificate) -> None:
-    """The checks of a certificate whose family is already known to be the
-    one _family derives from its parameters: one genus row, every witness
-    and its class, distinct invariants and the (-2) certification.  Raises
-    CensusError on the first failed check.
-    """
+    """Checks of a certificate whose family is the one _family derives: one
+    genus row, each witness's ends and class W e_3 (whose square, primitivity
+    and record follow from W), distinct invariants and the (-2) certification.
+    Raises CensusError on the first failed check."""
     ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants, because a p-adic symbol at p | det has a
@@ -283,8 +282,7 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
     # the row computes them once, not h - 1 times.
     if not all(same_genus(ternaries[0], t) for t in ternaries[1:]):
         raise CensusError("genus check does not reproduce")
-    for t, inv, w, alpha in zip(ternaries, cert.complement_invariants,
-                                cert.isometry_witnesses, cert.classes):
+    for t, w, alpha in zip(ternaries, cert.isometry_witnesses, cert.classes):
         if w is None:
             if alpha is not None:
                 raise CensusError("class present without an isometry witness")
@@ -295,14 +293,10 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
             raise CensusError("witness does not map its ternary to the first one")
         if alpha != w.columns[2]:
             raise CensusError("class is not the witness image of the generator")
-        if cert.ns_lattice.norm(alpha) != cert.degree:
-            raise CensusError("class has the wrong square")
-        if not cert.ns_lattice.is_primitive(alpha):
-            raise CensusError("class is imprimitive")
-        # a witness may reverse the complement orientation, so compare the
-        # orientation-free part of the record
-        if orbit_invariant(cert.ns_lattice, alpha).unoriented() != inv.unoriented():
-            raise CensusError("ambient orbit invariant disagrees")
+        # W^T T_0 W = T_j with equal nonzero determinants makes W unimodular,
+        # so alpha = W e_3 is primitive of square 4*d0 in T_0(-4), and W maps
+        # e_3 and e_3^perp in T_j(-4) isometrically onto alpha and alpha^perp:
+        # alpha has the unoriented record of e_3, which _family computes.
     if len(set(cert.complement_invariants)) != cert.h:
         raise CensusError("complement invariants are not pairwise distinct")
     m2 = has_minus_two_class(cert.ns_lattice)

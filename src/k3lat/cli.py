@@ -54,7 +54,9 @@ def parse_gram(text: str) -> Lattice:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 rows = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: over-nested JSON
-            raise InputError(f"cannot read Gram matrix file: {exc}") from exc
+            # an OSError's text repeats the path whole, so quote it once, cut
+            why = (exc.strerror or type(exc).__name__) if isinstance(exc, OSError) else exc
+            raise InputError(f"cannot read Gram matrix file {quoted(text[1:])}: {why}") from exc
     else:
         try:
             rows = [[int(x) for x in row.split(",")] for row in text.split(";")]

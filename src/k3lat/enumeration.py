@@ -22,7 +22,7 @@ import math
 from operator import mul
 
 from .arith import DomainError, Record, integers
-from .forms import lattice_to_form, reduce_form
+from .forms import BinaryForm, reduce_form
 from .lattice import Lattice, Vector
 from .linalg import inverse, smith_invariants
 
@@ -293,9 +293,10 @@ def _lift_split(l1: Lattice, l2: Lattice, basis, w: EmbeddingMatrix,
 def _reduced_class(q: Lattice) -> tuple[int, int, int]:
     """Reduced form (doubled convention) of a definite rank-2 lattice, of
     its twist by -1 if negative definite (a negative first entry)."""
-    if q.gram[0][0] < 0:
-        q = q.twist(-1)
-    return reduce_form(lattice_to_form(q))[0].as_tuple()
+    (a, b), (_, c) = q.gram
+    if a < 0:
+        a, b, c = -a, -b, -c
+    return reduce_form(BinaryForm._of(a, 2 * b, c))[0].as_tuple()
 
 
 def _split_matches(sources, target: Lattice, us, k: int):
@@ -429,7 +430,8 @@ class OrbitInvariant(Record):
 
 
 def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
-    """Invariant record for the orbit of v in a signature (1, m) lattice, m <= 2."""
+    """Invariant record for the orbit of a primitive positive-norm v in a
+    signature (1, m) lattice, m <= 2 (v^perp is then negative definite)."""
     sig = lat.signature()
     if lat.rank < 2 or lat.rank > 3 or sig != (1, lat.rank - 1):
         raise EnumerationError("lattice must have signature (1, m) with 1 <= m <= 2")
@@ -439,9 +441,8 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
         raise EnumerationError("vector must have positive norm")
     if math.gcd(*v) != 1:
         raise EnumerationError("vector must be primitive")
+    # signature (1, m) and v.v > 0 leave v^perp of signature (0, m)
     comp, _ = lat.orthogonal_complement(v)
-    if not comp.is_negative_definite():
-        raise EnumerationError("complement is not negative definite")
     if comp.rank == 1:
         cls: tuple[int, ...] = (-comp.gram[0][0],)
     else:

@@ -356,15 +356,19 @@ class TestUnboundedFamily:
         ids=["build", "verify"])
     def test_each_run_derives_the_family_once(self, monkeypatch, run):
         cert = build_unbounded_family(23, 1)
-        calls = dict.fromkeys(["_family", "same_genus"], 0)
+        calls = dict.fromkeys(["_family", "same_genus", "orbit_invariant"], 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(census, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(census, name, counted)
         run(cert)
-        # h = 3: the genus row compares T_0 with T_1 and T_2 only
-        assert calls == {"_family": 1, "same_genus": cert.h - 1}
+        # h = 3: the genus row compares T_0 with T_1 and T_2 only, and each
+        # record is derived once, in _family; every class is witnessed, and
+        # a witnessed class's record is implied, not derived again
+        assert cert.witness_gaps == ()
+        assert calls == {"_family": 1, "same_genus": cert.h - 1,
+                         "orbit_invariant": cert.h}
 
     def test_certificate_documents_are_pinned(self):
         for p, want in CERTIFICATE_DIGESTS.items():

@@ -4,14 +4,17 @@ It reads only the JSON document of a certificate and checks its claims
 with sympy: each witness W is a unimodular isometry T_j -> T_0, its image
 alpha = W e_3 of the (-d0)-generator is a primitive class of square 4 d0 in
 the ambient lattice T_0(-4), the forms are the h(-p) reduced primitive forms
-of discriminant -p (h from the analytic class number formula), and every
-entry of T_0(-4) is divisible by 4, so no class has square -2.
+of discriminant -p (h from the analytic class number formula), every entry
+of T_0(-4) is divisible by 4, so no class has square -2, and the h orbit
+records are those of e_3 in T_j(-4), pairwise distinct.
 """
 
+import json
 import math
 
 import pytest
-from sympy import Matrix, jacobi_symbol, primerange
+from sympy import ZZ, Matrix, jacobi_symbol, primerange
+from sympy.matrices.normalforms import smith_normal_form
 
 from k3lat.census import build_unbounded_family, certificate_to_json
 
@@ -27,6 +30,12 @@ def class_number(p):
     total = sum(a * jacobi_symbol(a, p) for a in range(1, p))
     assert (-w * total) % (2 * p) == 0
     return -w * total // (2 * p)
+
+
+def invariant_factors(m):
+    """The invariant factors > 1 of a square integer matrix, ascending (which
+    is their divisibility order), from sympy's Smith normal form."""
+    return sorted(x for x in map(abs, smith_normal_form(m, domain=ZZ).diagonal()) if x > 1)
 
 
 def check_certificate(doc):
@@ -61,6 +70,17 @@ def check_certificate(doc):
         assert list(alpha_vec) == alpha, (p, j)
         assert math.gcd(*alpha) == 1
         assert (alpha_vec.T * ambient * alpha_vec)[0, 0] == 4 * d0, (p, j)
+    # the record of e_3 in T_j(-4): e_3^perp is Q_j(-4), whose negative has
+    # the form (8a, 8b, 8c), reduced as (a, b, c) is
+    records = doc["complement_invariants"]
+    assert len(records) == h
+    for (a, b, c), t, record in zip(forms, ternaries, records):
+        assert record["norm"] == 4 * d0
+        assert record["complement_class"] == [8 * a, 8 * b, 8 * c]
+        assert record["complement_disc"] == invariant_factors(
+            Matrix([[8 * a, 4 * b], [4 * b, 8 * c]]))
+        assert record["ambient_disc"] == invariant_factors(-4 * t)
+    assert len({json.dumps(r, sort_keys=True) for r in records}) == h
 
 
 @pytest.mark.parametrize("p, d0", FAMILIES, ids=[f"{p}-{d0}" for p, d0 in FAMILIES])
@@ -95,6 +115,10 @@ def test_class_number_formula_counts_the_reduced_forms():
     ("forms", lambda doc: doc["forms"][:-1]),
     ("ns_lattice", lambda doc: [[x // 2 for x in row] for row in doc["ns_lattice"]]),
     ("classes", lambda doc: [None, *doc["classes"][1:]]),
+    # the mirror pair's records swapped: their unoriented records agree
+    ("complement_invariants", lambda doc: [doc["complement_invariants"][0],
+                                           doc["complement_invariants"][2],
+                                           doc["complement_invariants"][1]]),
 ])
 def test_oracle_refuses_a_tampered_certificate(field, value):
     doc = certificate_to_json(build_unbounded_family(23, 1))

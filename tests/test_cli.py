@@ -70,6 +70,19 @@ class TestParsing:
             assert payload["error"].startswith("entries must be integers, got ['xxx")
             assert payload["error"].endswith("...")
 
+    def test_unreadable_gram_file_quotes_its_path_once_and_bounded(self, capsys):
+        path = "x" * 100_000
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "signature", "--gram", f"@{path}", "--json"])
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        payload = json.loads(out)
+        assert payload["status"] == "input-error"
+        head = f"cannot read Gram matrix file {quoted(path)}: "
+        assert payload["error"].startswith(head)
+        assert "xx" not in payload["error"][len(head):]
+
     @pytest.mark.parametrize("token", ["x" * 100_000, "1/" + "0" * 100_000],
                              ids=["not-a-number", "zero-denominator"])
     def test_bad_field_element_is_quoted_once_and_bounded(self, token, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _bounded_norm_
                                vectors_of_norm)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
-from util import box_vectors_of_norm, random_positive_definite
+from util import box_vectors_of_norm, random_positive_definite, random_symmetric
 
 A2 = Lattice([[2, 1], [1, 2]])
 
@@ -435,3 +437,30 @@ class TestOrbitInvariant:
     def test_refuses_a_bad_vector(self, v, error, message):
         with pytest.raises(error, match=message):
             orbit_invariant(Lattice([[2, 0], [0, -2]]), v)
+
+    def test_complement_of_a_positive_vector_is_negative_definite(self):
+        # Sylvester's law of inertia, which orbit_invariant relies on instead
+        # of testing: in signature (1, m), v.v > 0 leaves v^perp of signature
+        # (0, m).  The leading minors are read here, not through linalg.
+        rng = random.Random(29)
+        seen = {2: 0, 3: 0}
+        while min(seen.values()) < 1000:
+            n = rng.choice((2, 3))
+            lat = Lattice(random_symmetric(n, rng))
+            if lat.determinant() == 0 or lat.signature() != (1, n - 1):
+                continue
+            v = tuple(rng.randint(-4, 4) for _ in range(n))
+            if math.gcd(*v) != 1 or lat.norm(v) <= 0:
+                continue
+            g = lat.orthogonal_complement(v)[0].gram
+            assert g[0][0] < 0, (lat.gram, v)
+            inv = orbit_invariant(lat, v)
+            assert inv.norm == lat.norm(v)
+            if n == 2:
+                assert inv.complement_class == (-g[0][0],)
+            else:
+                det = g[0][0] * g[1][1] - g[0][1] ** 2
+                assert det > 0, (lat.gram, v)
+                a, b, c = inv.complement_class
+                assert 0 < a and b * b - 4 * a * c == -4 * det
+            seen[n] += 1
