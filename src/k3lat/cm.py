@@ -480,10 +480,11 @@ class _PeriodTables:
     / det, and nu = sum_c phi_nc mu_c.  These and the residuals phi(sigma)_k
     - lambda mu_k - lambda' mubar_k are linear in x, and the norm value
     (|lambda|^2 + |lambda'|^2)(sigma.sigmabar) + |nu|^2 d is a quadratic form
-    in x.  Their field coefficients are stored as integer coordinate rows
-    over a common denominator, so a solve takes integer dot products only.
-    A residual row that vanishes identically is left out; at rank 2 all do.
-    element keeps one CMElement per numerator tuple, built on first sight.
+    in x, kept on its upper triangle.  Their field coefficients are stored
+    as integer coordinate rows over a common denominator, so a solve takes
+    integer dot products only.  A residual row that vanishes identically is
+    left out; at rank 2 all do.  element keeps one CMElement per numerator
+    tuple, built on first sight; negated reads -x through it.
     """
 
     def __init__(self, pv: PeriodVector) -> None:
@@ -499,15 +500,17 @@ class _PeriodTables:
         res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
                 for a in range(size)] for k in range(n)]
         den = _common_denominator(lam + lam_p + nu + sum(res, []))
-        self._field, self._n, self._den, self._elements = field, n, den, {}
+        self._field, self._n, self._den, self._elements, self._negations = field, n, den, {}, {}
         self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
         self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
-        support = [r * n + c for r in (i, j) for c in range(n)]
-        self._lam_pairs = [(a, b) for a in support for b in support]
-        self._nu_pairs = [(a, b) for a in range(n * n, size) for b in range(n * n, size)]
-        lam_w = [(lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb
-                 for a, b in self._lam_pairs]
-        nu_w = [nu[a] * nu[b].conjugate() for a, b in self._nu_pairs]
+        def triangle(support, w):  # x_a x_b = x_b x_a: keep a form's upper triangle
+            pairs = [(a, b) for k, a in enumerate(support) for b in support[k:]]
+            return pairs, [w(a, b) + w(b, a) if a < b else w(a, a) for a, b in pairs]
+
+        self._lam_pairs, lam_w = triangle(
+            [r * n + c for r in (i, j) for c in range(n)],
+            lambda a, b: (lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb)
+        self._nu_pairs, nu_w = triangle(range(n * n, size), lambda a, b: nu[a] * nu[b].conjugate())
         qden = _common_denominator(lam_w + nu_w + [ssb])
         self._lam_w, self._nu_w = _int_rows(lam_w, qden), _int_rows(nu_w, qden)
         self._ssb = [row[0] for row in _int_rows([ssb], qden)]
@@ -526,6 +529,13 @@ class _PeriodTables:
             x = self._elements.setdefault(numerators, CMElement(
                 self._field, tuple(Fraction(v, self._den) for v in numerators)))
         return x
+
+    def negated(self, x: CMElement) -> CMElement:
+        """-x through element, memoized by id(x); the entry keeps x alive."""
+        if (entry := self._negations.get(id(x))) is None:
+            entry = self._negations[id(x)] = (x, self.element(tuple(
+                -c.numerator * (self._den // c.denominator) for c in x.coords)))
+        return entry[1]
 
     def norm_holds(self, columns, d: int, scale: int) -> bool:
         """Whether the norm value of phi equals scale (sigma.sigmabar)."""
@@ -596,14 +606,17 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     lambda and lambda' unique.  As sigma.sigma = 0, isometry then forces
     |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = k^2 for the
     overlattice index k.  So the list is the lattice embedding search, with
-    lambda, lambda' and nu read off by solve_lambda; both facts are
-    re-checked exactly, the norm identity multiplied through by
-    (sigma.sigmabar) != 0 and evaluated as an integer quadratic form in the
-    entries of phi from the period's tables, and a failure raises CMError.
-    So an embedding costs no field multiplication, and a lambda, lambda' or
-    nu met before no Fraction.  With overlattice_index = k > 1 the returned
-    matrices represent k * phi for embeddings phi into an index-k
-    overlattice, so their source carries the form scaled by k^2.
+    lambda, lambda' and nu read off by solve_lambda once per pair +-phi: the
+    search's list is sorted and closed under negation, which reverses order,
+    so entry -1 - k is -(entry k), whose values, linear in phi, are negated.
+    Both facts are re-checked exactly, the norm identity on both members of
+    a pair, multiplied through by (sigma.sigmabar) != 0 and evaluated as an
+    integer quadratic form in the entries of phi from the period's tables,
+    and a failure raises CMError.  So an embedding costs no field
+    multiplication, and a lambda, lambda' or nu met before no Fraction.
+    With overlattice_index = k > 1 the returned matrices represent k * phi
+    for embeddings phi into an index-k overlattice, so their source carries
+    the form scaled by k^2.
     """
     d, nn = arith.integers((d, overlattice_index), CMError)
     if d <= 0:
@@ -615,12 +628,13 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
         raise CMError("only rank-2 period lattices are supported")
     target = t.direct_sum(Lattice([[d]]))
     source = t if nn == 1 else t.twist(nn * nn)
-    tables = pv._tables
-    out: list[PeriodEmbedding] = []
-    for emb in embeddings(source, target):
+    tables, embs = pv._tables, embeddings(source, target)
+    out: list[PeriodEmbedding] = [None] * len(embs)
+    for k in range(len(embs) // 2):
+        emb, neg = embs[-1 - k], embs[k]
         solved = solve_lambda(pv, emb)
-        if solved is None or not tables.norm_holds(emb.columns, d, nn * nn):
+        if solved is None or not all(tables.norm_holds(e.columns, d, nn * nn) for e in (emb, neg)):
             raise CMError("embedding breaks the rank-2 period identity")
-        out.append(PeriodEmbedding(emb, *solved))
-    out.sort(key=lambda pe: pe.embedding.columns)
+        out[-1 - k] = PeriodEmbedding(emb, *solved)
+        out[k] = PeriodEmbedding(neg, *map(tables.negated, solved))
     return out

@@ -149,22 +149,27 @@ def _is_saturated(columns: tuple[Vector, ...]) -> bool:
     return smith_invariants(columns) == [1] * len(columns)
 
 
-def _gram_compatible(source: Lattice, target: Lattice, vectors):
+def _gram_compatible(source: Lattice, target: Lattice, vectors, paired: bool = False):
     """Every tuple of target vectors with the source Gram matrix, in
     backtracking order: column i runs through vectors(source.gram[i][i])
     and is pruned on the first inner product that disagrees.  Each candidate
-    v is paired with G v once, so each test is a plain dot product."""
+    v is paired with G v once, so each test is a plain dot product.  The
+    lists are sorted, so that order is lexicographic.  With paired, column 0
+    takes the upper half of its list only, the larger of each +-v: negation
+    reverses a sorted list closed under it, and v != -v (norm > 0)."""
     g, h = source.gram, target.gram
     norms = dict.fromkeys(g[i][i] for i in range(len(g)))
     candidates = {nrm: [(v, tuple(sum(map(mul, row, v)) for row in h))
                         for v in vectors(nrm)] for nrm in norms}
+    lists = [candidates[g[i][i]] for i in range(len(g))]
+    lists[0] = lists[0][len(lists[0]) // 2 if paired else 0:]
 
     def extend(chosen: tuple[Vector, ...], images: tuple[Vector, ...]):
         i = len(chosen)
         if i == len(g):
             yield chosen
             return
-        for v, gv in candidates[g[i][i]]:
+        for v, gv in lists[i]:
             if all(sum(map(mul, w, v)) == g[j][i] for j, w in enumerate(images)):
                 yield from extend(chosen + (v,), images + (gv,))
 
@@ -173,20 +178,24 @@ def _gram_compatible(source: Lattice, target: Lattice, vectors):
 
 def embeddings(source: Lattice, target: Lattice,
                primitive_only: bool = False) -> list[EmbeddingMatrix]:
-    """All isometric embeddings of one positive definite lattice into another.
+    """All isometric embeddings of one positive definite lattice into another,
+    sorted by columns: the backtracking order.
 
     Backtracks over the fixed-norm vector lists column by column, pruning on
-    pairwise inner products.  With primitive_only the image is additionally
-    required to be a saturated sublattice.
+    pairwise inner products, once per pair +-phi (_gram_compatible, paired);
+    negation reverses the order, so the negated hits, reversed, sort below
+    the hits.  With primitive_only the image is additionally required to be
+    a saturated sublattice, tested once per pair (-M has the Smith form of M).
     """
     if not source.is_positive_definite() or not target.is_positive_definite():
         raise EnumerationError("both lattices must be positive definite")
     if source.rank > target.rank:
         return []
-    hits = _gram_compatible(source, target,
-                            lambda nrm: vectors_of_norm(target, nrm))
-    return [EmbeddingMatrix._of(source, target, cols) for cols in hits
+    hits = [cols for cols in _gram_compatible(
+                source, target, lambda nrm: vectors_of_norm(target, nrm), paired=True)
             if not primitive_only or _is_saturated(cols)]
+    negated = [tuple(tuple(-x for x in c) for c in cols) for cols in reversed(hits)]
+    return [EmbeddingMatrix._of(source, target, cols) for cols in negated + hits]
 
 
 def is_isometric_definite(l1: Lattice, l2: Lattice):

@@ -120,9 +120,6 @@ class Lattice(Record):
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.rank, 0)
 
-    def is_negative_definite(self) -> bool:
-        return self.signature() == (0, self.rank)
-
     @cached_property
     def _smith(self) -> tuple[int, ...]:
         """linalg.smith_invariants of the Gram matrix, computed at most once

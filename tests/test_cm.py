@@ -15,7 +15,8 @@ from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
                       twistor_fiber_bound, verify_norm_equation)
-from k3lat.enumeration import EmbeddingMatrix, embeddings
+from k3lat.enumeration import (EmbeddingMatrix, _gram_compatible, embeddings,
+                               vectors_of_norm)
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
 from util import (box_embeddings, field_solve_lambda, min_poly_totally_nonneg,
@@ -598,6 +599,53 @@ def test_rank_three_solve_matches_field_arithmetic():
         got = [solve_lambda(pv, e) for e in embs]
         assert got == [field_solve_lambda(pv, e) for e in embs]
         assert sum(x is None for x in got) == misses < len(embs)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_one_solve_and_two_norm_checks_per_pair(index, monkeypatch):
+    # phi and -phi share one solve; the norm identity is still evaluated on
+    # every embedding returned
+    solves, checks = [], []
+    solve, norm_holds = cm.solve_lambda, cm._PeriodTables.norm_holds
+
+    def counted_solve(pv, phi):
+        solves.append(phi.columns)
+        return solve(pv, phi)
+
+    def counted_norm_holds(self, columns, d, scale):
+        checks.append(columns)
+        return norm_holds(self, columns, d, scale)
+
+    monkeypatch.setattr(cm, "solve_lambda", counted_solve)
+    monkeypatch.setattr(cm._PeriodTables, "norm_holds", counted_norm_holds)
+    found = enumerate_period_embeddings(hex_period(), 2, overlattice_index=index)
+    assert len(found) == (12 if index == 1 else 48)
+    assert len(solves) == len(found) // 2
+    assert sorted(checks) == [pe.embedding.columns for pe in found]
+
+
+def test_a_failed_norm_check_on_the_negated_member_raises(monkeypatch):
+    # the check on -phi is not implied away: failing only there must raise
+    norm_holds = cm._PeriodTables.norm_holds
+
+    def fails_below_its_negation(self, columns, d, scale):
+        negated = tuple(tuple(-x for x in c) for c in columns)
+        return columns > negated and norm_holds(self, columns, d, scale)
+
+    monkeypatch.setattr(cm._PeriodTables, "norm_holds", fails_below_its_negation)
+    with pytest.raises(CMError, match="period identity"):
+        enumerate_period_embeddings(hex_period(), 2)
+
+
+@pytest.mark.parametrize("index", [4, 8])
+def test_indices_above_two_match_field_arithmetic_and_the_full_search(index):
+    pv = hex_period()
+    source, target = T_HEX.twist(index * index), T_HEX.direct_sum(Lattice([[2]]))
+    found = enumerate_period_embeddings(pv, 2, overlattice_index=index)
+    full = _gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
+    assert [pe.embedding.columns for pe in found] == list(full)
+    for pe in found:
+        assert (pe.lam, pe.lam_prime, pe.nu) == field_solve_lambda(pv, pe.embedding)
 
 
 def test_period_tables_are_built_once_on_the_first_solve():

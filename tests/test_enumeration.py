@@ -7,14 +7,16 @@ import pytest
 
 from k3lat.arith import DomainError
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _bounded_norm_vectors,
-                               _box_witness, _split_witness, _splits, embeddings,
+                               _box_witness, _gram_compatible, _split_witness, _splits,
+                               embeddings,
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
                                orbit_invariant, short_vectors_le,
                                vectors_of_norm)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
-from util import box_vectors_of_norm, random_positive_definite, random_symmetric
+from util import (box_embeddings, box_vectors_of_norm, random_positive_definite,
+                  random_symmetric)
 
 A2 = Lattice([[2, 1], [1, 2]])
 
@@ -164,6 +166,53 @@ class TestEmbeddings:
         assert prim == []
 
 
+def _saturated(columns):
+    """Whether the columns span a saturated sublattice: the gcd of their
+    maximal minors is 1 (one or two columns)."""
+    if len(columns) == 1:
+        return math.gcd(*columns[0]) == 1
+    u, v = columns
+    return math.gcd(*(u[a] * v[b] - u[b] * v[a]
+                      for a, b in itertools.combinations(range(len(u)), 2))) == 1
+
+
+def _random_sublattice(target, rank, rng):
+    """The lattice spanned by rank random short vectors of target, so that
+    the embedding search has hits; a degenerate draw is redrawn."""
+    g = target.gram
+    while True:
+        cols = [[rng.randint(-2, 2) for _ in g] for _ in range(rank)]
+        gram = [[sum(u[a] * g[a][b] * v[b] for a in range(len(g)) for b in range(len(g)))
+                 for v in cols] for u in cols]
+        source = Lattice(gram)
+        if source.determinant() != 0:
+            return source
+
+
+class TestEmbeddingOrder:
+    # the search pays once per pair +-phi; its list must still be the full
+    # backtracking order, which over sorted candidate lists is sorted
+    def test_random_pairs_match_the_sorted_box_oracle(self, rng):
+        primitive_hits = 0
+        for _ in range(60):
+            target = random_positive_definite(rng.randint(2, 3), rng, entry_bound=6)
+            source = _random_sublattice(target, rng.randint(1, 2), rng)
+            want = sorted(box_embeddings(source, target))
+            assert want and [e.columns for e in embeddings(source, target)] == want
+            primitive = [cols for cols in want if _saturated(cols)]
+            primitive_hits += len(primitive)
+            assert [e.columns for e in embeddings(source, target, primitive_only=True)] \
+                == primitive
+        assert primitive_hits > 0
+
+    def test_list_equals_the_unpaired_backtracking(self, rng):
+        for _ in range(40):
+            target = random_positive_definite(rng.randint(2, 4), rng)
+            source = _random_sublattice(target, rng.randint(1, target.rank), rng)
+            full = _gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
+            assert [e.columns for e in embeddings(source, target)] == list(full)
+
+
 class TestIsometricDefinite:
     def test_gl_equivalent_mirror_forms(self):
         w = is_isometric_definite(form_to_lattice(BinaryForm(2, 1, 3)),
@@ -206,6 +255,8 @@ class TestSearchHitsMatchCheckedConstruction:
     def test_a2_into_e8(self):
         found = embeddings(T_HEX, E8)
         assert len(found) == 13440  # 240 roots, 56 at inner product -1 with each
+        columns = [e.columns for e in found]
+        assert columns == sorted(columns)
         assert_checked(found)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
