@@ -162,7 +162,8 @@ def _gram_compatible(source: Lattice, target: Lattice, vectors, paired: bool = F
     candidates = {nrm: [(v, tuple(sum(map(mul, row, v)) for row in h))
                         for v in vectors(nrm)] for nrm in norms}
     lists = [candidates[g[i][i]] for i in range(len(g))]
-    lists[0] = lists[0][len(lists[0]) // 2 if paired else 0:]
+    if paired:
+        lists[0] = lists[0][len(lists[0]) // 2:]
 
     def extend(chosen: tuple[Vector, ...], images: tuple[Vector, ...]):
         i = len(chosen)
