@@ -500,7 +500,7 @@ class _PeriodTables:
         res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
                 for a in range(size)] for k in range(n)]
         den = _common_denominator(lam + lam_p + nu + sum(res, []))
-        self._field, self._n, self._den, self._elements, self._negations = field, n, den, {}, {}
+        self._field, self._n, self._den, self._elements = field, n, den, {}
         self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
         self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
         def triangle(support, w):  # x_a x_b = x_b x_a: keep a form's upper triangle
@@ -531,11 +531,8 @@ class _PeriodTables:
         return x
 
     def negated(self, x: CMElement) -> CMElement:
-        """-x through element, memoized by id(x); the entry keeps x alive."""
-        if (entry := self._negations.get(id(x))) is None:
-            entry = self._negations[id(x)] = (x, self.element(tuple(
-                -c.numerator * (self._den // c.denominator) for c in x.coords)))
-        return entry[1]
+        """-x through element."""
+        return self.element(tuple(-c.numerator * (self._den // c.denominator) for c in x.coords))
 
     def norm_holds(self, columns, d: int, scale: int) -> bool:
         """Whether the norm value of phi equals scale (sigma.sigmabar)."""
