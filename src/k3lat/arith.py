@@ -126,7 +126,10 @@ def factor(n: int) -> dict[int, int]:
     n = abs(n)
     for p in _TRIAL:
         if p * p > n:
-            break
+            # n has no prime factor below p, so it is 1 or prime
+            if n > 1:
+                out[n] = 1
+            return dict(sorted(out.items()))
         while n % p == 0:
             out[p], n = out.get(p, 0) + 1, n // p
     todo = [n]
@@ -154,6 +157,27 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factor(n).values())
 
 
+class cached:
+    """functools.cached_property without its lock, which Python 3.11 takes
+    on every first read, class-wide (3.12 dropped it).  The first read stores
+    func(obj) in the instance, where later reads find it before this
+    non-data descriptor; threads racing on a first read each compute and
+    store, so it suits only a value that every computation gives alike."""
+
+    def __init__(self, func) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 # a frozen dataclass's __init__, __eq__ and __hash__.  __init__ stores through
 # __s = object.__setattr__, which keeps CPython's fast attribute reads (a write
 # through self.__dict__ would not); no field is named __s, as a class body
@@ -178,7 +202,7 @@ class Record:
     attributes their defaults; __init__ (unless the class writes one) sets
     them and runs __post_init__, if any.  Equality (with the same class
     only), hash and repr are the dataclass's; assignment and deletion raise
-    AttributeError.  A __dict__ remains, for cached_property and _of."""
+    AttributeError.  A __dict__ remains, for cached and _of."""
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()

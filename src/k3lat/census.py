@@ -19,7 +19,7 @@ import json
 
 from . import SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
-                          orbit_invariant, vectors_of_norm, _bounded_norm_vectors)
+                          vectors_of_norm, _bounded_norm_vectors, _orbit_record)
 from .forms import BinaryForm, class_group, form_to_lattice
 from .formulas import CensusError, fm_partner_count, tau  # the last two re-exported
 from .genus import same_genus
@@ -131,7 +131,9 @@ def _family(p: int, d0: int, height_bound: int):
     (the ternary classification needs it: Conway and Sloane, SPLAG, ch. 15,
     section 9); p, d0 and height_bound must be ints, the bound at least 1.
     Returns the reduced forms, the ternaries Q_j + (-d0), T_0(-4) and the
-    invariants of (0, 0, 1) in each T_j(-4).
+    invariants of (0, 0, 1) in each T_j(-4), taken by
+    enumeration._orbit_record without orbit_invariant's refusals, which the
+    shape of T_j already proves.
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
@@ -144,7 +146,11 @@ def _family(p: int, d0: int, height_bound: int):
     forms = class_group(-p).elements
     zd0 = Lattice([[-d0]])
     ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in forms)
-    invariants = tuple(orbit_invariant(t.twist(-4), (0, 0, 1)) for t in ternaries)
+    # T_j = Q_j + (-d0) with Q_j reduced positive definite, so T_j(-4) is
+    # nondegenerate of signature (1, 2), and e_3 is primitive of square
+    # 4*d0 > 0: orbit_invariant's refusals cannot fire, and no LDL^T of the
+    # twist is needed to say so
+    invariants = tuple(_orbit_record(t.twist(-4), (0, 0, 1)) for t in ternaries)
     return forms, ternaries, ternaries[0].twist(-4), invariants
 
 

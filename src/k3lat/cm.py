@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from . import arith
@@ -454,7 +453,7 @@ class PeriodVector(arith.Record):
         inv = self.sigma1().inverse()
         return PeriodVector(self.lattice, tuple(m * inv for m in self.mu))
 
-    @cached_property
+    @arith.cached
     def _tables(self) -> "_PeriodTables":
         """The period's solving tables, built at most once, on first use."""
         return _PeriodTables(self)

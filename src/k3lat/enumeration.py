@@ -441,21 +441,32 @@ class OrbitInvariant(Record):
 
 def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     """Invariant record for the orbit of a primitive positive-norm v in a
-    signature (1, m) lattice, m <= 2 (v^perp is then negative definite)."""
+    signature (1, m) lattice, m <= 2 (v^perp is then negative definite).
+
+    Its refusals imply those of Lattice.orthogonal_complement (v nonzero,
+    rank at least 2, nondegenerate), so _orbit_record takes the complement
+    unchecked; census._family, which has proven them all, calls
+    _orbit_record itself."""
     sig = lat.signature()
     if lat.rank < 2 or lat.rank > 3 or sig != (1, lat.rank - 1):
         raise EnumerationError("lattice must have signature (1, m) with 1 <= m <= 2")
     v = lat.check_vector(v)
-    nrm = lat._inner(v, v)
-    if nrm <= 0:
+    if lat._inner(v, v) <= 0:
         raise EnumerationError("vector must have positive norm")
     if math.gcd(*v) != 1:
         raise EnumerationError("vector must be primitive")
+    return _orbit_record(lat, v)
+
+
+def _orbit_record(lat: Lattice, v: Vector) -> OrbitInvariant:
+    """orbit_invariant without its refusals, for an int vector v that the
+    caller has proven primitive of positive norm in a lattice of signature
+    (1, m), 1 <= m <= 2."""
     # signature (1, m) and v.v > 0 leave v^perp of signature (0, m)
-    comp, _ = lat.orthogonal_complement(v)
+    comp, _ = lat._complement(v)
     if comp.rank == 1:
         cls: tuple[int, ...] = (-comp.gram[0][0],)
     else:
         cls = _reduced_class(comp)
-    return OrbitInvariant(nrm, lat.discriminant_group(),
+    return OrbitInvariant(lat._inner(v, v), lat.discriminant_group(),
                           comp.discriminant_group(), cls)

@@ -66,9 +66,10 @@ def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     odd records whether a 1x1 piece occurred and oddity sums the 1x1 units
     mod 8.  The block still to split is a/den with a an integer matrix and
     den an integer prime to p, so valuations are read off a.  The pivot is an
-    entry of least valuation v, diagonal if possible; else both diagonal
-    entries of its 2x2 block B lie deeper, so det B has valuation exactly 2v,
-    at p = 2 as at odd p.  A step divides exactly by p^(v*dim), multiplies
+    entry of least valuation v, diagonal if possible (the first diagonal
+    unit, if any, without a valuation scan); else both diagonal entries of
+    its 2x2 block B lie deeper, so det B has valuation exactly 2v, at p = 2
+    as at odd p.  A step divides exactly by p^(v*dim), multiplies
     den by w = det B / p^(v*dim) and takes u = w * den^dim, an integer in the
     unit's square class, which keeps its Legendre symbol and, as odd squares
     are 1 mod 8, its residue mod 8.
@@ -80,8 +81,15 @@ def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     records: dict[int, list] = {}
 
     while idx:
-        v, off, i, j = min((_valuation(a[r][s], p), r != s, r, s)
-                           for r in idx for s in idx if s >= r and a[r][s])
+        # a unit on the diagonal has the least key (0, False, r, r) there is;
+        # idx is ascending, so the first such r is the one min would take
+        for i in idx:
+            if a[i][i] % p:
+                v, off, j = 0, False, i
+                break
+        else:
+            v, off, i, j = min((_valuation(a[r][s], p), r != s, r, s)
+                               for r in idx for s in idx if s >= r and a[r][s])
         dim = 1 + off
         pv = p ** (v * dim)
         b11, b12, b22 = a[i][i], a[i][j], a[j][j]

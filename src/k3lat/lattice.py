@@ -4,10 +4,12 @@ Everything here works over Z, or over Q internally, with no floating point,
 so results are exact for arbitrarily large entries.  Lattices are immutable
 values and all operations are pure functions.  A lattice computes its
 elimination, its Smith invariants and each p-adic symbol that
-genus.same_genus compares at most once, and keeps them on the object; a
-memo write stores the one value the Gram matrix determines, so concurrent
-use stays safe.  Lattice(...) checks each Gram matrix where it enters; the
-lattices built from checked ones (sums, twists, complements) use Lattice._of.
+genus.same_genus compares at most once, and keeps them on the object by
+arith.cached, which takes no lock; a memo write stores the one value the
+Gram matrix determines, so concurrent use stays safe.  Lattice(...) checks
+each Gram matrix where it enters; the lattices built from checked ones
+(sums, twists, complements) use Lattice._of, and a caller that has proven
+the refusals of orthogonal_complement takes the complement by _complement.
 Lattice is an arith.Record, an immutable value equal and hashed by its Gram
 matrix; this module, on the path of every CLI call with linalg and arith,
 imports neither dataclasses nor fractions.
@@ -16,11 +18,10 @@ imports neither dataclasses nor fractions.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .arith import DomainError, Record, integers
+from .arith import DomainError, Record, cached, integers
 from .linalg import Vector
 
 
@@ -87,7 +88,7 @@ class Lattice(Record):
         v = self.check_vector(v)
         return self._inner(v, v)
 
-    @cached_property
+    @cached
     def _elimination(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Pivot minors and scaled rows of linalg.ldl of the Gram matrix,
         computed at most once per lattice."""
@@ -120,13 +121,13 @@ class Lattice(Record):
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.rank, 0)
 
-    @cached_property
+    @cached
     def _smith(self) -> tuple[int, ...]:
         """linalg.smith_invariants of the Gram matrix, computed at most once
         per lattice."""
         return tuple(linalg.smith_invariants(self.gram))
 
-    @cached_property
+    @cached
     def _symbols(self) -> dict:
         """p-adic genus symbols by prime, filled by genus.same_genus."""
         return {}
@@ -177,6 +178,12 @@ class Lattice(Record):
             raise LatticeError("complement in a rank-1 lattice is trivial")
         if self.determinant() == 0:
             raise LatticeError("degenerate Gram matrix")
+        return self._complement(v)
+
+    def _complement(self, v: Vector) -> tuple["Lattice", tuple[Vector, ...]]:
+        """orthogonal_complement without checks, for a nonzero int vector
+        of length rank >= 2 in a nondegenerate lattice, as its caller has
+        proven."""
         basis = linalg.kernel_basis([sum(map(mul, row, v)) for row in self.gram])
         gram = [[self._inner(b1, b2) for b2 in basis] for b1 in basis]
         return Lattice._of(gram), tuple(basis)

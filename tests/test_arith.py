@@ -20,6 +20,18 @@ def test_factor_matches_sympy_on_small_range():
             assert arith.factor(n) == factorint(n), n
 
 
+def test_factor_matches_sympy_next_to_each_trial_prime():
+    # the trial division stops at the first prime q with q^2 above what is
+    # left: powers and products of neighbouring primes sit on that boundary,
+    # below it (the cofactor is read as prime) and past the last trial prime
+    trial = list(primerange(2, 1000))
+    beyond = nextprime(trial[-1])
+    for q, r in zip(trial, trial[1:] + [beyond]):
+        for n in (q * q, q ** 3, q ** 5, q * r, q * q * r, q * r * r, r * r - 2):
+            assert arith.factor(n) == factorint(n), n
+            assert arith.factor(-n) == factorint(-n), -n
+
+
 def test_factor_matches_sympy_on_random_large(rng):
     cases = [rng.getrandbits(rng.randint(40, 80)) | 1 << 39 for _ in range(180)]
     cases += [nextprime(rng.getrandbits(29) | 1 << 29)
@@ -176,6 +188,26 @@ def test_record_keeps_the_frozen_dataclass_contract(name):
         with pytest.raises(AttributeError):
             delattr(x, attr)
     assert [getattr(x, n) for n in names] == values
+
+
+def test_cached_computes_once_per_record():
+    calls = []
+
+    class Box(arith.Record):
+        x: int
+
+        @arith.cached
+        def square(self):
+            """x squared."""
+            calls.append(self.x)
+            return self.x * self.x
+
+    a, b = Box(3), Box(4)
+    assert (a.square, a.square, b.square, a.square) == (9, 9, 16, 9)
+    assert calls == [3, 4] and vars(a)["square"] == 9
+    assert Box.square.__doc__ == "x squared."
+    with pytest.raises(AttributeError):
+        a.square = 1
 
 
 def test_record_fields_defaults_and_post_init():

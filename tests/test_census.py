@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -356,7 +360,7 @@ class TestUnboundedFamily:
         ids=["build", "verify"])
     def test_each_run_derives_the_family_once(self, monkeypatch, run):
         cert = build_unbounded_family(23, 1)
-        calls = dict.fromkeys(["_family", "same_genus", "orbit_invariant"], 0)
+        calls = dict.fromkeys(["_family", "same_genus", "_orbit_record"], 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(census, name)):
                 calls[_name] += 1
@@ -368,7 +372,7 @@ class TestUnboundedFamily:
         # a witnessed class's record is implied, not derived again
         assert cert.witness_gaps == ()
         assert calls == {"_family": 1, "same_genus": cert.h - 1,
-                         "orbit_invariant": cert.h}
+                         "_orbit_record": cert.h}
 
     def test_certificate_documents_are_pinned(self):
         for p, want in CERTIFICATE_DIGESTS.items():
@@ -438,3 +442,17 @@ class TestUnboundedFamily:
         for p in (7, 11, 23):
             cert = build_unbounded_family(p, 1)
             assert len(set(cert.complement_invariants)) == class_group(-p).order
+
+
+def test_orbit_script_totals_its_rows():
+    # the totals row sums the witness gaps of the prime rows: h - found each
+    script = Path(__file__).resolve().parents[1] / "scripts" / "unbounded_orbits.py"
+    proc = subprocess.run([sys.executable, str(script), "--max-prime", "60"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(census.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.splitlines()[1:]
+    found = [row.split()[2].split("/") for row in rows]
+    gaps = sum(int(h) - int(f) for f, h in found)
+    assert len(rows) == 9 and gaps == 6
+    assert total.split()[:3] == ["total", str(gaps), "gaps"]

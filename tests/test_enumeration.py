@@ -12,7 +12,7 @@ from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _bounded_norm_
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
                                orbit_invariant, short_vectors_le,
-                               vectors_of_norm)
+                               vectors_of_norm, _orbit_record)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
 from util import (box_embeddings, box_vectors_of_norm, random_positive_definite,
@@ -475,8 +475,29 @@ class TestOrbitInvariant:
         monkeypatch.setattr(Lattice, "check_vector",
                             lambda lat, w: calls.append(w) or check(lat, w))
         assert orbit_invariant(Lattice([[2, 0], [0, -2]]), (1, 0)).norm == 2
-        # one check on entry and one in orthogonal_complement
-        assert len(calls) == 2
+        # one check on entry; its refusals imply the complement's, which is
+        # taken unchecked
+        assert len(calls) == 1
+
+    def test_the_record_without_refusals_is_the_public_record(self):
+        # on lattices whose caches are empty, as census twists are: the
+        # private record reads no elimination, and it equals the record of
+        # orbit_invariant, which reads the signature and checks everything
+        rng = random.Random(31)
+        seen = {2: 0, 3: 0}
+        while min(seen.values()) < 500:
+            n = rng.choice((2, 3))
+            gram = random_symmetric(n, rng)
+            lat = Lattice(gram)
+            if lat.determinant() == 0 or lat.signature() != (1, n - 1):
+                continue
+            v = tuple(rng.randint(-4, 4) for _ in range(n))
+            if math.gcd(*v) != 1 or lat.norm(v) <= 0:
+                continue
+            fresh = Lattice(gram)
+            assert _orbit_record(fresh, v) == orbit_invariant(Lattice(gram), v), (gram, v)
+            assert "_elimination" not in vars(fresh)
+            seen[n] += 1
 
     @pytest.mark.parametrize("v,error,message", [
         ((1, 0, 0), LatticeError, "does not match rank"),

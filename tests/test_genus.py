@@ -9,11 +9,12 @@ import random
 import pytest
 from sympy import legendre_symbol, primefactors
 
+from k3lat import genus
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.genus import GenusBlock, GenusError, GenusSymbol, padic_symbol, same_genus
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, discriminant_form_counts, random_nondegenerate,
-                  random_unimodular)
+                  random_unimodular, scanning_jordan_decomposition)
 
 A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
@@ -104,6 +105,24 @@ class TestPadicSymbol:
                 if p != 2:
                     assert (math.prod(b.sign for b in blocks)
                             == legendre_symbol(unit % p, p)), (lat, p)
+
+    def test_jordan_split_matches_the_full_pivot_scan(self):
+        # the split takes the first diagonal unit as its pivot without a
+        # valuation scan; the oracle always scans.  Half the entries are
+        # scaled by p or p^2, so the scan also runs where no unit is left
+        rng = random.Random(31)
+        seen = collections.Counter()
+        while sum(seen.values()) < 20000:
+            n, p = rng.randint(1, 4), rng.choice((2, 3, 5, 7))
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    g[i][j] = g[j][i] = rng.randint(-6, 6) * rng.choice((1, 1, p, p * p))
+            if Lattice(g).determinant() == 0:
+                continue
+            seen[all(g[i][i] % p == 0 for i in range(n))] += 1
+            assert genus._jordan_decomposition(g, p) == scanning_jordan_decomposition(g, p), (g, p)
+        assert min(seen.values()) > 2000, seen
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_odd_pieces_with_known_symbols(self, p, rng):

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from k3lat import linalg
 from k3lat.census import MinusTwoResult, has_minus_two_class
 from k3lat.enumeration import _block, embeddings, vectors_of_norm
+from k3lat.genus import same_genus
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, random_nondegenerate, random_positive_definite,
                   random_symmetric, random_unimodular, scanning_ldl)
@@ -267,6 +271,38 @@ def test_one_smith_form_per_lattice(monkeypatch):
         with pytest.raises(LatticeError, match="degenerate"):
             degenerate.discriminant_group()
     assert len(calls) == 2
+
+
+def test_memos_give_the_serial_answers_under_threads():
+    # a first read of a memo takes no lock: threads racing on it may each
+    # compute and store it, but every store is the value the Gram matrix
+    # determines, so each thread reads what a serial run reads
+    rng = random.Random(31)
+    grams = [random_nondegenerate(3, rng).gram for _ in range(60)]
+
+    def answers(lats):
+        return [(lat.signature(), lat.determinant(), lat.discriminant_group(),
+                 same_genus(lats[0], lat)) for lat in lats]
+
+    want = answers([Lattice(g) for g in grams])
+    shared = [Lattice(g) for g in grams]
+    got = [None] * 8
+
+    def work(k):
+        got[k] = answers(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8
 
 
 # -- linalg against sympy's Matrix as the oracle --------------------------------

@@ -157,6 +157,53 @@ def test_the_embedding_guard_names_the_enclosing_definition(source, sites):
     assert list(_unchecked_embedding_sites(ast.parse(source))) == sites
 
 
+def _use_sites(tree, name):
+    """The innermost function using name, by name or as an attribute,
+    for each use ("<module>" outside a function); an import that renames
+    it counts as a use at "<module>"."""
+    def visit(node, site):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+                and node.asname not in (None, name)):
+            yield site
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, site)
+    return set(visit(tree, "<module>"))
+
+
+# the unchecked orbit record and complement, by the callers that have proven
+# the public refusals they skip
+UNCHECKED_CALLERS = {
+    "_orbit_record": {("enumeration.py", "orbit_invariant"), ("census.py", "_family")},
+    "_complement": {("lattice.py", "orthogonal_complement"),
+                    ("enumeration.py", "_orbit_record")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED_CALLERS))
+def test_unchecked_records_are_taken_only_where_proven(name):
+    root = Path(k3lat.__file__).parent
+    paths = [*root.glob("*.py"), *root.parents[1].joinpath("scripts").glob("*.py")]
+    sites = {(path.name, site) for path in paths
+             for site in _use_sites(ast.parse(path.read_text(encoding="utf-8")), name)}
+    assert sites == UNCHECKED_CALLERS[name], sites
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def f(lat, v):\n    return _orbit_record(lat, v)", {"f"}),
+    ("class C:\n    def m(self, v):\n        return self._orbit_record(v)", {"m"}),
+    ("def f(ts):\n    return list(map(_orbit_record, ts))", {"f"}),
+    ("def f():\n    def g():\n        return _orbit_record()\n    return g", {"g"}),
+    ("from .enumeration import _orbit_record as record", {"<module>"}),
+    ("from .enumeration import _orbit_record\nr = _orbit_record", {"<module>"}),
+    ("def f():\n    return orbit_record(), self._orbit_records", set())])
+def test_the_unchecked_record_guard_names_each_site(source, sites):
+    assert _use_sites(ast.parse(source), "_orbit_record") == sites
+
+
 def test_enumeration_imports_no_fractions():
     # the short-vector kernel takes integer Gram matrices only
     path = Path(k3lat.__file__).with_name("enumeration.py")

@@ -274,6 +274,44 @@ def scanning_ldl(gram):
     return minors, rows
 
 
+def scanning_jordan_decomposition(gram, p):
+    """Oracle: the steps of genus._jordan_decomposition with the pivot taken
+    by a full scan of least (valuation, off-diagonal, row, column) over the
+    upper triangle, never by the shortcut to the first diagonal unit."""
+    mod = 8 if p == 2 else p
+    a = [list(row) for row in gram]
+    den, idx, records = 1, list(range(len(gram))), {}
+
+    def valuation(x):
+        k = 0
+        while x % p == 0:
+            x, k = x // p, k + 1
+        return k
+
+    while idx:
+        v, off, i, j = min((valuation(a[r][s]), r != s, r, s)
+                           for r in idx for s in idx if s >= r and a[r][s])
+        dim, b11, b12, b22 = 1 + off, a[i][i], a[i][j], a[j][j]
+        pv = p ** (v * dim)
+        if off:
+            w, c = (b11 * b22 - b12 * b12) // pv, (b22, -b12, b11)
+        else:
+            w, c = b11 // pv, (1, 0, 0)
+        u = w * den ** dim
+        rec = records.setdefault(v, [0, 1, False, 0])
+        rec[0] += dim
+        rec[1] = rec[1] * u % mod
+        if not off:
+            rec[2], rec[3] = True, (rec[3] + u) % 8
+        idx = [r for r in idx if r not in (i, j)]
+        z = {s: ((c[0] * a[s][i] + c[1] * a[s][j]) // pv, (c[1] * a[s][i] + c[2] * a[s][j]) // pv)
+             for s in idx}
+        a = [[a[r][s] * w - a[r][i] * z[s][0] - a[r][j] * z[s][1] if r in z and s in z
+              else a[r][s] for s in range(len(a))] for r in range(len(a))]
+        den *= w
+    return records
+
+
 def discriminant_form_counts(lat):
     """Oracle: how often the discriminant form of an even lattice takes each value.
 
