@@ -1,3 +1,8 @@
+import gc
+
 from .cli import main
 
-main()
+try:
+    main()
+finally:
+    gc.freeze()  # the process is ending: exit-time collections skip frozen objects

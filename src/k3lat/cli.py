@@ -6,10 +6,11 @@ builds the parser of the one command its first two words name, so options
 must be spelled in full; any other argv gets the listing parser, which
 prints the command list.  Each handler imports only the modules its command
 uses, and a memoized command imports its compute modules only on a cache
-miss; the floor of every call is arith, lattice and linalg, without
-dataclasses or fractions (parse_element imports Fraction where it builds
-one), and k3 fm-count and cm bound add only formulas.  A DomainError from a
-computation is exit code 1, an InputError exit code 2."""
+miss.  The floor of every call is arith alone, without dataclasses,
+fractions, tempfile or hashlib: parse_gram imports lattice and linalg,
+parse_element Fraction, a cache lookup hashlib and a cache write tempfile,
+each where it needs them; k3 fm-count and cm bound add only formulas.  A
+DomainError from a computation is exit code 1, an InputError exit code 2."""
 
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 import time
 
 from . import SCHEMA
 from .arith import DomainError, quoted
-from .lattice import Lattice, LatticeError, _gram_json
 
 CACHE_ENV = "K3LAT_CACHE_DIR"
 
@@ -48,7 +47,9 @@ class CommandResult:
 # -- input parsing -------------------------------------------------------------
 
 
-def parse_gram(text: str) -> Lattice:
+def parse_gram(text: str):
+    """The Lattice of a Gram matrix given inline or as @file.json."""
+    from .lattice import Lattice, LatticeError
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -158,13 +159,14 @@ def _cache_get(cache_dir: str | None, key: dict):
 def _cache_put(cache_dir: str | None, key: dict, result: dict) -> None:
     if not cache_dir:
         return
+    import tempfile
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, key)
     doc = {"schema": SCHEMA, "key": key, "result": result}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))  # dumps encodes in C, dump in Python
         os.replace(tmp, path)
     except OSError:
         if os.path.exists(tmp):
@@ -246,6 +248,7 @@ def _cmd_qform_genus_check(args):
 
 @command("lattice norm", _GRAM, _VECTOR)
 def _cmd_lattice_norm(args):
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     v = parse_vector(args.vector)
     return {"gram": _gram_json(lat), "vector": list(v), "norm": lat.norm(v)}
@@ -253,6 +256,7 @@ def _cmd_lattice_norm(args):
 
 @command("lattice signature", _GRAM)
 def _cmd_lattice_signature(args):
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     pos, neg = lat.signature()
     return {"gram": _gram_json(lat), "signature": [pos, neg]}
@@ -260,6 +264,7 @@ def _cmd_lattice_signature(args):
 
 @command("lattice disc-group", _GRAM)
 def _cmd_lattice_disc_group(args):
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     return {"gram": _gram_json(lat), "determinant": lat.determinant(),
             "discriminant_group": list(lat.discriminant_group())}
@@ -267,6 +272,7 @@ def _cmd_lattice_disc_group(args):
 
 @command("lattice vectors", _GRAM, arg("-n", "--norm", type=int, required=True))
 def _cmd_lattice_vectors(args):
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
 
     def compute():
@@ -282,6 +288,7 @@ def _cmd_lattice_vectors(args):
          arg("--target", required=True), arg("--primitive", action="store_true"))
 def _cmd_lattice_embeddings(args):
     from . import enumeration
+    from .lattice import _gram_json
     src = parse_gram(args.source)
     tgt = parse_gram(args.target)
     embs = enumeration.embeddings(src, tgt, primitive_only=args.primitive)
@@ -302,6 +309,7 @@ def _cmd_lattice_isometric(args):
 
 @command("lattice complement", _GRAM, _VECTOR)
 def _cmd_lattice_complement(args):
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     comp, basis = lat.orthogonal_complement(parse_vector(args.vector))
     return {"gram": _gram_json(lat), "complement_gram": _gram_json(comp),
@@ -348,6 +356,7 @@ def _cmd_k3_fm_count(args):
 @command("k3 twistor-count", _GRAM, _DEGREE)
 def _cmd_k3_twistor_count(args):
     from . import census
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     res = census.count_integral_twistor_classes(lat, args.degree)
     return {"gram": _gram_json(lat), "d": args.degree, "count": res.count,
@@ -357,6 +366,7 @@ def _cmd_k3_twistor_count(args):
 @command("k3 minus-two", _GRAM, arg("--bound", type=int, default=6))
 def _cmd_k3_minus_two(args):
     from . import census
+    from .lattice import _gram_json
     lat = parse_gram(args.gram)
     if args.bound < 0:
         raise InputError(f"--bound must be nonnegative, got {args.bound}")
@@ -371,6 +381,7 @@ def _cmd_k3_minus_two(args):
          _DEGREE, *_FIELD, arg("--overlattice-index", type=int, default=1))
 def _cmd_cm_fibers(args):
     from . import cm
+    from .lattice import _gram_json
     field = _field_from_args(args)
     lat = parse_gram(args.gram)
     pv = cm.PeriodVector(lat, parse_mu(args.mu, field))

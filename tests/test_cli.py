@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -476,6 +477,58 @@ def test_module_entrypoint_subprocess():
     assert payload["result"]["bound"] == 132
 
 
+def python_m_k3lat(argv):
+    """`python -m k3lat argv` with block-buffered output, which exit must flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "k3lat", *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    (["cm", "bound", "--degree", "21"], 0, "ok"),
+    (["qform", "classgroup", "-D", "5"], 1, "error"),
+    (["lattice", "signature", "--gram", "1,2;3"], 2, "input-error"),
+], ids=["ok", "domain-error", "input-error"])
+def test_module_entrypoint_prints_one_envelope_per_exit_code(argv, code, status):
+    proc = python_m_k3lat([*argv, "--json"])
+    assert proc.returncode == code, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    payload = json.loads(line)
+    assert (payload["schema"], payload["status"]) == ("k3lat/1", status)
+
+
+def test_module_entrypoint_human_output():
+    proc = python_m_k3lat(["qform", "classgroup", "-D", "-23"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "command: qform classgroup"
+    assert re.fullmatch(r"time: \d+\.\d ms", lines[-1]) and len(lines) == 5
+
+
+def test_module_entrypoint_warns_of_a_corrupt_cache_entry(tmp_path):
+    argv = ["qform", "classgroup", "-D", "-23", "--json", "--cache-dir", str(tmp_path)]
+    miss = python_m_k3lat(argv)
+    (path,) = tmp_path.glob("k3lat-*.json")
+    path.write_text("{ not json")
+    again = python_m_k3lat(argv)
+    assert (miss.returncode, again.returncode) == (0, 0)
+    assert again.stdout == miss.stdout and json.loads(again.stdout)["status"] == "ok"
+    assert f"warning: ignoring corrupt cache entry {path}" in again.stderr
+
+
+# the entry that json.dump(doc, fh, sort_keys=True) wrote for this call
+_CLASSGROUP_23_ENTRY = ('{"key": {"D": -23, "op": "classgroup"}, "result": {"discriminant": -23,'
+                        ' "forms": [[1, 1, 6], [2, -1, 3], [2, 1, 3]], "h": 3},'
+                        ' "schema": "k3lat/1"}')
+
+
+def test_cache_entry_bytes_are_pinned(tmp_path):
+    run(["qform", "classgroup", "-D", "-23", "--json", "--cache-dir", str(tmp_path)])
+    (path,) = tmp_path.glob("k3lat-*.json")
+    assert path.name == "k3lat-89ea777e9eebb825f210ef02edab2068.json"
+    assert path.read_bytes() == _CLASSGROUP_23_ENTRY.encode()
+
+
 def fresh_interpreter(code):
     """The last line a fresh interpreter prints after running code."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -484,10 +537,24 @@ def fresh_interpreter(code):
     return proc.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["census", "cm", "enumeration", "forms", "genus"])
+@pytest.mark.parametrize("module", ["census", "cm", "enumeration", "forms", "genus",
+                                    "lattice", "linalg"])
 def test_cli_import_does_not_load(module):
     code = f"import sys, k3lat.cli; print('k3lat.{module}' in sys.modules)"
     assert fresh_interpreter(code) == "False"
+
+
+def test_cli_import_without_site_loads_no_cache_module():
+    # site may load tempfile itself; without it, only the CLI's import floor could
+    src = str(Path(importlib.import_module("k3lat").__file__).resolve().parents[1])
+    probe = ("sorted({'tempfile', 'hashlib', 'k3lat.lattice', 'k3lat.linalg'}"
+             " & set(sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; print({probe})"
+                           f"; import k3lat.cli; print({probe})"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def main_then(argv, probe):
@@ -555,6 +622,21 @@ def test_floor_commands_load_neither_dataclasses_nor_fractions(tmp_path):
                  ["cm", "bound", "--degree", "21", "--json"]):
         probe = f"{_OFF_THE_FLOOR}, {_COMPUTE_MODULES}"
         assert fresh_interpreter(main_then(argv, probe)) == f"0 {bare} []", argv
+
+
+_LATTICE_MODULES = "sorted({'k3lat.lattice', 'k3lat.linalg'} & set(sys.modules))"
+
+
+def test_commands_without_a_gram_load_neither_lattice_nor_linalg(tmp_path):
+    classgroup = ["qform", "classgroup", "-D", "-23", "--json", "--cache-dir", str(tmp_path)]
+    both = "['k3lat.lattice', 'k3lat.linalg']"
+    assert fresh_interpreter(main_then(classgroup, _LATTICE_MODULES)) == f"0 {both}"  # miss
+    for argv in (["k3", "fm-count", "-d", "12", "--json"],
+                 ["cm", "bound", "--degree", "21", "--json"],
+                 classgroup):  # now a cache hit
+        assert fresh_interpreter(main_then(argv, _LATTICE_MODULES)) == "0 []", argv
+    signature = ["lattice", "signature", "--gram", "2,1;1,2", "--json"]
+    assert fresh_interpreter(main_then(signature, _LATTICE_MODULES)) == f"0 {both}"
 
 
 def test_human_output_of_a_successful_command(capsys):
