@@ -482,8 +482,12 @@ class _PeriodTables:
     in x, kept on its upper triangle.  Their field coefficients are stored
     as integer coordinate rows over a common denominator, so a solve takes
     integer dot products only.  A residual row that vanishes identically is
-    left out; at rank 2 all do.  element keeps one CMElement per numerator
-    tuple, built on first sight; negated reads -x through it.
+    left out; at rank 2 all do.  So is a norm-identity coordinate whose
+    form and (sigma.sigmabar) coordinate both vanish, as it reads 0 = 0 for
+    every x: the value is real, so the hexagonal period keeps 1 row of 2.
+    element keeps one CMElement per numerator tuple, built on first sight,
+    and the numerators of each by id; negated reads them for an element
+    built there, and negates any other exactly.
     """
 
     def __init__(self, pv: PeriodVector) -> None:
@@ -499,7 +503,7 @@ class _PeriodTables:
         res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
                 for a in range(size)] for k in range(n)]
         den = _common_denominator(lam + lam_p + nu + sum(res, []))
-        self._field, self._n, self._den, self._elements = field, n, den, {}
+        self._field, self._n, self._den, self._elements, self._numerators = field, n, den, {}, {}
         self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
         self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
         def triangle(support, w):  # x_a x_b = x_b x_a: keep a form's upper triangle
@@ -511,8 +515,9 @@ class _PeriodTables:
             lambda a, b: (lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb)
         self._nu_pairs, nu_w = triangle(range(n * n, size), lambda a, b: nu[a] * nu[b].conjugate())
         qden = _common_denominator(lam_w + nu_w + [ssb])
-        self._lam_w, self._nu_w = _int_rows(lam_w, qden), _int_rows(nu_w, qden)
-        self._ssb = [row[0] for row in _int_rows([ssb], qden)]
+        self._norm_rows = [(s, t, g) for s, t, (g,) in zip(
+            _int_rows(lam_w, qden), _int_rows(nu_w, qden), _int_rows([ssb], qden))
+            if g or any(s) or any(t)]
 
     def solve(self, columns) -> tuple[tuple[int, ...], ...] | None:
         """Numerators over the common denominator of lambda, lambda' and nu,
@@ -527,11 +532,14 @@ class _PeriodTables:
         if (x := self._elements.get(numerators)) is None:
             x = self._elements.setdefault(numerators, CMElement(
                 self._field, tuple(Fraction(v, self._den) for v in numerators)))
+            self._numerators[id(x)] = numerators  # x lives as long as _elements
         return x
 
     def negated(self, x: CMElement) -> CMElement:
-        """-x through element."""
-        return self.element(tuple(-c.numerator * (self._den // c.denominator) for c in x.coords))
+        """-x: from the numerators of x if element built x, else exactly."""
+        if (numerators := self._numerators.get(id(x))) is None:
+            return -x
+        return self.element(tuple(-v for v in numerators))
 
     def norm_holds(self, columns, d: int, scale: int) -> bool:
         """Whether the norm value of phi equals scale (sigma.sigmabar)."""
@@ -539,7 +547,7 @@ class _PeriodTables:
         ps = [x[a] * x[b] for a, b in self._lam_pairs]
         qs = [x[a] * x[b] for a, b in self._nu_pairs]
         return all(sum(map(mul, s, ps)) + d * sum(map(mul, t, qs)) == scale * g
-                   for s, t, g in zip(self._lam_w, self._nu_w, self._ssb))
+                   for s, t, g in self._norm_rows)
 
     def _entries(self, columns) -> list[int]:
         return [col[r] for r in range(self._n + 1) for col in columns]

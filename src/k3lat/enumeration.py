@@ -151,12 +151,15 @@ def _is_saturated(columns: tuple[Vector, ...]) -> bool:
 
 def _gram_compatible(source: Lattice, target: Lattice, vectors, paired: bool = False):
     """Every tuple of target vectors with the source Gram matrix, in
-    backtracking order: column i runs through vectors(source.gram[i][i])
-    and is pruned on the first inner product that disagrees.  Each candidate
-    v is paired with G v once, so each test is a plain dot product.  The
-    lists are sorted, so that order is lexicographic.  With paired, column 0
-    takes the upper half of its list only, the larger of each +-v: negation
-    reverses a sorted list closed under it, and v != -v (norm > 0)."""
+    backtracking order: column i runs through vectors(source.gram[i][i]),
+    forward-checked: once column i takes v, every later column's list keeps
+    only the candidates w with (v.w) = source.gram[i][k], and the branch is
+    cut if one comes out empty (Plesken-Souvignier).  Each candidate w is
+    paired with G w once, so each test is a plain dot product.  The lists
+    are sorted and filtering keeps sorted subsequences, so that order is
+    lexicographic.  With paired, column 0 takes the upper half of its list
+    only, the larger of each +-v: negation reverses a sorted list closed
+    under it, and v != -v (norm > 0)."""
     g, h = source.gram, target.gram
     norms = dict.fromkeys(g[i][i] for i in range(len(g)))
     candidates = {nrm: [(v, tuple(sum(map(mul, row, v)) for row in h))
@@ -165,16 +168,19 @@ def _gram_compatible(source: Lattice, target: Lattice, vectors, paired: bool = F
     if paired:
         lists[0] = lists[0][len(lists[0]) // 2:]
 
-    def extend(chosen: tuple[Vector, ...], images: tuple[Vector, ...]):
-        i = len(chosen)
-        if i == len(g):
+    def extend(chosen: tuple[Vector, ...], rest: list):
+        if not rest:
             yield chosen
             return
-        for v, gv in lists[i]:
-            if all(sum(map(mul, w, v)) == g[j][i] for j, w in enumerate(images)):
-                yield from extend(chosen + (v,), images + (gv,))
+        i = len(chosen)
+        pending = list(zip(g[i][i + 1:], rest[1:]))  # (source.gram[i][k], list k), k > i
+        for v, gv in rest[0]:
+            later = [[c for c in cands if sum(map(mul, gv, c[0])) == gik]
+                     for gik, cands in pending]
+            if all(later):
+                yield from extend(chosen + (v,), later)
 
-    return extend((), ())
+    return extend((), lists)
 
 
 def embeddings(source: Lattice, target: Lattice,
@@ -182,11 +188,12 @@ def embeddings(source: Lattice, target: Lattice,
     """All isometric embeddings of one positive definite lattice into another,
     sorted by columns: the backtracking order.
 
-    Backtracks over the fixed-norm vector lists column by column, pruning on
-    pairwise inner products, once per pair +-phi (_gram_compatible, paired);
-    negation reverses the order, so the negated hits, reversed, sort below
-    the hits.  With primitive_only the image is additionally required to be
-    a saturated sublattice, tested once per pair (-M has the Smith form of M).
+    Backtracks over the fixed-norm vector lists column by column, each choice
+    filtering the later lists by its inner products, once per pair +-phi
+    (_gram_compatible, paired); negation reverses the order, so the negated
+    hits, reversed, sort below the hits.  With primitive_only the image is
+    additionally required to be a saturated sublattice, tested once per pair
+    (-M has the Smith form of M).
     """
     if not source.is_positive_definite() or not target.is_positive_definite():
         raise EnumerationError("both lattices must be positive definite")

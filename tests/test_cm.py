@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,12 @@ from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
                       twistor_fiber_bound, verify_norm_equation)
-from k3lat.enumeration import (EmbeddingMatrix, _gram_compatible, embeddings,
-                               vectors_of_norm)
+from k3lat.enumeration import EmbeddingMatrix, embeddings, vectors_of_norm
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
-from util import (box_embeddings, field_solve_lambda, min_poly_totally_nonneg,
-                  period_image_matches, scanned_max_root_of_unity_order)
+from util import (box_embeddings, field_solve_lambda, lazy_gram_compatible,
+                  min_poly_totally_nonneg, period_image_matches,
+                  scanned_max_root_of_unity_order)
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
@@ -642,10 +644,76 @@ def test_indices_above_two_match_field_arithmetic_and_the_full_search(index):
     pv = hex_period()
     source, target = T_HEX.twist(index * index), T_HEX.direct_sum(Lattice([[2]]))
     found = enumerate_period_embeddings(pv, 2, overlattice_index=index)
-    full = _gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
+    full = lazy_gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
     assert [pe.embedding.columns for pe in found] == list(full)
     for pe in found:
         assert (pe.lam, pe.lam_prime, pe.nu) == field_solve_lambda(pv, pe.embedding)
+
+
+def field_norm_holds(pv, columns, d, scale):
+    """The norm identity (|lambda|^2 + |lambda'|^2)(sigma.sigmabar) + |nu|^2 d
+    = scale (sigma.sigmabar) in CMElement arithmetic: lambda, lambda' and nu
+    by Cramer's rule on the period's coordinates (field_solve_lambda, which
+    at rank 2 solves every matrix), (sigma.sigmabar) summed from mu."""
+    lam, lam_p, nu = field_solve_lambda(pv, SimpleNamespace(columns=columns))
+    mu, g = pv.mu, pv.lattice.gram
+    ssb = sum((mu[a].conjugate() * mu[b] * g[a][b] for a in range(2) for b in range(2)),
+              pv.field.zero())
+    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
+            + nu * nu.conjugate() * d) == ssb * scale
+
+
+@pytest.mark.parametrize("pv,rows", [(hex_period(), 2), (_HEX_QUARTIC, 4)],
+                         ids=["hex", "hex-zeta12"])
+def test_kept_norm_rows_decide_as_field_arithmetic(pv, rows):
+    # the norm value is rational for these periods, so one coordinate row of
+    # the identity is kept; the dropped ones read 0 = 0 for every matrix
+    tables, rng = pv._tables, random.Random(3303)
+    assert pv.field.degree == rows and len(tables._norm_rows) == 1
+    assert all(g or any(s) or any(t) for s, t, g in tables._norm_rows)
+    outcomes = []
+    for d, k in ((2, 1), (3, 1), (2, 2), (6, 3)):
+        found = [pe.embedding.columns
+                 for pe in enumerate_period_embeddings(pv, d, overlattice_index=k)]
+        drawn = [tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+                 for _ in range(60)]
+        for columns in found[:12] + drawn:
+            for scale in (1, k * k):
+                holds = tables.norm_holds(columns, d, scale)
+                assert holds == field_norm_holds(pv, columns, d, scale), (columns, d, scale)
+                outcomes.append(holds)
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 400
+
+
+class TestNegated:
+    def test_a_value_off_the_table_denominator_is_negated_exactly(self):
+        tables = hex_period()._tables
+        assert tables._den == 6
+        for x in (EISEN.rational(Fraction(1, 5)), EISEN.element((Fraction(2, 7), Fraction(-1, 4)))):
+            assert tables.negated(x) == -x
+
+    def test_table_values_negate_to_interned_elements(self):
+        pv = hex_period()
+        tables = pv._tables
+        for pe in enumerate_period_embeddings(pv, 2, overlattice_index=2):
+            for x in (pe.lam, pe.lam_prime, pe.nu):
+                neg = tables.negated(x)
+                assert neg == -x and any(neg is y for y in tables._elements.values())
+                copy = EISEN.element(x.coords)
+                assert tables.negated(copy) == -x
+
+    def test_short_lived_elements_never_read_a_stale_entry(self):
+        # thousands of off-table elements are made and dropped, so their ids
+        # recur; none may be answered as some other element's negation
+        pv = hex_period()
+        tables = pv._tables
+        enumerate_period_embeddings(pv, 2, overlattice_index=2)
+        interned, rng = len(tables._elements), random.Random(3304)
+        for _ in range(5000):
+            x = EISEN.element(tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+                                    for _ in range(2)))
+            assert tables.negated(x).coords == tuple(-c for c in x.coords)
+        assert len(tables._elements) == interned
 
 
 def test_period_tables_are_built_once_on_the_first_solve():

@@ -15,8 +15,9 @@ from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _bounded_norm_
                                vectors_of_norm, _orbit_record)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
-from util import (box_embeddings, box_vectors_of_norm, random_positive_definite,
-                  random_symmetric)
+from util import (box_embeddings, box_vectors_of_norm, change_basis,
+                  lazy_gram_compatible, random_nondegenerate, random_positive_definite,
+                  random_symmetric, random_unimodular)
 
 A2 = Lattice([[2, 1], [1, 2]])
 
@@ -209,8 +210,55 @@ class TestEmbeddingOrder:
         for _ in range(40):
             target = random_positive_definite(rng.randint(2, 4), rng)
             source = _random_sublattice(target, rng.randint(1, target.rank), rng)
-            full = _gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
+            full = lazy_gram_compatible(source, target, lambda n: vectors_of_norm(target, n))
             assert [e.columns for e in embeddings(source, target)] == list(full)
+
+
+def assert_streams_match_the_lazy_search(source, target, vectors):
+    """Full and paired streams of _gram_compatible equal the lazy oracle's,
+    and so do first hits taken by next() from fresh generators; returns the
+    number of hits."""
+    full = list(_gram_compatible(source, target, vectors))
+    assert full == list(lazy_gram_compatible(source, target, vectors))
+    assert (list(_gram_compatible(source, target, vectors, paired=True))
+            == list(lazy_gram_compatible(source, target, vectors, paired=True)))
+    first = next(_gram_compatible(source, target, vectors), None)
+    assert first == next(lazy_gram_compatible(source, target, vectors), None)
+    return len(full)
+
+
+class TestForwardCheckedSearch:
+    # forward checking filters the later candidate lists; the stream it
+    # yields must be the lazy backtracking's, item for item
+    def test_definite_pairs_up_to_rank_four(self):
+        rng, hits, misses = random.Random(3301), 0, 0
+        for case in range(80):
+            target = random_positive_definite(rng.randint(1, 4), rng, entry_bound=6)
+            rank = rng.randint(1, target.rank)
+            if case % 3:
+                source = _random_sublattice(target, rank, rng)
+            else:
+                source = random_positive_definite(rank, rng, entry_bound=6)
+            found = assert_streams_match_the_lazy_search(
+                source, target, lambda n: vectors_of_norm(target, n))
+            hits, misses = hits + found, misses + (found == 0)
+        assert hits > 500 and misses > 5
+
+    def test_indefinite_pairs_on_bounded_norm_lists(self):
+        rng, hits, misses = random.Random(3302), 0, 0
+        for case in range(60):
+            target = random_nondegenerate(rng.randint(2, 4), rng, scale=3)
+            if 0 in target.signature():
+                continue
+            if case % 2:
+                source = change_basis(target, random_unimodular(target.rank, rng, steps=3))
+            else:
+                source = random_nondegenerate(target.rank, rng, scale=3)
+            bound = 2 if target.rank == 4 else 3
+            found = assert_streams_match_the_lazy_search(
+                source, target, lambda n: _bounded_norm_vectors(target, n, bound))
+            hits, misses = hits + found, misses + (found == 0)
+        assert hits > 50 and misses > 10
 
 
 class TestIsometricDefinite:

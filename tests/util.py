@@ -110,6 +110,29 @@ def box_embeddings(source, target):
                    for i in range(len(cols)) for j in range(i))}
 
 
+def lazy_gram_compatible(source, target, vectors, paired=False):
+    """Oracle: enumeration._gram_compatible without forward checking.  Column
+    i runs through its whole sorted candidate list and a candidate is tested
+    against the chosen columns only, one dot product with each G c_j, when
+    it is reached; paired halves column 0 as the library does."""
+    g, h = source.gram, target.gram
+    lists = [[(v, tuple(sum(map(operator.mul, row, v)) for row in h))
+              for v in vectors(g[i][i])] for i in range(len(g))]
+    if paired:
+        lists[0] = lists[0][len(lists[0]) // 2:]
+
+    def extend(chosen, images):
+        i = len(chosen)
+        if i == len(g):
+            yield chosen
+            return
+        for v, gv in lists[i]:
+            if all(sum(map(operator.mul, w, v)) == g[j][i] for j, w in enumerate(images)):
+                yield from extend(chosen + (v,), images + (gv,))
+
+    return extend((), ())
+
+
 def period_image_matches(pv, pe):
     """Whether phi(sigma) = lambda sigma + lambda' sigmabar + nu e holds in
     every target coordinate, e being the last one."""
