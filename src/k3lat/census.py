@@ -133,7 +133,11 @@ def _family(p: int, d0: int, height_bound: int):
     Returns the reduced forms, the ternaries Q_j + (-d0), T_0(-4) and the
     invariants of (0, 0, 1) in each T_j(-4), taken by
     enumeration._orbit_record without orbit_invariant's refusals, which the
-    shape of T_j already proves.
+    shape of T_j already proves.  A record is taken once per mirror pair:
+    the sorted list puts (a, -b, c) before (a, b, c), and F = diag(1, -1, 1)
+    maps the first ternary onto the second, fixing e_3 and reversing the
+    orientation of e_3^perp, so the second gets OrbitInvariant.mirrored()
+    of the first's record.
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
@@ -149,9 +153,24 @@ def _family(p: int, d0: int, height_bound: int):
     # T_j = Q_j + (-d0) with Q_j reduced positive definite, so T_j(-4) is
     # nondegenerate of signature (1, 2), and e_3 is primitive of square
     # 4*d0 > 0: orbit_invariant's refusals cannot fire, and no LDL^T of the
-    # twist is needed to say so
-    invariants = tuple(_orbit_record(t.twist(-4), (0, 0, 1)) for t in ternaries)
-    return forms, ternaries, ternaries[0].twist(-4), invariants
+    # twist is needed to say so; a mirror of an earlier T_k takes its record
+    # from T_k's (docstring)
+    first: dict[tuple, int] = {}
+    invariants: list[OrbitInvariant] = []
+    for j, t in enumerate(ternaries):
+        k = first.get(_flip(t.gram))
+        invariants.append(_orbit_record(t.twist(-4), (0, 0, 1)) if k is None
+                          else invariants[k].mirrored())
+        first[t.gram] = j
+    return forms, ternaries, ternaries[0].twist(-4), tuple(invariants)
+
+
+def _flip(gram):
+    """F gram F for F = diag(1, -1, 1) and a symmetric rank-3 Gram.  F is
+    unimodular, so the two Grams are isometric; on Q + (-d0) with
+    Q = ((2a, b), (b, 2c)) it flips the sign of b."""
+    (a, b, c), (_, d, e), (_, _, k) = gram
+    return ((a, -b, c), (-b, d, -e), (c, -e, k))
 
 
 def build_unbounded_family(p: int, d0: int = 1,
@@ -251,7 +270,11 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     family from (p, d0) with the helper build uses, compares it field by
     field, and then runs the claim checks that build_unbounded_family runs
     on what it assembled before returning.  Raises CensusError on the first
-    failed check; returns True otherwise.
+    failed check; returns True otherwise.  Every pair of ternaries is proven
+    to share a genus, by same_genus against T_0 or, for the second member of
+    a mirror pair, by the unimodular F = diag(1, -1, 1) onto the first; and
+    every record matches the rederived one, which _family takes for that
+    member by mirroring, as F also maps e_3 to itself.
     """
     h = cert.h
     forms, ternaries, ambient, invariants = _family(cert.p, cert.d0, cert.height_bound)
@@ -278,16 +301,25 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
     """Checks of a certificate whose family is the one _family derives: one
     genus row, each witness's ends and class W e_3 (whose square, primitivity
     and record follow from W), distinct invariants and the (-2) certification.
-    Raises CensusError on the first failed check."""
+    The row runs same_genus(T_0, T_j) for every ternary except one whose
+    flip F T_j F, F = diag(1, -1, 1), is exactly T_0 or an earlier compared
+    ternary: F is unimodular, so that T_j is isometric to a member of T_0's
+    genus.  Raises CensusError on the first failed check."""
     ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants, because a p-adic symbol at p | det has a
     # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
     # over the same primes, and equality of symbols is transitive.  T_0 ~ T_0
     # holds by reflexivity and is not compared.  T_0 keeps its symbols, so
-    # the row computes them once, not h - 1 times.
-    if not all(same_genus(ternaries[0], t) for t in ternaries[1:]):
-        raise CensusError("genus check does not reproduce")
+    # the row computes them once, not h - 1 times.  The flips it skips
+    # (docstring) are the second members of the mirror pairs.
+    in_genus = {ternaries[0].gram}
+    for t in ternaries[1:]:
+        if _flip(t.gram) in in_genus:
+            continue
+        if not same_genus(ternaries[0], t):
+            raise CensusError("genus check does not reproduce")
+        in_genus.add(t.gram)
     for t, w, alpha in zip(ternaries, cert.isometry_witnesses, cert.classes):
         if w is None:
             if alpha is not None:

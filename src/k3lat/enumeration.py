@@ -445,6 +445,20 @@ class OrbitInvariant(Record):
         return OrbitInvariant(self.norm, self.ambient_disc,
                               self.complement_disc, cls)
 
+    def mirrored(self) -> "OrbitInvariant":
+        """The record with the orientation of the complement reversed, as
+        for the image of v under an isometry that reverses it (census:
+        F = diag(1, -1, 1) fixes e_3 and maps T(-4) onto its mirror): the
+        same norm and discriminant groups, and the class (A, -B, C) reduced
+        again, which is (A, B, C) itself when B = 0, |B| = A or A = C.  A
+        rank-1 complement has no orientation and is kept."""
+        cls = self.complement_class
+        if len(cls) == 3:
+            a, b, c = cls
+            cls = reduce_form(BinaryForm._of(a, -b, c))[0].as_tuple()
+        return OrbitInvariant(self.norm, self.ambient_disc,
+                              self.complement_disc, cls)
+
 
 def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     """Invariant record for the orbit of a primitive positive-norm v in a

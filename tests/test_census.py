@@ -17,7 +17,7 @@ from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           fm_partner_count, has_minus_two_class, tau,
                           verify_certificate, write_certificate)
 from k3lat.enumeration import (indefinite_isometry_search, level_walk,
-                               orbit_invariant, vectors_of_norm)
+                               orbit_invariant, vectors_of_norm, _orbit_record)
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
 
@@ -75,6 +75,20 @@ def assemble_family(p, d0, height_bound):
         complement_invariants=tuple(orbit_invariant(t.twist(-4), (0, 0, 1))
                                     for t in ternaries),
         minus_two_free=True, height_bound=height_bound)
+
+
+def mirror_firsts(forms):
+    """Indices j of the forms (a, b, c) whose mirror (a, -b, c) is not
+    earlier in the list: the classes the genus row compares (besides T_0)
+    and whose records _family takes."""
+    seen = set()
+    firsts = []
+    for j, f in enumerate(forms):
+        a, b, c = f.as_tuple()
+        if (a, -b, c) not in seen:
+            firsts.append(j)
+        seen.add((a, b, c))
+    return firsts
 
 
 class TestTauAndFm:
@@ -346,10 +360,12 @@ class TestUnboundedFamily:
         monkeypatch.setattr(census, "verify_certificate", None)
         assert build_unbounded_family(23, 1) == cert and checked == [cert]
         assert verify_certificate(cert) and checked == [cert, cert]
-        last = cert.ternaries[-1]
+        # T_1 = (2, -1, 3) + (-1) is the compared member of p = 23's mirror
+        # pair; T_2, its flip, is not compared
+        compared = cert.ternaries[1]
         genus = census.same_genus
         monkeypatch.setattr(census, "same_genus",
-                            lambda a, b: last not in (a, b) and genus(a, b))
+                            lambda a, b: compared not in (a, b) and genus(a, b))
         with pytest.raises(CensusError, match="genus check does not reproduce"):
             verify_certificate(cert)
         with pytest.raises(CensusError, match="genus check does not reproduce"):
@@ -367,12 +383,14 @@ class TestUnboundedFamily:
                 return _fn(*args)
             monkeypatch.setattr(census, name, counted)
         run(cert)
-        # h = 3: the genus row compares T_0 with T_1 and T_2 only, and each
-        # record is derived once, in _family; every class is witnessed, and
-        # a witnessed class's record is implied, not derived again
-        assert cert.witness_gaps == ()
-        assert calls == {"_family": 1, "same_genus": cert.h - 1,
-                         "_orbit_record": cert.h}
+        # the genus row compares T_0 with each later class whose mirror
+        # (a, -b, c) is not earlier in the form list, and _family takes a
+        # record for each such class and for T_0; every class is witnessed,
+        # and a witnessed class's record is implied, not derived again
+        firsts = mirror_firsts(cert.forms)
+        assert cert.witness_gaps == () and len(firsts) == 2 < cert.h
+        assert calls == {"_family": 1, "same_genus": len(firsts) - 1,
+                         "_orbit_record": len(firsts)}
 
     def test_certificate_documents_are_pinned(self):
         for p, want in CERTIFICATE_DIGESTS.items():
@@ -389,9 +407,55 @@ class TestUnboundedFamily:
         monkeypatch.setattr(genus, "_jordan_decomposition",
                             lambda gram, p: calls.append(p) or jordan(gram, p))
         census._check_claims(cert)
-        # every ternary has determinant -239: T_0 is compared with 14 others
-        # at 2 and 239, and each lattice's two symbols are computed once
-        assert cert.h == 15 and len(calls) == 2 * 15
+        # every ternary has determinant -239: T_0 is compared at 2 and 239
+        # with the 7 classes that come before their mirrors (the 7 mirrors
+        # are not compared), and each lattice's two symbols are computed once
+        assert cert.h == 15 and len(mirror_firsts(cert.forms)) == 8
+        assert len(calls) == 2 * 8
+
+    def test_the_genus_row_skips_exactly_the_later_mirrors(self, monkeypatch):
+        compared = []
+        genus = census.same_genus
+        monkeypatch.setattr(census, "same_genus",
+                            lambda a, b: compared.append((a, b)) or genus(a, b))
+        for p in range(3, 260):
+            if isprime(p) and p % 4 == 3:
+                cert = build_unbounded_family(p, 1)
+                compared.clear()
+                census._check_claims(cert)
+                t0 = cert.ternaries[0]
+                want = [(t0, cert.ternaries[j]) for j in mirror_firsts(cert.forms)[1:]]
+                assert compared == want, p
+
+    def test_the_genus_row_refuses_a_compared_ternary_outside_the_genus(self):
+        # ((2, 1), (1, 1)) + (-23) is I_2 + (-23): determinant -23 and
+        # signature (2, 1), as T_0, but another genus; its flip, taken after
+        # it, would be skipped only had it passed
+        cert = build_unbounded_family(23, 1)
+        outside = Lattice([[2, 1, 0], [1, 1, 0], [0, 0, -23]])
+        flipped = Lattice([[2, -1, 0], [-1, 1, 0], [0, 0, -23]])
+        assert not genus.same_genus(cert.ternaries[0], outside)
+        for ternaries in [(cert.ternaries[0], outside, flipped),
+                          (cert.ternaries[0], flipped, outside),
+                          (cert.ternaries[0], cert.ternaries[1], outside)]:
+            forged = UnboundedFamilyCertificate(**{
+                **{name: getattr(cert, name) for name in cert._fields},
+                "ternaries": ternaries})
+            with pytest.raises(CensusError, match="genus check does not reproduce"):
+                census._check_claims(forged)
+
+    @pytest.mark.parametrize("d0", [1, 3, 5])
+    def test_each_family_record_is_the_direct_record(self, d0):
+        # _family mirrors the record of the first member of each mirror pair
+        # onto the second; each must equal the record taken directly
+        mirrored = 0
+        for p in range(3, 2000):
+            if isprime(p) and p % 4 == 3:
+                forms, ternaries, _, records = census._family(p, d0, 10)
+                assert records == tuple(_orbit_record(t.twist(-4), (0, 0, 1))
+                                        for t in ternaries), p
+                mirrored += len(forms) - len(mirror_firsts(forms))
+        assert mirrored > 1000
 
     def test_each_gram_is_validated_once_where_it_enters(self, monkeypatch):
         calls = []

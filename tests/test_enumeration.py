@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from k3lat.arith import DomainError
-from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, _bounded_norm_vectors,
+from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, OrbitInvariant,
+                               _bounded_norm_vectors,
                                _box_witness, _gram_compatible, _split_witness, _splits,
                                embeddings,
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
                                orbit_invariant, short_vectors_le,
                                vectors_of_norm, _orbit_record)
-from k3lat.forms import BinaryForm, class_group, form_to_lattice
+from k3lat.forms import BinaryForm, class_group, form_to_lattice, reduce_form
 from k3lat.lattice import Lattice, LatticeError
 from util import (box_embeddings, box_vectors_of_norm, change_basis,
                   lazy_gram_compatible, random_nondegenerate, random_positive_definite,
@@ -546,6 +547,44 @@ class TestOrbitInvariant:
             assert _orbit_record(fresh, v) == orbit_invariant(Lattice(gram), v), (gram, v)
             assert "_elimination" not in vars(fresh)
             seen[n] += 1
+
+    def test_mirrored_is_an_involution_that_keeps_the_unoriented_record(self):
+        rng = random.Random(34)
+        records = [orbit_invariant(form_to_lattice(f).direct_sum(Lattice([[-k]])).twist(-4),
+                                   (0, 0, 1))
+                   for d in range(-3, -400, -4) for f in class_group(d).elements
+                   for k in (1, 3)]
+        while len(records) < 2000:
+            n = rng.choice((2, 3))
+            lat = Lattice(random_symmetric(n, rng))
+            v = tuple(rng.randint(-4, 4) for _ in range(n))
+            if (lat.determinant() and lat.signature() == (1, n - 1)
+                    and math.gcd(*v) == 1 and lat.norm(v) > 0):
+                records.append(orbit_invariant(lat, v))
+        flipped = 0
+        for inv in records:
+            mirror = inv.mirrored()
+            assert mirror.mirrored() == inv
+            assert mirror.unoriented() == inv.unoriented()
+            if len(mirror.complement_class) == 3:
+                reduced, _ = reduce_form(BinaryForm(*mirror.complement_class))
+                assert reduced.as_tuple() == mirror.complement_class
+            flipped += mirror != inv
+        assert flipped > 500
+
+    @pytest.mark.parametrize("cls, mirror", [
+        ((2, 1, 3), (2, -1, 3)), ((5, -3, 7), (5, 3, 7)),  # interior: b flips
+        ((3, 0, 5), (3, 0, 5)),  # b = 0
+        ((2, 2, 5), (2, 2, 5)),  # |b| = a: (2, -2, 5) reduces to it
+        ((4, 3, 4), (4, 3, 4)),  # a = c: (4, -3, 4) reduces to it
+        ((1, 1, 1), (1, 1, 1)),  # both
+        ((6,), (6,)),  # a rank-1 complement has no orientation
+    ])
+    def test_mirrored_flips_only_interior_classes(self, cls, mirror):
+        inv = OrbitInvariant(4, (4, 4, 92), (8, 184), cls)
+        assert inv.mirrored() == OrbitInvariant(4, (4, 4, 92), (8, 184), mirror)
+        if len(cls) == 3:
+            assert reduce_form(BinaryForm(*cls))[0].as_tuple() == cls
 
     @pytest.mark.parametrize("v,error,message", [
         ((1, 0, 0), LatticeError, "does not match rank"),
