@@ -1,16 +1,18 @@
 """Exact arithmetic in small CM fields and the period-embedding machinery.
 
-Fields are presented by a monic integer minimal polynomial of degree 2 or 4
-together with the automorphism acting as complex conjugation under every
-embedding.  Elements live in the power basis with Fraction coordinates, so
-all arithmetic, conjugation, integrality and total-positivity tests are
-exact; nothing here evaluates a complex embedding numerically.
+A field is Q(zeta_k) of degree 2 or 4 or Q(sqrt(-m)) for squarefree m > 0,
+made by CMField.cyclotomic(k) or CMField.imaginary_quadratic(m): its monic
+integer minimal polynomial, the image of the generator under complex
+conjugation and its ring of integers, which hold by construction and are
+not re-proved at run time.  Elements live in the power basis with Fraction
+coordinates, so all arithmetic, conjugation, integrality and
+total-positivity tests are exact; nothing here evaluates a complex
+embedding numerically.
 
 Each field keeps its trace lattice T_K = (Tr(b_i conj(b_j))) on the integral
-basis, the form sum |g(x)|^2.  It is positive definite exactly when the
-automorphism is complex conjugation under every embedding, which validates
-the field, and its vectors of norm [K:Q] are the roots of unity.  Every
-positivity test is the LDL^T signature of such a trace form, Tr(y x conj(x)).
+basis, the positive definite form sum |g(x)|^2, whose vectors of norm [K:Q]
+are the roots of unity.  Every positivity test is the LDL^T signature of
+such a trace form, Tr(y x conj(x)).
 """
 
 from __future__ import annotations
@@ -74,42 +76,35 @@ _CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
                8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1), 12: (1, 0, -1, 0, 1)}
 
 
-def _is_irreducible(mp: tuple[int, ...]) -> bool:
-    """Irreducibility over Q of a monic integer polynomial of degree 2 or 4.
+def _quadratic(m: int):
+    """Q(sqrt(-m))'s presentation for a squarefree m > 0: its maximal order,
+    Z[(1 + sqrt(-m)) / 2] when m = 3 (mod 4) and Z[sqrt(-m)] otherwise, and
+    sqrt(-m) -> -sqrt(-m)."""
+    one, zero, half = Fraction(1), Fraction(0), Fraction(1, 2)
+    return (m, 0, 1), (zero, -one), ((one, zero), (half, half) if m % 4 == 3 else (zero, one))
 
-    By Gauss's lemma a factorization may be taken monic over Z: a quadratic
-    splits exactly when its discriminant is a square; a quartic splits when
-    it has an integer root, which divides a0, or is (x^2+bx+c)(x^2+dx+e)
-    with c*e = a0, b+d = a3, bd = a2-c-e and be+cd = a1.  Running c over
-    all divisors of a0 covers both orders of the quadratic factors, so b
-    may be taken as the larger root of t^2 - a3*t + (a2-c-e).
+
+def _presentation(mp: tuple[int, ...]):
+    """The (min_poly, conj_gen, integral_basis) that CMField.cyclotomic or
+    CMField.imaginary_quadratic builds on the polynomial mp, or None.
+
+    Q(zeta_k) has the power basis and zeta -> zeta^(k-1) = 1 / zeta, which
+    is -(a1 + a2 zeta + ... + zeta^(n-1)) as Phi_k(0) = 1.  The two agree
+    on x^2 + 1.
     """
-    if len(mp) == 3:
-        disc = mp[1] ** 2 - 4 * mp[0]
-        return disc < 0 or math.isqrt(disc) ** 2 != disc
-    a0, a1, a2, a3, _ = mp
-    if a0 == 0:
-        return False
-    divisors = [1]
-    for p, e in arith.factor(a0).items():
-        if p > 0:
-            divisors = [d * p ** k for d in divisors for k in range(e + 1)]
-    divisors += [-d for d in divisors]
-    if any(sum(c * r ** i for i, c in enumerate(mp)) == 0 for r in divisors):
-        return False
-    for c in divisors:
-        e = a0 // c
-        disc = a3 * a3 - 4 * (a2 - c - e)
-        s = math.isqrt(disc) if disc >= 0 else -1
-        if s * s == disc and (a3 + s) % 2 == 0:
-            b, d = (a3 + s) // 2, (a3 - s) // 2
-            if b * e + c * d == a1:
-                return False
-    return True
+    if mp in _CYCLOTOMIC.values():
+        n = len(mp) - 1
+        return mp, tuple(Fraction(-c) for c in mp[1:]), tuple(
+            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    if len(mp) != 3 or mp[1:] != (0, 1) or mp[0] <= 0 or not arith.is_squarefree(mp[0]):
+        return None
+    return _quadratic(mp[0])
 
 
 class CMField(arith.Record):
-    """Totally imaginary field of degree 2 or 4 with a designated conjugation."""
+    """Q(zeta_k) or Q(sqrt(-m)), of degree 2 or 4, with its complex
+    conjugation, as the constructors cyclotomic and imaginary_quadratic
+    present it; the constructor refuses every other presentation."""
 
     min_poly: tuple[int, ...]          # ascending coefficients, monic
     conj_gen: tuple[Fraction, ...]     # image of the generator under conjugation
@@ -117,24 +112,12 @@ class CMField(arith.Record):
 
     def __post_init__(self) -> None:
         mp = arith.integers(self.min_poly, CMError)
-        n = len(mp) - 1
-        if n not in (2, 4):
-            raise CMError("only degrees 2 and 4 are supported")
-        if mp[-1] != 1:
-            raise CMError("minimal polynomial must be monic")
-        if not _is_irreducible(mp):
-            raise CMError("minimal polynomial must be irreducible")
         conj = _rationals(self.conj_gen)
-        if len(conj) != n:
-            raise CMError("conjugation image has the wrong length")
         basis = tuple(map(_rationals, self.integral_basis))
-        if len(basis) != n or any(len(row) != n for row in basis):
-            raise CMError("integral basis must be a square matrix")
-        basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
-        try:
-            basis_inv = tuple(map(tuple, inverse(basis_cols)))
-        except ZeroDivisionError:
-            raise CMError("integral basis is not a basis") from None
+        if (mp, conj, basis) != _presentation(mp):
+            raise CMError("a CMField is Q(zeta_k) or Q(sqrt(-m)) as CMField.cyclotomic(k) "
+                          "or CMField.imaginary_quadratic(m) presents it")
+        n = len(mp) - 1
         object.__setattr__(self, "min_poly", mp)
         object.__setattr__(self, "conj_gen", conj)
         object.__setattr__(self, "integral_basis", basis)
@@ -148,47 +131,21 @@ class CMField(arith.Record):
         for _ in range(n - 1):
             conj_pows.append(self._raw_mul(conj_pows[-1], conj))
         object.__setattr__(self, "_conj_pows", conj_pows)
+        basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
         object.__setattr__(self, "_basis_cols", basis_cols)
         # integral coordinates are power coordinates times this inverse
-        object.__setattr__(self, "_basis_inv", basis_inv)
-        self._validate_structure()
+        object.__setattr__(self, "_basis_inv", tuple(map(tuple, inverse(basis_cols))))
+        basis_elems = [self.element(row) for row in basis]
+        conj_elems = [b.conjugate() for b in basis_elems]
+        object.__setattr__(self, "_products", tuple(tuple((bi * bj).coords for bj in conj_elems)
+                                                    for bi in basis_elems))
+        # T_K = sum_g g(x) g(conj x), integral as each b_i conj(b_j) is
+        object.__setattr__(self, "_trace_lattice", self._trace_form(self.one()))
 
     # -- raw coordinate arithmetic -------------------------------------------
 
     def _raw_mul(self, a, b) -> tuple[Fraction, ...]:
         return _poly_mul(self._red, a, b)
-
-    def _validate_structure(self) -> None:
-        theta = self.gen()
-        conj_theta = self.element(self.conj_gen)
-        mp = self.min_poly
-        acc = self.zero()
-        power = self.one()
-        for c in mp:
-            acc = acc + power * c
-            power = power * conj_theta
-        if acc != self.zero():
-            raise CMError("conjugation does not fix the minimal polynomial")
-        if conj_theta.conjugate() != theta:
-            raise CMError("conjugation must be an involution")
-        if conj_theta == theta:
-            raise CMError("conjugation must be nontrivial")
-        if not self.one().is_integral() or not theta.is_integral():
-            raise CMError("integral basis must contain 1 and the generator's order")
-        basis_elems = [self.element(row) for row in self.integral_basis]
-        for bi in basis_elems:
-            for bj in basis_elems:
-                if not (bi * bj).is_integral():
-                    raise CMError("integral basis is not multiplicatively closed")
-        conj_elems = [b.conjugate() for b in basis_elems]
-        object.__setattr__(self, "_products", tuple(tuple((bi * bj).coords for bj in conj_elems)
-                                                    for bi in basis_elems))
-        # T_K = sum_g g(x) g(conj x) is integral, as each b_i conj(b_j) lies in
-        # an order; a real g and g o conj != g would span a hyperbolic plane
-        lattice = self._trace_form(self.one())
-        if not lattice._positive(strict=True):
-            raise CMError("conjugation is not complex conjugation")
-        object.__setattr__(self, "_trace_lattice", lattice)
 
     def _trace_form(self, y: "CMElement") -> Lattice:
         """The form Tr(y x conj(x)) on the integral basis, scaled by one
@@ -206,13 +163,10 @@ class CMField(arith.Record):
     def imaginary_quadratic(cls, m: int) -> "CMField":
         """Q(sqrt(-m)) for squarefree m > 0, with its maximal order."""
         (m,) = arith.integers((m,), CMError)
-        if m <= 0 or not arith.is_squarefree(m):
-            raise CMError("m must be a positive squarefree integer")
-        if m % 4 == 3:
-            basis = ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)))
-        else:
-            basis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        return cls((m, 0, 1), (Fraction(0), Fraction(-1)), basis)
+        try:  # the constructor decides squarefreeness, factoring m once
+            return cls(*_quadratic(m))
+        except CMError:
+            raise CMError("m must be a positive squarefree integer") from None
 
     @classmethod
     def cyclotomic(cls, k: int) -> "CMField":
@@ -220,12 +174,7 @@ class CMField(arith.Record):
         (k,) = arith.integers((k,), CMError)
         if k not in _CYCLOTOMIC:
             raise CMError("cyclotomic field must have degree 2 or 4")
-        mp = _CYCLOTOMIC[k]
-        red = _reduction_table(mp)
-        conj = red[0]
-        for _ in range(k - 1):
-            conj = _poly_mul(red, conj, red[1])
-        return cls(mp, conj, tuple(red[:len(mp) - 1]))  # the power basis
+        return cls(*_presentation(_CYCLOTOMIC[k]))
 
     # -- element helpers -------------------------------------------------------
 
@@ -431,12 +380,10 @@ class PeriodVector(arith.Record):
                           "sublattice contains it")
         if gmu[0] == field.zero():
             raise CMError("(gamma_1.sigma) vanishes; permute the basis first")
-        # unreachable after the checks above: mubar proportional to mu would
-        # make (sigma.sigmabar) vanish
-        frame = next(((i, j, det.inverse()) for i in range(n) for j in range(i + 1, n)
-                      if (det := mu[i] * mub[j] - mu[j] * mub[i]) != field.zero()), None)
-        if frame is None:
-            raise CMError("all coordinate minors vanish; period is degenerate")
+        # some minor is nonzero: mubar proportional to mu would make
+        # (sigma.sigmabar) vanish, which the positivity check refuses
+        frame = next((i, j, det.inverse()) for i in range(n) for j in range(i + 1, n)
+                     if (det := mu[i] * mub[j] - mu[j] * mub[i]) != field.zero())
         object.__setattr__(self, "_conj", mub)
         object.__setattr__(self, "_ssb", ssb)
         object.__setattr__(self, "_frame", frame)
@@ -554,11 +501,8 @@ class _PeriodTables:
 
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
-    """Exact (sigma.sigmabar), as the period stored it; raises unless it is
-    totally positive, which its trace form Tr(ssb x conj(x)) being positive
-    definite decides."""
-    if not _totally_nonneg(pv._ssb, strict=True):
-        raise CMError("(sigma.sigmabar) is not totally positive")
+    """Exact (sigma.sigmabar), as the period stored it; PeriodVector proved
+    it totally positive when it was built."""
     return pv._ssb
 
 

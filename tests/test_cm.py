@@ -5,23 +5,20 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from sympy import (I, Poly, Rational, Symbol, cyclotomic_poly, exp,
                    minimal_polynomial, pi, real_roots)
 
-from k3lat import cm
+from k3lat import arith, cm
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
-                      _is_irreducible, _totally_nonneg,
-                      enumerate_bounded_integers, enumerate_period_embeddings,
+                      _totally_nonneg, enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
                       pairing_sigma_sigmabar, solve_lambda,
                       twistor_fiber_bound, verify_norm_equation)
 from k3lat.enumeration import EmbeddingMatrix, embeddings, vectors_of_norm
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
-from util import (box_embeddings, field_solve_lambda, lazy_gram_compatible,
-                  min_poly_totally_nonneg, period_image_matches,
+from util import (box_embeddings, cm_field_trace_form, field_solve_lambda,
+                  lazy_gram_compatible, min_poly_totally_nonneg, period_image_matches,
                   scanned_max_root_of_unity_order)
 
 GAUSS = CMField.imaginary_quadratic(1)
@@ -88,45 +85,72 @@ _QI_SQRT2_TAU = (8, Fraction(-22, 3), Fraction(4, 3), Fraction(-1, 6))
 _POWER_BASIS_2 = ((1, 0), (0, 1))
 _POWER_BASIS_4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
+# presentations the constructors do not build, with the first claim of the
+# field oracle that each breaks (None: the oracle is not run).  In order:
+# conjugation i -> 1; zeta_5 -> zeta_5^2 of order 4; the identity; sqrt 2 ->
+# -sqrt 2, under which theta * tau(theta) = 6 is totally positive but T_K has
+# signature (2, 2); a basis missing i; a basis with i / 2, whose square is
+# -1 / 4; sqrt 2 -> -sqrt 2; theta -> -theta with theta^2 = 1 +- sqrt 2, so
+# that +-sqrt(1 + sqrt 2) are real; theta = sqrt 2 + sqrt 3 -> 1 / theta =
+# sqrt 3 - sqrt 2; Q(zeta_8) by another generator, with its complex
+# conjugation (sympy's round_two fails on this polynomial); Z[2i], the
+# order of index 2 in Z[i], on x^2 + 4
+_FOREIGN_PRESENTATIONS = {
+    "fixes-min-poly": (((1, 0, 1), (1, 0), _POWER_BASIS_2), "not a root"),
+    "involution": ((_CYCLOTOMIC[5], (0, 0, 1, 0), _POWER_BASIS_4), "not an involution"),
+    "nontrivial": (((1, 0, 1), (0, 1), _POWER_BASIS_2), "the identity"),
+    "complex-conjugation": ((_QI_SQRT2, _QI_SQRT2_TAU, _POWER_BASIS_4), "positive definite"),
+    "contains-order": (((1, 0, 1), (0, -1), ((1, 0), (0, 2))), "ring of integers"),
+    "closed": (((1, 0, 1), (0, -1), ((1, 0), (0, Fraction(1, 2)))), "ring of integers"),
+    "real-quadratic": (((-2, 0, 1), (0, -1), _POWER_BASIS_2), "positive definite"),
+    "two-real-embeddings": (((-1, 0, -2, 0, 1), (0, -1, 0, 0), _POWER_BASIS_4),
+                            "positive definite"),
+    "totally-real": (((1, 0, -10, 0, 1), (0, 10, 0, -1), _POWER_BASIS_4), "positive definite"),
+    "q-i-sqrt2": ((_QI_SQRT2, _QI_SQRT2_CONJ, _POWER_BASIS_4), None),
+    "z-2i": (((4, 0, 1), (0, -1), _POWER_BASIS_2), "ring of integers"),
+}
 
-class TestFieldValidation:
-    @pytest.mark.parametrize("args,message", [
-        (((1, 0, 1), (1, 0), _POWER_BASIS_2), "does not fix the minimal polynomial"),
-        ((_CYCLOTOMIC[5], (0, 0, 1, 0), _POWER_BASIS_4), "must be an involution"),
-        (((1, 0, 1), (0, 1), _POWER_BASIS_2), "must be nontrivial"),
-        ((_QI_SQRT2, _QI_SQRT2_TAU, _POWER_BASIS_4), "is not complex conjugation"),
-        (((1, 0, 1), (0, -1), ((1, 0), (0, 2))),
-         "must contain 1 and the generator's order"),
-        (((1, 0, 1), (0, -1), ((1, 0), (0, Fraction(1, 2)))),
-         "is not multiplicatively closed"),
-    ], ids=["fixes-min-poly", "involution", "nontrivial", "complex-conjugation",
-            "contains-order", "closed"])
-    def test_structural_refusals(self, args, message):
-        # conjugation i -> 1; zeta_5 -> zeta_5^2 of order 4; the identity;
-        # sqrt 2 -> -sqrt 2, under which theta * tau(theta) = 6 is totally
-        # positive but the trace form has signature (2, 2); a basis missing
-        # 1 (2i spans no i); a basis with i / 2 whose square is -1 / 4
-        with pytest.raises(CMError, match=message):
-            CMField(*args)
 
-    @pytest.mark.parametrize("min_poly,conj_gen", [
-        ((-2, 0, 1), (0, -1)),
-        ((-1, 0, -2, 0, 1), (0, -1, 0, 0)),
-        ((1, 0, -10, 0, 1), (0, 10, 0, -1)),
-    ], ids=["real-quadratic", "two-real-embeddings", "totally-real"])
-    def test_fields_with_a_real_embedding_are_refused(self, min_poly, conj_gen):
-        # sqrt 2 -> -sqrt 2; theta -> -theta with theta^2 = 1 +- sqrt 2, so
-        # that +-sqrt(1 + sqrt 2) are real; theta = sqrt 2 + sqrt 3 -> 1 /
-        # theta = sqrt 3 - sqrt 2.  Each is a nontrivial involution, so a
-        # real embedding g and g o conj != g span a hyperbolic plane of T_K
-        basis = _POWER_BASIS_2 if len(min_poly) == 3 else _POWER_BASIS_4
-        with pytest.raises(CMError, match="is not complex conjugation"):
-            CMField(min_poly, conj_gen, basis)
+@pytest.mark.parametrize("args, claim", _FOREIGN_PRESENTATIONS.values(),
+                         ids=_FOREIGN_PRESENTATIONS.keys())
+def test_only_the_constructors_presentations_are_taken(args, claim):
+    with pytest.raises(CMError, match="cyclotomic.*imaginary_quadratic"):
+        CMField(*args)
+    if claim is not None:
+        with pytest.raises(AssertionError, match=claim):
+            cm_field_trace_form(*args)
 
-    def test_complex_conjugation_of_the_same_order_is_accepted(self):
-        field = CMField(_QI_SQRT2, _QI_SQRT2_CONJ, _POWER_BASIS_4)
-        assert field.element(_QI_SQRT2_CONJ) == field.gen().conjugate()
-        assert field.roots_of_unity() == [field.rational(-1), field.one()]
+
+_ORACLE_FIELDS = {**{f"zeta{k}": (CMField.cyclotomic, k) for k in sorted(_CYCLOTOMIC)},
+                  **{f"sqrt-{m}": (CMField.imaginary_quadratic, m)
+                     for m in range(1, 301) if arith.is_squarefree(m)}}
+
+
+@pytest.mark.parametrize("make, arg", _ORACLE_FIELDS.values(), ids=_ORACLE_FIELDS.keys())
+def test_constructed_fields_pass_the_field_oracle(make, arg):
+    # every field the CLI builds from --cyclotomic, and from --disc m <= 300
+    field = make(arg)
+    fields = (field.min_poly, field.conj_gen, field.integral_basis)
+    assert cm_field_trace_form(*fields) == [list(row) for row in field._trace_lattice.gram]
+    assert CMField(*fields) == field
+
+
+def test_the_two_constructors_agree_on_the_gaussian_field():
+    assert CMField.imaginary_quadratic(1) == CMField.cyclotomic(4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 15, 299, 2 ** 61 - 1, 1000003 * 1000033, 4, 12])
+def test_imaginary_quadratic_factors_m_once(m, monkeypatch):
+    # the constructor decides squarefreeness; m = 1 is Q(zeta_4) and factors
+    # nothing
+    squarefree, calls, factor = arith.is_squarefree(m), [], arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    if squarefree:
+        assert CMField.imaginary_quadratic(m).min_poly == (m, 0, 1)
+    else:
+        with pytest.raises(CMError, match="squarefree"):
+            CMField.imaginary_quadratic(m)
+    assert calls == [m]
 
 
 def _sympy_totally_nonneg(y: CMElement, k: int) -> bool:
@@ -180,37 +204,7 @@ def test_totally_nonneg_matches_the_minimal_polynomial(field):
     assert set(decisions.values()) == {False, True}
 
 
-def _monic(degree):
-    return st.lists(st.integers(-20, 20), min_size=degree,
-                    max_size=degree).map(lambda c: tuple(c) + (1,))
-
-
-def _product(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-# random quartics are almost all irreducible, so also draw products of a
-# linear or quadratic factor with a cofactor
-_SMALL = st.integers(-5, 5)
-_MONIC_POLYS = st.one_of(
-    _monic(2), _monic(4),
-    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(
-        lambda t: _product((t[0], t[1], 1), (t[2], t[3], 1))),
-    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(
-        lambda t: _product((t[0], 1), (t[1], t[2], t[3], 1))))
-
-
 class TestPolynomialChecks:
-    @given(_MONIC_POLYS)
-    @settings(max_examples=300, deadline=None)
-    def test_decisions_match_sympy(self, mp):
-        poly = Poly(list(reversed(mp)), Symbol("x"))
-        assert _is_irreducible(mp) == poly.is_irreducible
-
     @pytest.mark.parametrize("k", sorted(_CYCLOTOMIC))
     def test_cyclotomic_table(self, k):
         x = Symbol("x")
@@ -357,10 +351,16 @@ class TestPeriodVector:
     def test_rational_period_rejected(self):
         with pytest.raises(CMError):
             PeriodVector(T_HEX, (EISEN.one(), EISEN.rational(2)))
+        # rank 1 has no coordinate minor: an isotropic period there has
+        # (sigma.sigmabar) = 0, which the positivity check refuses first
+        with pytest.raises(CMError, match="totally positive"):
+            PeriodVector(Lattice([[0]]), (zeta6(),))
 
     def test_non_isotropic_rejected(self):
         with pytest.raises(CMError):
             PeriodVector(Lattice([[2, 0], [0, 2]]), (EISEN.one(), zeta6()))
+        with pytest.raises(CMError, match="not isotropic"):
+            PeriodVector(Lattice([[2]]), (zeta6(),))
 
     def test_normalized_fixes_sigma1(self):
         pv = hex_period().normalized()

@@ -204,6 +204,46 @@ def test_the_unchecked_record_guard_names_each_site(source, sites):
     assert _use_sites(ast.parse(source), "_orbit_record") == sites
 
 
+def _field_constructions(tree):
+    """The innermost function around each call that builds a CMField: a
+    call of CMField by name or as an attribute, or of cls in the body of a
+    class CMField ("<module>" outside a function)."""
+    def visit(node, site, in_field):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and (f.id == "CMField" or in_field and f.id == "cls")
+                    or isinstance(f, ast.Attribute) and f.attr == "CMField"):
+                yield site
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = node.name
+        elif isinstance(node, ast.ClassDef):
+            in_field = node.name == "CMField"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, site, in_field)
+    return set(visit(tree, "<module>", False))
+
+
+def test_fields_are_built_only_by_their_two_constructors():
+    # CMField takes only the presentations that cyclotomic and
+    # imaginary_quadratic build, so no other path may build one
+    root = Path(k3lat.__file__).parent
+    paths = [*root.glob("*.py"), *root.parents[1].joinpath("scripts").glob("*.py")]
+    sites = {(path.name, site) for path in paths
+             for site in _field_constructions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sites == {("cm.py", "cyclotomic"), ("cm.py", "imaginary_quadratic")}, sites
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("def f(p, c, b):\n    return CMField(p, c, b)", {"f"}),
+    ("field = cm.CMField((3, 0, 1), c, b)", {"<module>"}),
+    ("class CMField:\n    @classmethod\n    def g(cls, k):\n        return cls(k)", {"g"}),
+    ("def f():\n    def g():\n        return k3lat.cm.CMField(*t)\n    return g", {"g"}),
+    ("class Other:\n    @classmethod\n    def g(cls):\n        return cls()", set()),
+    ("def f():\n    return CMField.cyclotomic(5), cm.CMField.imaginary_quadratic(3)", set())])
+def test_the_field_guard_names_each_construction(source, sites):
+    assert _field_constructions(ast.parse(source)) == sites
+
+
 def test_enumeration_imports_no_fractions():
     # the short-vector kernel takes integer Gram matrices only
     path = Path(k3lat.__file__).with_name("enumeration.py")

@@ -6,7 +6,8 @@ import math
 import operator
 from fractions import Fraction
 
-from sympy import Matrix
+from sympy import QQ, ZZ, Matrix, Poly, Rational, Symbol
+from sympy.polys.numberfields.basis import round_two
 
 from k3lat.arith import totient
 from k3lat.forms import BinaryForm, apply_transform, reduce_form
@@ -212,6 +213,48 @@ def min_poly_totally_nonneg(y, strict=False):
         return sign(-mp[0])
     c0, c1, _ = mp
     return c1 * c1 - 4 * c0 >= 0 and sign(-c1) and sign(c0)
+
+
+def cm_field_trace_form(min_poly, conj_gen, integral_basis):
+    """T_K = (Tr(b_i conj(b_j))) of a field presentation, as integer rows,
+    once sympy alone has shown that it presents a CM field with its ring of
+    integers; an AssertionError names the first claim that fails.
+
+    The claims, in this order: min_poly is monic and irreducible over Q;
+    conj_gen(x) is a root of it, so x -> conj_gen(x) is an automorphism of
+    K = Q[x]/(min_poly), and it is a nontrivial involution; T_K is positive
+    definite, so the automorphism is complex conjugation under every
+    embedding g, as T_K(x) = sum_g g(x) g(conj x) (a real g and g o conj != g
+    would span a hyperbolic plane); and the basis spans the same Z-module
+    as the ring of integers that round_two computes.  Traces are those of
+    the multiplication matrices on the power basis.
+    """
+    x = Symbol("x")
+    f = Poly([Rational(c) for c in reversed(min_poly)], x, domain=QQ)
+    assert f.is_monic and f.is_irreducible, "min_poly is not monic and irreducible"
+    n = f.degree()
+
+    def element(coords):
+        return Poly([Rational(c.numerator, c.denominator) for c in map(Fraction, coords)][::-1],
+                    x, domain=QQ)
+
+    conj, theta = element(conj_gen), Poly(x, x, domain=QQ)
+    assert f.compose(conj).rem(f).is_zero, "conj_gen is not a root of min_poly"
+    assert conj.compose(conj).rem(f) == theta, "conjugation is not an involution"
+    assert conj.rem(f) != theta, "conjugation is the identity"
+    basis = [element(row) for row in integral_basis]
+
+    def trace(y):
+        return sum((y * theta ** j).rem(f).coeff_monomial(x ** j) for j in range(n))
+
+    gram = Matrix(n, n, lambda i, j: trace(basis[i] * basis[j].compose(conj)))
+    assert gram.is_positive_definite, "T_K is not positive definite"
+    order, _ = round_two(Poly(list(reversed(min_poly)), x, domain=ZZ))
+    maximal = order.matrix.to_Matrix() / order.denom  # columns on the power basis
+    change = Matrix(n, n, lambda i, j: basis[j].coeff_monomial(x ** i)).inv() * maximal
+    assert all(c.is_integer for c in change) and abs(change.det()) == 1, \
+        "the basis does not span the ring of integers"
+    return [[int(t) for t in row] for row in gram.tolist()]
 
 
 def scanned_max_root_of_unity_order(degree):
