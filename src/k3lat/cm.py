@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from . import arith
 from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
@@ -40,30 +40,29 @@ def _rationals(xs) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, out))
 
 
-def _reduction_table(min_poly: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
-    """Power-basis coordinates of theta^k for k = 0 .. 2n-2."""
+def _reduction_table(min_poly: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Power-basis coordinates of theta^k for k = 0 .. 2n-2, integers as
+    min_poly is monic and integral."""
     n = len(min_poly) - 1
-    top = [-Fraction(c) for c in min_poly[:n]]  # theta^n
-    table = [tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-             for k in range(n)]
+    table = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     for _ in range(n - 1):
         prev = table[-1]
-        shifted = [Fraction(0)] + list(prev[: n - 1])
-        carry = prev[n - 1]
-        table.append(tuple(shifted[i] + carry * top[i] for i in range(n)))
+        shifted = (0,) + prev[: n - 1]
+        table.append(tuple(shifted[i] - prev[n - 1] * min_poly[i] for i in range(n)))
     return table
 
 
-def _poly_mul(red, a, b) -> tuple[Fraction, ...]:
-    """Product of power-basis coordinate vectors, reduced by the table."""
+def _poly_mul(red, a, b) -> tuple:
+    """Product of power-basis coordinate vectors, reduced by the table; ints
+    for ints, Fractions for Fractions."""
     n = len(red[0])
-    prod = [Fraction(0)] * (2 * n - 1)
+    prod = [0 * a[0]] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    out = list(prod[:n])
+    out = prod[:n]
     for k in range(n, 2 * n - 1):
         if prod[k]:
             for i in range(n):
@@ -127,9 +126,9 @@ class CMField(arith.Record):
         # and theta^m for m < 2n - 1 reduces to sum_i red[m][i] theta^i
         traces = [sum(red[k + j][j] for j in range(n)) for k in range(n)]
         object.__setattr__(self, "_traces", tuple(sum(map(mul, r, traces)) for r in red))
-        conj_pows = [red[0]]
+        conj_pows = [red[0]]  # integral: conj_gen has integer coordinates
         for _ in range(n - 1):
-            conj_pows.append(self._raw_mul(conj_pows[-1], conj))
+            conj_pows.append(self._raw_mul(conj_pows[-1], tuple(map(int, conj))))
         object.__setattr__(self, "_conj_pows", conj_pows)
         basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
         object.__setattr__(self, "_basis_cols", basis_cols)
@@ -406,14 +405,9 @@ class PeriodVector(arith.Record):
         return _PeriodTables(self)
 
 
-def _int_rows(elems, den: int) -> list[tuple[int, ...]]:
-    """Row t holds the t-th coordinates of elems times den, as ints."""
-    return [tuple(c.numerator * (den // c.denominator) for c in coords)
-            for coords in zip(*(x.coords for x in elems))]
-
-
-def _common_denominator(elems) -> int:
-    return math.lcm(*(c.denominator for x in elems for c in x.coords))
+def _rows(vectors, scale: int, g: int) -> list[tuple[int, ...]]:
+    """Row t holds the t-th coordinates of the integer vectors times scale / g."""
+    return [tuple(v * scale // g for v in coords) for coords in zip(*vectors)]
 
 
 class _PeriodTables:
@@ -426,78 +420,90 @@ class _PeriodTables:
     / det, and nu = sum_c phi_nc mu_c.  These and the residuals phi(sigma)_k
     - lambda mu_k - lambda' mubar_k are linear in x, and the norm value
     (|lambda|^2 + |lambda'|^2)(sigma.sigmabar) + |nu|^2 d is a quadratic form
-    in x, kept on its upper triangle.  Their field coefficients are stored
-    as integer coordinate rows over a common denominator, so a solve takes
-    integer dot products only.  A residual row that vanishes identically is
-    left out; at rank 2 all do.  So is a norm-identity coordinate whose
-    form and (sigma.sigmabar) coordinate both vanish, as it reads 0 = 0 for
-    every x: the value is real, so the hexagonal period keeps 1 row of 2.
-    element keeps one CMElement per numerator tuple, built on first sight,
-    and the numerators of each by id; negated reads them for an element
-    built there, and negates any other exactly.
+    in x, kept on its upper triangle.  With mu, mubar, (sigma.sigmabar) and
+    1/det over one denominator B, and the field's reduction and conjugation
+    integral, their coefficients are integer products over B^3, B^4
+    (residuals) and B^7 (norm form), stored as integer rows over the least
+    common denominator, so a solve takes integer dot products only.  A
+    residual row that vanishes identically is left out; at rank 2 all do.
+    So is a norm-identity coordinate whose form and (sigma.sigmabar)
+    coordinate both vanish, as it reads 0 = 0 for every x: the value is
+    real, so the hexagonal period keeps 1 row of 2.  Only element makes
+    Fractions: one CMElement per numerator tuple, built on first sight
+    together with its negation, which negated reads by id; any element
+    built elsewhere it negates exactly.
     """
 
     def __init__(self, pv: PeriodVector) -> None:
-        mu, mub, ssb, field = pv.mu, pv._conj, pv._ssb, pv.field
-        i, j, inv = pv._frame
-        n, size = len(mu), len(mu) * (len(mu) + 1)
-        zero = field.zero()
-        lam, lam_p = [zero] * size, [zero] * size
+        field, (i, j, inv), cols = pv.field, pv._frame, list(zip(*pv.field._conj_pows))
+        n, size, zero = len(pv.mu), len(pv.mu) * (len(pv.mu) + 1), (0,) * field.degree
+        b = math.lcm(*(c.denominator for x in (*pv.mu, *pv._conj, pv._ssb, inv) for c in x.coords))
+        mu, mub, (ssb, v) = ([tuple(c.numerator * (b // c.denominator) for c in x.coords)
+                              for x in xs] for xs in (pv.mu, pv._conj, (pv._ssb, inv)))
+        def pm(x, y): return _poly_mul(field._red, x, y)
+        def conj(x): return tuple(sum(map(mul, x, col)) for col in cols)
+        def lin(*terms): return tuple(map(sum, zip(*terms)))  # sum of integer vectors
+        lam, lam_p, nv = [zero] * size, [zero] * size, tuple(-t for t in v)  # over B^3
         for c, m in enumerate(mu):
-            lam[i * n + c], lam[j * n + c] = m * mub[j] * inv, -(m * mub[i] * inv)
-            lam_p[i * n + c], lam_p[j * n + c] = -(mu[j] * m * inv), mu[i] * m * inv
-        nu = [zero] * (n * n) + list(mu)
-        res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
+            lam[i * n + c], lam[j * n + c] = pm(pm(m, mub[j]), v), pm(pm(m, mub[i]), nv)
+            lam_p[i * n + c], lam_p[j * n + c] = pm(pm(mu[j], m), nv), pm(pm(mu[i], m), v)
+        nu = [zero] * (n * n) + [tuple(b * b * t for t in m) for m in mu]
+        res = [[tuple(b ** 3 * e - p for e, p in zip(  # over B^4
+            mu[a % n] if a // n == k else zero, lin(pm(lam[a], mu[k]), pm(lam_p[a], mub[k]))))
                 for a in range(size)] for k in range(n)]
-        den = _common_denominator(lam + lam_p + nu + sum(res, []))
-        self._field, self._n, self._den, self._elements, self._numerators = field, n, den, {}, {}
-        self._lam, self._lam_p, self._nu = (_int_rows(v, den) for v in (lam, lam_p, nu))
-        self._res = [row for r in res for row in _int_rows(r, den) if any(row)]
+        g = math.gcd(b ** 4, b * math.gcd(*(t for x in lam + lam_p + nu for t in x)),
+                     *(t for r in res for x in r for t in x))
+        self._field, self._deg, self._den = field, field.degree, b ** 4 // g
+        self._elements, self._negatives = {}, {}
+        self._lam, self._lam_p, self._nu = (_rows(x, b, g) for x in (lam, lam_p, nu))
+        self._solve_rows = self._lam + self._lam_p + self._nu
+        self._res = [row for r in res for row in _rows(r, 1, g) if any(row)]
         def triangle(support, w):  # x_a x_b = x_b x_a: keep a form's upper triangle
             pairs = [(a, b) for k, a in enumerate(support) for b in support[k:]]
-            return pairs, [w(a, b) + w(b, a) if a < b else w(a, a) for a, b in pairs]
+            return pairs, [lin(w(a, b), w(b, a)) if a < b else w(a, a) for a, b in pairs]
 
-        self._lam_pairs, lam_w = triangle(
+        self._lam_pairs, lam_w = triangle(  # over B^7
             [r * n + c for r in (i, j) for c in range(n)],
-            lambda a, b: (lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb)
-        self._nu_pairs, nu_w = triangle(range(n * n, size), lambda a, b: nu[a] * nu[b].conjugate())
-        qden = _common_denominator(lam_w + nu_w + [ssb])
-        self._norm_rows = [(s, t, g) for s, t, (g,) in zip(
-            _int_rows(lam_w, qden), _int_rows(nu_w, qden), _int_rows([ssb], qden))
-            if g or any(s) or any(t)]
+            lambda a, c: pm(lin(pm(lam[a], conj(lam[c])), pm(lam_p[a], conj(lam_p[c]))), ssb))
+        self._nu_pairs, nu_w = triangle(range(n * n, size), lambda a, c: pm(nu[a], conj(nu[c])))
+        g = math.gcd(b ** 7, *(t for x in lam_w for t in x),
+                     b * math.gcd(*(t for x in nu_w for t in x)), b ** 6 * math.gcd(*ssb))
+        rows = zip(_rows(lam_w, 1, g), _rows(nu_w, b, g), _rows([ssb], b ** 6, g))
+        self._norm_rows = [(s, t, r) for s, t, (r,) in rows if r or any(s) or any(t)]
+        self._lam_a, self._lam_b = (itemgetter(*p) for p in zip(*self._lam_pairs))
+        self._nu_a, self._nu_b = (itemgetter(*p) for p in zip(*self._nu_pairs))
 
     def solve(self, columns) -> tuple[tuple[int, ...], ...] | None:
         """Numerators over the common denominator of lambda, lambda' and nu,
         or None when a residual does not vanish."""
-        x = self._entries(columns)
-        if any(sum(map(mul, row, x)) for row in self._res):
+        x = sum(zip(*columns), ())  # x[r n + c] = phi_rc
+        if self._res and any(sum(map(mul, row, x)) for row in self._res):
             return None
-        return tuple(tuple(sum(map(mul, row, x)) for row in rows)
-                     for rows in (self._lam, self._lam_p, self._nu))
+        v, k = tuple([sum(map(mul, row, x)) for row in self._solve_rows]), self._deg
+        return v[:k], v[k:2 * k], v[2 * k:]
 
     def element(self, numerators) -> CMElement:
-        if (x := self._elements.get(numerators)) is None:
-            x = self._elements.setdefault(numerators, CMElement(
-                self._field, tuple(Fraction(v, self._den) for v in numerators)))
-            self._numerators[id(x)] = numerators  # x lives as long as _elements
+        if (x := self._elements.get(numerators)) is None:  # x and -x, each built once
+            x = self._elements[numerators] = CMElement(
+                self._field, tuple(Fraction(v, self._den) for v in numerators))
+            y = self._elements.setdefault(tuple(-v for v in numerators),
+                                          CMElement(self._field, tuple(-c for c in x.coords)))
+            self._negatives[id(x)], self._negatives[id(y)] = y, x  # both live in _elements
         return x
 
     def negated(self, x: CMElement) -> CMElement:
-        """-x: from the numerators of x if element built x, else exactly."""
-        if (numerators := self._numerators.get(id(x))) is None:
-            return -x
-        return self.element(tuple(-v for v in numerators))
+        """-x: read from the table if element built x, else exactly."""
+        return self._negatives.get(id(x)) or -x
 
     def norm_holds(self, columns, d: int, scale: int) -> bool:
         """Whether the norm value of phi equals scale (sigma.sigmabar)."""
-        x = self._entries(columns)
-        ps = [x[a] * x[b] for a, b in self._lam_pairs]
-        qs = [x[a] * x[b] for a, b in self._nu_pairs]
-        return all(sum(map(mul, s, ps)) + d * sum(map(mul, t, qs)) == scale * g
-                   for s, t, g in self._norm_rows)
-
-    def _entries(self, columns) -> list[int]:
-        return [col[r] for r in range(self._n + 1) for col in columns]
+        x = sum(zip(*columns), ())  # x[r n + c] = phi_rc
+        ps = list(map(mul, self._lam_a(x), self._lam_b(x)))
+        qs = list(map(mul, self._nu_a(x), self._nu_b(x)))
+        for s, t, g in self._norm_rows:
+            if sum(map(mul, s, ps)) + d * sum(map(mul, t, qs)) != scale * g:
+                return False
+        return True
 
 
 def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
@@ -556,12 +562,12 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     overlattice index k.  So the list is the lattice embedding search, with
     lambda, lambda' and nu read off by solve_lambda once per pair +-phi: the
     search's list is sorted and closed under negation, which reverses order,
-    so entry -1 - k is -(entry k), whose values, linear in phi, are negated.
-    Both facts are re-checked exactly, the norm identity on both members of
-    a pair, multiplied through by (sigma.sigmabar) != 0 and evaluated as an
-    integer quadratic form in the entries of phi from the period's tables,
-    and a failure raises CMError.  So an embedding costs no field
-    multiplication, and a lambda, lambda' or nu met before no Fraction.
+    so entry -1 - k is -(entry k), whose values, linear in phi, the tables
+    negate.  Both facts are re-checked exactly, the norm identity on each
+    member of a pair, times (sigma.sigmabar) != 0, as an integer quadratic
+    form in the entries of phi; a failure raises CMError.  The tables are
+    built from integer numerators, so from a built period on nothing
+    multiplies field elements, and a value met before costs no Fraction.
     With overlattice_index = k > 1 the returned matrices represent k * phi
     for embeddings phi into an index-k overlattice, so their source carries
     the form scaled by k^2.
@@ -581,7 +587,8 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     for k in range(len(embs) // 2):
         emb, neg = embs[-1 - k], embs[k]
         solved = solve_lambda(pv, emb)
-        if solved is None or not all(tables.norm_holds(e.columns, d, nn * nn) for e in (emb, neg)):
+        if solved is None or not (tables.norm_holds(emb.columns, d, nn * nn)
+                                  and tables.norm_holds(neg.columns, d, nn * nn)):
             raise CMError("embedding breaks the rank-2 period identity")
         out[-1 - k] = PeriodEmbedding(emb, *solved)
         out[k] = PeriodEmbedding(neg, *map(tables.negated, solved))

@@ -244,6 +244,33 @@ class TestCommandTable:
         assert sorted(listed) == sorted(COMMANDS)
 
 
+# (period, d, index, count, sha256) of cm fibers result documents: index 16
+# and 32 recorded before the period solve became integer arithmetic, the rest
+# before the period tables were built from integer numerators
+_FIBERS_PINS = [
+    ("hex", 2, 1, 12, "11445c113c646b288dbaa0388c26152b05ac7b7e9d8c830577ac4dc54cd85d21"),
+    ("hex", 4, 1, 12, "f86d9c20b82f08f247b21f43cbd99b5872eb8acd43793fe3242d814da4abac3d"),
+    ("hex", 6, 1, 12, "6373b5ebaec445551deb2bd9dae8578cddd48d3f4028a1105d48420dafc6ae70"),
+    ("hex", 8, 1, 12, "210aded92ea48891394879d16b0e94007ec4973eb385a648f8e21e0f4959c2d3"),
+    ("hex", 2, 2, 48, "98643161fb47712926ca01f4e224862bc53781163c2cdc2380a60e0f6e967c9d"),
+    ("hex", 4, 2, 12, "df637542a470c46db68f9f631e4f96a4db77305a811e66a1adfbce9301094dcb"),
+    ("hex", 6, 2, 48, "77e766d1e513801ae35844cd73093527da4ccec87c47283e8ece25c247c5e5c5"),
+    ("hex", 8, 2, 12, "356e84f9661ff823795c21bb86dd4969fec724294384992e69423e339d1b43dc"),
+    ("hex", 2, 4, 120, "01e0ce4e7b5e247f9237e5fc9a863d329bd67f9045cf0088983db4ac4d82d8b3"),
+    ("hex", 4, 4, 12, "fcaa5ceb624d8cd2ef13fa128e724de251f8c9f552f2555a563df3a2a0922554"),
+    ("hex", 6, 4, 120, "5757e031eb40a9caa76e36a283c7262c359ac8e12e14e79448f44fa09948e116"),
+    ("hex", 8, 4, 48, "44e207713512d3850c02441a01d03c1ff707749715efd972c519add20e6cfe46"),
+    ("hex", 2, 8, 264, "1f2b96f184aaa1213f37692e9c716f03c48c5f7b51eb506448b1c30b7014a4ee"),
+    ("hex", 4, 8, 12, "f66a4a0ee3a799e2adcce309cbfe30a91bbae98aa77995bca2ed42ce2d20313d"),
+    ("hex", 6, 8, 264, "3c1da557f038f2f0e4d4d8de951e27a5fe0ee2ec1446d14194f8a4532d55a2f1"),
+    ("hex", 8, 8, 120, "0b8a40979bb24f6cd5af473f50bbd7d6316c249f195a48291b1508ed9850a49d"),
+    ("hex", 2, 16, 552, "5538e722b5bbefed86e25319841e4a9628bcb44789cb4c8892306c8484a66d96"),
+    ("hex", 2, 32, 1128, "b0d2a36b57291ff9658ba87cede7bed6ba4a0250be751459a7e5e09d7c4963fc"),
+    ("zeta12", 2, 1, 12, "1aa931799f8f85afff31eb4bb23deb997d32ead90f7358934ed0e5a0e72dc21f"),
+    ("zeta12", 2, 2, 48, "b3103992c27d9ebd31ab1e2dd80a925ad56f9046244464c8af9cd5ba01d23d8a"),
+]
+
+
 class TestCommands:
     def test_classgroup(self):
         res, payload = run_json(["qform", "classgroup", "-D", "-23"])
@@ -343,14 +370,13 @@ class TestCommands:
                                "--mu", "1,0;1/2,1/2", "-d", "2", "--disc", "3"])
         assert payload["result"]["count"] == 12
 
-    @pytest.mark.parametrize("index,count,sha256", [
-        (16, 552, "5538e722b5bbefed86e25319841e4a9628bcb44789cb4c8892306c8484a66d96"),
-        (32, 1128, "b0d2a36b57291ff9658ba87cede7bed6ba4a0250be751459a7e5e09d7c4963fc"),
-    ])
-    def test_fibers_result_is_pinned(self, index, count, sha256):
-        # digests of the result documents recorded before the period solve
-        # became integer arithmetic
-        _, payload = run_json(_HEX_FIBERS + ["-d", "2", "--overlattice-index", str(index)])
+    @pytest.mark.parametrize("period,d,index,count,sha256", _FIBERS_PINS, ids=[
+        # the hexagonal pins at d = 2 keep their ids, index-count-digest
+        f"{i}-{c}-{h}" if (p, d) == ("hex", 2) else f"{p}-d{d}-{i}-{c}-{h}"
+        for p, d, i, c, h in _FIBERS_PINS])
+    def test_fibers_result_is_pinned(self, period, d, index, count, sha256):
+        argv = {"hex": _HEX_FIBERS, "zeta12": _ZETA12_FIBERS}[period]
+        _, payload = run_json(argv + ["-d", str(d), "--overlattice-index", str(index)])
         blob = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
         assert payload["result"]["count"] == count
         assert hashlib.sha256(blob.encode()).hexdigest() == sha256
@@ -659,6 +685,9 @@ def test_exit_code_property():
 _FUZZ_INTS = st.one_of(st.integers(-10 ** 30, 1000), st.integers(0, 10 ** 30))
 _HEX_FIBERS = ["cm", "fibers", "--gram", "2,-1;-1,2", "--mu", "1,0;1/2,1/2",
                "--disc", "3"]
+# the hexagonal period over Q(zeta_12), with zeta_6 = zeta_12^2
+_ZETA12_FIBERS = ["cm", "fibers", "--gram", "2,-1;-1,2", "--mu", "1,0,0,0;0,0,1,0",
+                  "--cyclotomic", "12"]
 _FUZZ_COMMANDS = [
     ["k3", "fm-count", "-d"],
     ["qform", "genus-check", "-p"],

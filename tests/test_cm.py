@@ -17,9 +17,9 @@ from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
 from k3lat.enumeration import EmbeddingMatrix, embeddings, vectors_of_norm
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
-from util import (box_embeddings, cm_field_trace_form, field_solve_lambda,
-                  lazy_gram_compatible, min_poly_totally_nonneg, period_image_matches,
-                  scanned_max_root_of_unity_order)
+from util import (box_embeddings, cm_field_trace_form, field_period_tables,
+                  field_solve_lambda, lazy_gram_compatible, min_poly_totally_nonneg,
+                  period_image_matches, scanned_max_root_of_unity_order)
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
@@ -258,6 +258,17 @@ def test_coordinates_come_out_as_fractions():
     assert all(type(c) is Fraction for c in x.coords + GAUSS.rational(3).coords)
     field = CMField((3, 0, 1), (0, -1), ((1, 0), (Fraction(1, 2), Fraction(1, 2))))
     assert field == EISEN and type(field.conj_gen[0]) is Fraction
+
+
+@pytest.mark.parametrize("field", _FIELDS.values(), ids=_FIELDS.keys())
+def test_field_tables_are_integral_and_elements_stay_fractions(field):
+    # the reduction table and the powers of conjugation hold ints, so period
+    # tables multiply integers; elements made from them still hold Fractions
+    assert all(type(t) is int for row in (*field._red, *field._conj_pows) for t in row)
+    x = field.gen()
+    for y in (x * x, x.conjugate(), x.inverse(), x * x.conjugate(), x ** 3, field.one()):
+        assert all(type(c) is Fraction for c in y.coords)
+    assert type(x.trace()) is Fraction
 
 
 class TestBoundedIntegers:
@@ -587,15 +598,21 @@ def test_solve_matches_field_arithmetic(pv, d, index):
         assert all(type(c) is Fraction for x in want for c in x.coords)
 
 
-def test_rank_three_solve_matches_field_arithmetic():
+def _rank_three_period():
     # over Q(zeta_8), sigma = (1, i sqrt2, sqrt2 / 2) on <1> + <1> + <2> is
-    # isotropic with (sigma.sigmabar) = 4; most embeddings of the lattice into
-    # itself plus Z(d) send sigma outside the span of sigma, sigmabar and e,
-    # so the residual rows decide there, and None must agree too
+    # isotropic with (sigma.sigmabar) = 4
     z8 = CMField.cyclotomic(8)
-    t = Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-    pv = PeriodVector(t, (z8.one(), z8.element((0, 1, 0, 1)),
-                          z8.element((0, Fraction(1, 2), 0, Fraction(-1, 2)))))
+    return PeriodVector(Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                        (z8.one(), z8.element((0, 1, 0, 1)),
+                         z8.element((0, Fraction(1, 2), 0, Fraction(-1, 2)))))
+
+
+def test_rank_three_solve_matches_field_arithmetic():
+    # most embeddings of the lattice into itself plus Z(d) send sigma outside
+    # the span of sigma, sigmabar and e, so the residual rows decide there,
+    # and None must agree too
+    pv = _rank_three_period()
+    t = pv.lattice
     for d, misses in ((1, 40), (2, 28), (3, 12)):
         embs = embeddings(t, t.direct_sum(Lattice([[d]])))
         got = [solve_lambda(pv, e) for e in embs]
@@ -722,3 +739,58 @@ def test_period_tables_are_built_once_on_the_first_solve():
     tables = pv._tables
     assert len(enumerate_period_embeddings(pv, 2)) == 12
     assert pv._tables is tables
+
+
+_TABLE_PERIODS = {"hex": hex_period(), "square": _SQUARE, "hex-zeta12": _HEX_QUARTIC,
+                  "rank3-zeta8": _rank_three_period()}
+
+
+def _assert_tables_match_field_arithmetic(pv):
+    tables = cm._PeriodTables(pv)
+    for name, want in field_period_tables(pv).items():
+        assert getattr(tables, name) == want, name
+    return tables
+
+
+@pytest.mark.parametrize("name", _TABLE_PERIODS)
+def test_integer_tables_equal_the_field_arithmetic_build(name):
+    tables = _assert_tables_match_field_arithmetic(_TABLE_PERIODS[name])
+    assert bool(tables._res) == (name == "rank3-zeta8")
+
+
+def test_integer_tables_equal_the_field_arithmetic_build_on_rescaled_periods():
+    # mu -> c mu keeps the period valid (c cbar is totally positive) and
+    # changes the common denominator of mu, mubar, (sigma.sigmabar) and 1/det
+    rng, bases, dens = random.Random(3636), list(_TABLE_PERIODS.values()), set()
+    for _ in range(20):
+        base = rng.choice(bases)
+        c = base.field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                for _ in range(base.field.degree)])
+        if c == base.field.zero():
+            c = base.field.rational(Fraction(7, 3))
+        dens.add(_assert_tables_match_field_arithmetic(
+            PeriodVector(base.lattice, tuple(c * m for m in base.mu)))._den)
+    assert len(dens) > 10
+
+
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("make", [hex_period, lambda: PeriodVector(
+    T_HEX, (_ZETA12.one(), _ZETA12.element((0, 0, 1, 0))))], ids=["hex", "hex-zeta12"])
+def test_tables_and_a_pass_make_no_field_multiplication(make, index, monkeypatch):
+    # from a built period on, the tables and the enumeration use integer
+    # arithmetic only: no CMElement product and no inverse
+    pv, calls = make(), []
+
+    def counted(name):
+        method = getattr(CMElement, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "inverse"):
+        monkeypatch.setattr(CMElement, name, counted(name))
+    pv._tables
+    found = enumerate_period_embeddings(pv, 2, overlattice_index=index)
+    assert len(found) == (12 if index == 1 else 48) and calls == []

@@ -180,6 +180,67 @@ def field_solve_lambda(pv, phi):
     return lam, lam_p, cvals[n]
 
 
+def _coordinate_rows(elems, den):
+    """Row t holds the t-th coordinates of elems times den, as ints."""
+    return [tuple(c.numerator * (den // c.denominator) for c in coords)
+            for coords in zip(*(x.coords for x in elems))]
+
+
+def _common_denominator(elems):
+    return math.lcm(*(c.denominator for x in elems for c in x.coords))
+
+
+def field_period_tables(pv):
+    """The fields of the library's period tables (_den, _lam, _lam_p, _nu,
+    _res, _lam_pairs, _nu_pairs, _norm_rows), built in CMElement arithmetic.
+
+    Every coefficient of lambda, lambda', nu, the residuals and the norm
+    form is made as a field element by Cramer's rule on the first nonzero
+    minor, then scaled to integer rows over the least common denominator of
+    the coordinates.  This is how the library built its tables before it
+    built them from integer numerators over one denominator; it reads only
+    the period's coordinates, their conjugates and (sigma.sigmabar).
+    """
+    mu, ssb = pv.mu, sum((pv.mu[a].conjugate() * pv.mu[b] * g
+                          for a, row in enumerate(pv.lattice.gram) for b, g in enumerate(row)),
+                         pv.field.zero())
+    mub = [m.conjugate() for m in mu]
+    zero, n = pv.field.zero(), len(mu)
+    size = n * (n + 1)
+    i, j, inv = next((i, j, det.inverse()) for i in range(n) for j in range(i + 1, n)
+                     if (det := mu[i] * mub[j] - mu[j] * mub[i]) != zero)
+    lam, lam_p = [zero] * size, [zero] * size
+    for c, m in enumerate(mu):
+        lam[i * n + c], lam[j * n + c] = m * mub[j] * inv, -(m * mub[i] * inv)
+        lam_p[i * n + c], lam_p[j * n + c] = -(mu[j] * m * inv), mu[i] * m * inv
+    nu = [zero] * (n * n) + list(mu)
+    res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
+            for a in range(size)] for k in range(n)]
+    den = _common_denominator(lam + lam_p + nu + sum(res, []))
+
+    def triangle(support, w):
+        pairs = [(a, b) for k, a in enumerate(support) for b in support[k:]]
+        return pairs, [w(a, b) + w(b, a) if a < b else w(a, a) for a, b in pairs]
+
+    lam_pairs, lam_w = triangle(
+        [r * n + c for r in (i, j) for c in range(n)],
+        lambda a, b: (lam[a] * lam[b].conjugate() + lam_p[a] * lam_p[b].conjugate()) * ssb)
+    nu_pairs, nu_w = triangle(range(n * n, size), lambda a, b: nu[a] * nu[b].conjugate())
+    qden = _common_denominator(lam_w + nu_w + [ssb])
+    return {
+        "_den": den,
+        "_lam": _coordinate_rows(lam, den),
+        "_lam_p": _coordinate_rows(lam_p, den),
+        "_nu": _coordinate_rows(nu, den),
+        "_res": [row for r in res for row in _coordinate_rows(r, den) if any(row)],
+        "_lam_pairs": lam_pairs,
+        "_nu_pairs": nu_pairs,
+        "_norm_rows": [(s, t, g) for s, t, (g,) in zip(
+            _coordinate_rows(lam_w, qden), _coordinate_rows(nu_w, qden),
+            _coordinate_rows([ssb], qden)) if g or any(s) or any(t)],
+    }
+
+
 def min_poly_coeffs(y):
     """Ascending monic coefficients of the minimal polynomial of y over Q:
     the first power of y that solves (k3lat.linalg.solve) as a rational
