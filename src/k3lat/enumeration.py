@@ -33,7 +33,7 @@ class EnumerationError(DomainError):
 
 def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
     """Vectors x of a positive definite lattice with x^T gram x <= bound
-    (== bound if shell), sorted.
+    (== bound if shell), sorted, for an int bound.
 
     With the pivot minors P_k and scaled rows r_k of the lattice's LDL^T,
     x^T gram x = sum_k y_k^2 / (P_k P_{k+1}) where y_k = sum_j r_k[j] x_j =
@@ -43,17 +43,19 @@ def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
     y_k and floor division turns that into an interval for x_k.  On a shell
     the first coordinate is solved by an exact square test instead of
     scanned, so only the shell is ever held in memory.  A negative bound
-    gives [] before definiteness is checked.
+    gives [] before definiteness is checked.  The minors, rows, the m_k and
+    M, and the definiteness check come from Lattice._descent, once per
+    lattice; a lattice that is not positive definite is refused on every
+    call.  Callers: short_vectors_le and vectors_of_norm after their
+    refusals, and level_walk, whose shell norms are non-negative ints.
     """
     if bound < 0:
         return []
-    if not lat.is_positive_definite():
+    descent = lat._descent
+    if descent is None:
         raise EnumerationError("lattice must be positive definite")
-    minors, rows = lat._elimination
+    minors, rows, ms, scale = descent
     n = lat.rank
-    weights = [p * q for p, q in zip(minors, minors[1:])]
-    scale = math.lcm(*weights)
-    ms = [scale // w for w in weights]
     out: list[Vector] = []
     x = [0] * n
 
@@ -289,10 +291,15 @@ def _splits(lat: Lattice, us, k: int):
     """(u, u^perp, basis of u^perp in lat) for each u in us, all of norm k,
     with u^perp + Zu all of lat.  That sum has determinant det(u^perp) k =
     det(lat) i^2 for its index i in lat, so it is lat exactly when
-    det(u^perp) k = det lat; a u that is not primitive has i > 1."""
+    det(u^perp) k = det lat; a u that is not primitive has i > 1.  Both
+    callers pass nonzero int vectors of length 3 in a nondegenerate lattice
+    (level_walk: z >= 1; _split_witness: norm k != 0), so the complements
+    are taken unchecked (Lattice._complement)."""
     det = lat.determinant()
     for u in us:
-        comp, basis = lat.orthogonal_complement(u)
+        # u is a nonzero int 3-vector and det != 0: the refusals of
+        # orthogonal_complement cannot fire (docstring)
+        comp, basis = lat._complement(u)
         if comp.determinant() * k == det:
             yield u, comp, basis
 
@@ -344,7 +351,9 @@ def _split_matches(sources, target: Lattice, us, k: int):
 
 def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
     """Witness for a block source l1 = Q + (k), Q definite of rank 2: the
-    level walk's matcher run on the norm-k vectors of l2 in the box."""
+    level walk's matcher run on the norm-k vectors of l2 in the box.
+    indefinite_isometry_search has read det(l2) = det(l1) = det(Q) k != 0,
+    so k != 0 and every u of norm k is nonzero."""
     block = _block(l1)
     if block is None or 0 not in block[0].signature():
         return None
@@ -408,6 +417,10 @@ def level_walk(sources, target: Lattice,
     (_split_matches).  It takes every u with |z| up to the bound, so it
     reaches whatever the forward box search of indefinite_isometry_search
     reaches at the same bound.  height_bound must be an int of at least 1.
+    The shells are taken by _lattice_points directly: Q_0 has passed the
+    definiteness test below, and k(z^2 - 1) is a non-negative int, so the
+    refusals of vectors_of_norm cannot fire; Q_0 keeps its descent constants
+    (Lattice._descent) across the levels.
     """
     height_bound = _height_bound(height_bound)
     k = -target.gram[-1][-1]
@@ -416,8 +429,9 @@ def level_walk(sources, target: Lattice,
                      for b in blocks):
         raise EnumerationError(
             "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
+    # Q_0 is positive definite and k(z^2 - 1) >= 0 is an int (docstring)
     us = (v + (z,) for z in range(1, height_bound + 1)
-          for v in vectors_of_norm(blocks[0][0], k * (z * z - 1)))
+          for v in _lattice_points(blocks[0][0], k * (z * z - 1), shell=True))
     return _split_matches(sources, target, us, -k)
 
 

@@ -163,12 +163,22 @@ def _canonical_2adic(records) -> tuple[GenusBlock, ...]:
 
 
 def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
-    """Canonical p-adic genus symbol of a nondegenerate lattice."""
+    """Canonical p-adic genus symbol of a nondegenerate lattice.
+
+    Refuses a p that is not an integer prime and a degenerate Gram matrix,
+    then computes by _padic_symbol, which same_genus reads directly (through
+    _symbol) once it has proven both."""
     (p,) = _integers((p,))
     if not arith.is_prime(p):
         raise GenusError(f"{p} is not prime")
     if lat.determinant() == 0:
         raise GenusError("degenerate Gram matrix")
+    return _padic_symbol(lat, p)
+
+
+def _padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
+    """padic_symbol without its refusals, for an int prime p and a
+    nondegenerate lattice, as its caller has proven."""
     records = sorted(_jordan_decomposition(lat.gram, p).items())
     if p == 2:
         return GenusSymbol(2, _canonical_2adic(records))
@@ -177,10 +187,11 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
 
 
 def _symbol(lat: Lattice, p: int) -> GenusSymbol:
-    """padic_symbol(lat, p), computed at most once per lattice and prime."""
+    """_padic_symbol(lat, p), computed at most once per lattice and prime;
+    same_genus has proven p prime and lat nondegenerate."""
     memo = lat._symbols
     if p not in memo:
-        memo[p] = padic_symbol(lat, p)
+        memo[p] = _padic_symbol(lat, p)
     return memo[p]
 
 
@@ -189,15 +200,16 @@ def same_genus(l1: Lattice, l2: Lattice) -> bool:
 
     Compares rank, signature and determinant, then the canonical symbols at
     2 and at every prime dividing the determinant; agreement elsewhere is
-    automatic.  Each lattice keeps the symbols it was compared by, so a
-    lattice compared with many others has each of its symbols computed once.
+    automatic.  signature() has refused a degenerate Gram matrix and the
+    primes come from Lattice._genus_primes, so the symbols skip
+    padic_symbol's refusals (_padic_symbol).  Each lattice keeps its primes
+    and the symbols it was compared by, so a lattice compared with many
+    others factors its determinant and computes each symbol once.
     """
     try:
         s1, s2 = l1.signature(), l2.signature()
     except LatticeError as exc:
         raise GenusError(str(exc)) from exc
-    d = l1.determinant()
-    if l1.rank != l2.rank or s1 != s2 or d != l2.determinant():
+    if l1.rank != l2.rank or s1 != s2 or l1.determinant() != l2.determinant():
         return False
-    primes = sorted({2} | set(arith.factor(abs(d))))
-    return all(_symbol(l1, p) == _symbol(l2, p) for p in primes)
+    return all(_symbol(l1, p) == _symbol(l2, p) for p in l1._genus_primes)

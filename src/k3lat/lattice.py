@@ -3,13 +3,15 @@
 Everything here works over Z, or over Q internally, with no floating point,
 so results are exact for arbitrarily large entries.  Lattices are immutable
 values and all operations are pure functions.  A lattice computes its
-elimination, its Smith invariants and each p-adic symbol that
-genus.same_genus compares at most once, and keeps them on the object by
-arith.cached, which takes no lock; a memo write stores the one value the
-Gram matrix determines, so concurrent use stays safe.  Lattice(...) checks
-each Gram matrix where it enters; the lattices built from checked ones
-(sums, twists, complements) use Lattice._of, and a caller that has proven
-the refusals of orthogonal_complement takes the complement by _complement.
+elimination, its Smith invariants, the constants of the short-vector
+descent, the primes and each p-adic symbol that genus.same_genus compares
+at most once, and keeps them on the object by arith.cached, which takes no
+lock; a memo write stores the one value the Gram matrix determines, so
+concurrent use stays safe.  Lattice(...) checks each Gram matrix where it
+enters; the lattices built from checked ones (sums, twists, complements)
+use Lattice._of.  orthogonal_complement keeps its refusals and delegates to
+_complement, which only callers that have proven those refusals take:
+enumeration._orbit_record and enumeration._splits.
 Lattice is an arith.Record, an immutable value equal and hashed by its Gram
 matrix; this module, on the path of every CLI call with linalg and arith,
 imports neither dataclasses nor fractions.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from . import linalg
+from . import arith, linalg
 from .arith import DomainError, Record, cached, integers
 from .linalg import Vector
 
@@ -128,6 +130,29 @@ class Lattice(Record):
         return tuple(linalg.smith_invariants(self.gram))
 
     @cached
+    def _descent(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                tuple[int, ...], int] | None:
+        """Constants of enumeration._lattice_points, computed at most once
+        per lattice: the pivot minors P_k, the scaled rows, the multipliers
+        M / (P_k P_{k+1}) and M = lcm(P_k P_{k+1}); None if the lattice is
+        not positive definite, so that every descent in it is refused.  A
+        degenerate Gram matrix raises LatticeError, as signature() does,
+        and stores nothing."""
+        if not self.is_positive_definite():
+            return None
+        minors, rows = self._elimination
+        weights = [p * q for p, q in zip(minors, minors[1:])]
+        scale = math.lcm(*weights)
+        return minors, rows, tuple(scale // w for w in weights), scale
+
+    @cached
+    def _genus_primes(self) -> tuple[int, ...]:
+        """2 and the primes dividing the determinant, ascending: the primes
+        genus.same_genus compares symbols at, for a nondegenerate lattice,
+        factored at most once per lattice."""
+        return tuple(sorted({2} | set(arith.factor(abs(self.determinant())))))
+
+    @cached
     def _symbols(self) -> dict:
         """p-adic genus symbols by prime, filled by genus.same_genus."""
         return {}
@@ -183,10 +208,16 @@ class Lattice(Record):
     def _complement(self, v: Vector) -> tuple["Lattice", tuple[Vector, ...]]:
         """orthogonal_complement without checks, for a nonzero int vector
         of length rank >= 2 in a nondegenerate lattice, as its caller has
-        proven."""
-        basis = linalg.kernel_basis([sum(map(mul, row, v)) for row in self.gram])
-        gram = [[self._inner(b1, b2) for b2 in basis] for b1 in basis]
-        return Lattice._of(gram), tuple(basis)
+        proven.  Row i of the Gram matrix takes G b_i once, pairs it with
+        b_i, b_(i+1), ... and copies the entries left of the diagonal from
+        the rows above, as the matrix is symmetric."""
+        g = self.gram
+        basis = linalg.kernel_basis([sum(map(mul, row, v)) for row in g])
+        rows: list[list[int]] = []
+        for i, b in enumerate(basis):
+            gb = [sum(map(mul, row, b)) for row in g]
+            rows.append([r[i] for r in rows] + [sum(map(mul, gb, c)) for c in basis[i:]])
+        return Lattice._of(rows), tuple(basis)
 
 
 def _gram_json(lat: Lattice) -> list[list[int]]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from k3lat import census, genus
+from k3lat import arith, census, enumeration, genus
 from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           build_unbounded_family, certificate_from_json,
                           certificate_to_json, count_integral_twistor_classes,
@@ -412,6 +413,49 @@ class TestUnboundedFamily:
         # are not compared), and each lattice's two symbols are computed once
         assert cert.h == 15 and len(mirror_firsts(cert.forms)) == 8
         assert len(calls) == 2 * 8
+
+    def test_a_census_operation_pays_each_proof_once(self, monkeypatch):
+        # one k3bench census operation: build, a JSON round trip and verify.
+        # The public refusals of orthogonal_complement and padic_symbol are
+        # proven by their census callers, so neither is called; each genus
+        # row factors det T_0 once (census._family's cube test of p*d0 is
+        # not a row); each lattice the descent runs in builds its constants
+        # (the lcm of its pivot products) once, the walked block Q_0 too
+        calls = {"orthogonal_complement": 0, "padic_symbol": 0}
+        for owner, name in [(Lattice, "orthogonal_complement"), (genus, "padic_symbol")]:
+            def counted(*args, _name=name, _fn=getattr(owner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        factored, descended, builds = [], [], []
+        factor, lcm, points = arith.factor, math.lcm, enumeration._lattice_points
+
+        def counted_factor(n):
+            if sys._getframe(1).f_globals["__name__"] != "k3lat.census":
+                factored.append(n)
+            return factor(n)
+
+        def counted_lcm(*xs):
+            builds.append(xs)
+            return lcm(*xs)
+
+        def counted_points(lat, bound, shell):
+            descended.append(lat)
+            return points(lat, bound, shell)
+
+        monkeypatch.setattr(arith, "factor", counted_factor)
+        monkeypatch.setattr(math, "lcm", counted_lcm)
+        monkeypatch.setattr(enumeration, "_lattice_points", counted_points)
+        cert = build_unbounded_family(239, 1)
+        doc = json.loads(json.dumps(certificate_to_json(cert)))
+        assert verify_certificate(certificate_from_json(doc))
+        assert calls == {"orthogonal_complement": 0, "padic_symbol": 0}
+        # two genus rows, build's and verify's, each comparing T_0 first
+        assert factored == [239, 239]
+        distinct = {id(lat): lat for lat in descended}
+        t0_block = Lattice([list(row[:2]) for row in cert.ternaries[0].gram[:2]])
+        assert t0_block in distinct.values() and len(descended) > len(distinct)
+        assert len(builds) == len(distinct)
 
     def test_the_genus_row_skips_exactly_the_later_mirrors(self, monkeypatch):
         compared = []

@@ -270,6 +270,40 @@ _FIBERS_PINS = [
     ("zeta12", 2, 2, 48, "b3103992c27d9ebd31ab1e2dd80a925ad56f9046244464c8af9cd5ba01d23d8a"),
 ]
 
+# sha256 of k3 unbounded result documents at d0 = 3 and 5 (the certificate
+# digests in test_census.py are all at d0 = 1), recorded before the split
+# matcher took its complements unchecked
+_UNBOUNDED_PINS = [
+    (23, 3, "bb47f6934626b373b419bd864af89c851dfeeb06dfd588e8bf7f01e5db0dc334"),
+    (23, 5, "4f51b324c5915de2b5c657c4958d6b6628c40a6a206d882464e00a14b2844d44"),
+    (239, 3, "39ecc64357b24803753f0f3b96e5c70c3720d09f6045edd4748fb106eb9d1490"),
+    (239, 5, "73d76800431ddf45ad00f660d2600ad2405be0a3770d9813b210845530f098e3"),
+]
+
+# (gram1, gram2, sha256) of lattice isometric result documents for block
+# ternaries Q + (k) and a change of basis of each, in both orders: the box
+# misses both ways at the default height bound 10, so the witness comes from
+# the split strategy (_split_witness); recorded with the pins above
+_SPLIT_ISOMETRY_PINS = [
+    ("1,0,0;0,3,0;0,0,-5", "-16,-34,49;-34,-13,37;49,37,-74",
+     "a795904c58e08d31246fbd81c05e74dcfee37467d0b44f5498c0ec6c8161bc43"),
+    ("-16,-34,49;-34,-13,37;49,37,-74", "1,0,0;0,3,0;0,0,-5",
+     "e7c79d0b3352eb901b879b21fee3ee54ff9b70702474047f10538ac8ddb4123d"),
+    ("3,1,0;1,5,0;0,0,-1", "-3,25,28;25,-41,-4;28,-4,53",
+     "1a13991e0a06389de85e67c3e59e20ed2e92105c2958fe6459df1fe348731336"),
+    ("-3,25,28;25,-41,-4;28,-4,53", "3,1,0;1,5,0;0,0,-1",
+     "579880389b5b141bf191f00a97f7bfc567cff03976fc0bcf853519c5c3c36e48"),
+    ("3,1,0;1,5,0;0,0,-1", "-94,-60,-5;-60,-38,-2;-5,-2,5",
+     "2cdc494e2d8cd44ae4a899a1e76b7477cebdfafb8cc919885f94e74c1ccd707a"),
+    ("-94,-60,-5;-60,-38,-2;-5,-2,5", "3,1,0;1,5,0;0,0,-1",
+     "5567332e0f671395588c46c0d0b4ebae5ffdf26f85885f944e1bf54866be2b2e"),
+]
+
+
+def _result_digest(payload):
+    blob = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
 
 class TestCommands:
     def test_classgroup(self):
@@ -380,6 +414,19 @@ class TestCommands:
         blob = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
         assert payload["result"]["count"] == count
         assert hashlib.sha256(blob.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("p,d0,sha256", _UNBOUNDED_PINS)
+    def test_unbounded_result_is_pinned(self, p, d0, sha256):
+        res, payload = run_json(["k3", "unbounded", "-p", str(p), "--d0", str(d0)])
+        assert res.exit_code == 0 and payload["result"]["d0"] == d0
+        assert _result_digest(payload) == sha256
+
+    @pytest.mark.parametrize("gram1,gram2,sha256", _SPLIT_ISOMETRY_PINS)
+    def test_split_isometry_result_is_pinned(self, gram1, gram2, sha256):
+        res, payload = run_json(["lattice", "isometric", f"--gram1={gram1}",
+                                 f"--gram2={gram2}"])
+        assert res.exit_code == 0 and payload["result"]["isometric"] is True
+        assert _result_digest(payload) == sha256
 
     @pytest.mark.parametrize("argv,error", [
         (["cm", "roots", "--cyclotomic", "0"], "degree 2 or 4"),

@@ -8,7 +8,8 @@ import pytest
 from k3lat.arith import DomainError
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, OrbitInvariant,
                                _bounded_norm_vectors,
-                               _box_witness, _gram_compatible, _split_witness, _splits,
+                               _box_witness, _gram_compatible, _lattice_points,
+                               _split_witness, _splits,
                                embeddings,
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
@@ -56,6 +57,34 @@ class TestVectorsOfNorm:
             lat = random_positive_definite(rng.choice([1, 2, 3]), rng)
             n = rng.randint(0, 30)
             assert vectors_of_norm(lat, n) == box_vectors_of_norm(lat, n)
+
+    def test_shells_asked_in_any_order_of_one_lattice_match_the_box(self, rng):
+        # the descent constants are kept on the lattice after the first
+        # shell; later shells, larger or smaller, must not depend on it
+        for _ in range(12):
+            lat = random_positive_definite(rng.choice([1, 2, 3]), rng)
+            norms = list(range(0, 25))
+            rng.shuffle(norms)
+            for n in norms:
+                assert vectors_of_norm(lat, n) == box_vectors_of_norm(lat, n), (lat, n)
+
+    @pytest.mark.parametrize("gram,error,match", [
+        ([[0, 1], [1, 0]], EnumerationError, "positive definite"),
+        ([[2, 1], [1, -3]], EnumerationError, "positive definite"),
+        ([[-2]], EnumerationError, "positive definite"),
+        ([[1, 1], [1, 1]], LatticeError, "degenerate"),
+        ([[2, 0, 0], [0, 0, 0], [0, 0, 1]], LatticeError, "degenerate")],
+        ids=["hyperbolic", "indefinite", "negative", "degenerate", "degenerate-rank3"])
+    def test_a_refused_lattice_is_refused_on_every_call(self, gram, error, match):
+        # the definiteness answer is kept on the lattice, so the same object
+        # must be refused again on every later call, shell and ball alike (a
+        # degenerate Gram matrix keeps the LatticeError of signature())
+        lat = Lattice(gram)
+        for n in (2, 2, 0, 5):
+            with pytest.raises(error, match=match):
+                vectors_of_norm(lat, n)
+            with pytest.raises(error, match=match):
+                _lattice_points(lat, n, shell=False)
 
     def test_rank4_root_system_counts(self):
         z4 = Lattice([[1 if i == j else 0 for j in range(4)] for i in range(4)])
@@ -391,6 +420,18 @@ class TestIndefiniteSearch:
         w = _split_witness(l1, l2, height_bound)
         assert (w.source, w.target, w.columns) == (l1, l2, columns)
         assert indefinite_isometry_search(l1, l2, height_bound).witness == w
+
+    @pytest.mark.parametrize("g1,g2", [
+        ([[1, 0, 0], [0, 3, 0], [0, 0, -5]], [[-16, -34, 49], [-34, -13, 37], [49, 37, -74]]),
+        ([[3, 1, 0], [1, 5, 0], [0, 0, -1]], [[-3, 25, 28], [25, -41, -4], [28, -4, 53]]),
+        ([[3, 1, 0], [1, 5, 0], [0, 0, -1]], [[-94, -60, -5], [-60, -38, -2], [-5, -2, 5]])])
+    def test_split_only_at_the_default_bound(self, g1, g2):
+        # the pairs behind test_cli's split isometry pins: at height bound 10
+        # the box misses in both orders, so both answers use the split
+        l1, l2 = Lattice(g1), Lattice(g2)
+        assert _box_witness(l1, l2, 10) is None and _box_witness(l2, l1, 10) is None
+        w = _split_witness(l1, l2, 10)
+        assert w is not None and indefinite_isometry_search(l1, l2, 10).witness == w
 
     @pytest.mark.parametrize("height_bound", [1, 10])
     def test_definite_pairs_are_decided_completely(self, height_bound):

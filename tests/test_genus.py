@@ -106,6 +106,16 @@ class TestPadicSymbol:
                     assert (math.prod(b.sign for b in blocks)
                             == legendre_symbol(unit % p, p)), (lat, p)
 
+    def test_unchecked_symbol_matches_the_public_one(self, rng):
+        # same_genus reads symbols through _padic_symbol, which skips the
+        # refusals; at 2 and every prime of the determinant it must agree
+        for rank in range(1, 5):
+            for _ in range(20):
+                lat = random_nondegenerate(rank, rng, scale=rng.choice([3, 9]),
+                                           two_power_bias=True)
+                for p in sorted({2} | set(primefactors(lat.determinant()))):
+                    assert genus._padic_symbol(lat, p) == padic_symbol(lat, p), (lat, p)
+
     def test_jordan_split_matches_the_full_pivot_scan(self):
         # the split takes the first diagonal unit as its pivot without a
         # valuation scan; the oracle always scans.  Half the entries are

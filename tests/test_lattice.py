@@ -15,8 +15,9 @@ from k3lat.census import MinusTwoResult, has_minus_two_class
 from k3lat.enumeration import _block, embeddings, vectors_of_norm
 from k3lat.genus import same_genus
 from k3lat.lattice import Lattice, LatticeError
-from util import (change_basis, random_nondegenerate, random_positive_definite,
-                  random_symmetric, random_unimodular, scanning_ldl)
+from util import (change_basis, pairwise_gram, random_nondegenerate,
+                  random_positive_definite, random_symmetric, random_unimodular,
+                  scanning_ldl)
 
 A2 = Lattice([[2, 1], [1, 2]])
 U = Lattice([[0, 1], [1, 0]])
@@ -196,6 +197,17 @@ def test_orthogonal_complement_rank20_example():
 def test_orthogonal_complement_one_equation():
     comp, _ = Lattice([[2, 0], [0, 2]]).orthogonal_complement((1, 1))
     assert comp.gram == ((4,),)
+
+
+def test_unchecked_complement_gram_matches_the_pairwise_construction(rng):
+    for _ in range(60):
+        lat = random_nondegenerate(rng.choice([2, 3, 4]), rng)
+        v = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
+        if not any(v):
+            continue
+        comp, basis = lat._complement(v)
+        assert comp.gram == tuple(map(tuple, pairwise_gram(lat, basis)))
+        assert (comp, basis) == lat.orthogonal_complement(v)
 
 
 def test_orthogonal_complement_exactness(rng):

@@ -174,12 +174,16 @@ def _use_sites(tree, name):
     return set(visit(tree, "<module>"))
 
 
-# the unchecked orbit record and complement, by the callers that have proven
-# the public refusals they skip
+# the unchecked orbit record, complement, p-adic symbol and short-vector
+# descent, by the callers that have proven the public refusals they skip
 UNCHECKED_CALLERS = {
     "_orbit_record": {("enumeration.py", "orbit_invariant"), ("census.py", "_family")},
     "_complement": {("lattice.py", "orthogonal_complement"),
-                    ("enumeration.py", "_orbit_record")},
+                    ("enumeration.py", "_orbit_record"), ("enumeration.py", "_splits")},
+    "_padic_symbol": {("genus.py", "padic_symbol"), ("genus.py", "_symbol")},
+    "_lattice_points": {("enumeration.py", "short_vectors_le"),
+                        ("enumeration.py", "vectors_of_norm"),
+                        ("enumeration.py", "level_walk")},
 }
 
 

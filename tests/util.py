@@ -339,6 +339,12 @@ def _fraction_inverse(g):
     return [row[n:] for row in a]
 
 
+def pairwise_gram(lat, basis):
+    """Oracle: the Gram matrix of basis in lat, one _inner call per entry,
+    independent of the symmetric fill of Lattice._complement."""
+    return [[lat._inner(a, b) for b in basis] for a in basis]
+
+
 def change_basis(lat, u):
     """Lattice with Gram matrix u^T G u: the basis given by the columns of u."""
     n = len(u)
