@@ -17,6 +17,7 @@ import json
 import pathlib
 import time
 
+from k3lat import HEIGHT_BOUND
 from k3lat.arith import is_prime
 from k3lat.census import (CensusError, build_unbounded_family, certificate_from_json,
                           certificate_to_json, verify_certificate, write_certificate)
@@ -26,7 +27,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-prime", type=int, default=100)
     ap.add_argument("--d0", type=int, default=1)
-    ap.add_argument("--height-bound", type=int, default=10,
+    ap.add_argument("--height-bound", type=int, default=HEIGHT_BOUND,
                     help="largest level |z| the witness walk may reach")
     ap.add_argument("--out-dir", type=pathlib.Path)
     args = ap.parse_args()

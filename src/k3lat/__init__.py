@@ -6,6 +6,7 @@ import importlib
 
 __version__ = "0.1.0"
 SCHEMA = "k3lat/1"  # the version of every JSON document: CLI envelopes, cache, certificates
+HEIGHT_BOUND = 10  # the default largest level of the census witness walk
 
 # home module -> the public names it defines
 _EXPORTS = {
@@ -15,13 +16,13 @@ _EXPORTS = {
               " has_minus_two_class verify_certificate write_certificate",
     "cm": "CMElement CMField PeriodEmbedding PeriodVector enumerate_bounded_integers"
           " enumerate_period_embeddings is_root_of_unity pairing_sigma_sigmabar"
-          " solve_lambda verify_norm_equation",
+          " solve_lambda",
     "enumeration": "EmbeddingMatrix IsometrySearchResult OrbitInvariant embeddings"
                    " indefinite_isometry_search is_isometric_definite orbit_invariant"
                    " vectors_of_norm",
     "formulas": "fm_partner_count max_root_of_unity_order tau twistor_fiber_bound",
-    "forms": "BinaryForm FormClassGroup class_group compose dirichlet_class_number"
-             " form_to_lattice is_equivalent reduce_form verify_principal_genus",
+    "forms": "BinaryForm FormClassGroup class_group compose form_to_lattice reduce_form"
+             " verify_principal_genus",
     "genus": "GenusBlock GenusSymbol padic_symbol same_genus",
     "lattice": "Lattice LatticeError",
 }

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from . import SCHEMA, arith
+from . import HEIGHT_BOUND, SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
                           vectors_of_norm, _bounded_norm_vectors, _orbit_record)
 from .forms import BinaryForm, class_group, form_to_lattice
@@ -70,9 +70,12 @@ def has_minus_two_class(lat: Lattice, search_bound: int = 6) -> MinusTwoResult:
     Any twist by a multiple of 4 has every diagonal entry divisible by 4 and
     every off-diagonal entry even, which forces all norms into 4Z, so -2 is
     impossible.  A form without negative LDL^T pivots is positive
-    semidefinite, so no vector has negative square.
+    semidefinite, so no vector has negative square.  The search bound must
+    be a nonnegative integer.
     """
     (search_bound,) = arith.integers((search_bound,), CensusError)
+    if search_bound < 0:
+        raise CensusError("search bound must be nonnegative")
     g = lat.gram
     n = lat.rank
     if (all(g[i][i] % 4 == 0 for i in range(n))
@@ -174,7 +177,7 @@ def _flip(gram):
 
 
 def build_unbounded_family(p: int, d0: int = 1,
-                           height_bound: int = 10) -> UnboundedFamilyCertificate:
+                           height_bound: int = HEIGHT_BOUND) -> UnboundedFamilyCertificate:
     """Run the full degree-4*d0 orbit pipeline for a prime p = 3 mod 4.
 
     Parameters, forms, ternaries, ambient lattice and invariants come from

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import SCHEMA
+from . import HEIGHT_BOUND, SCHEMA
 from .arith import DomainError, quoted
 
 CACHE_ENV = "K3LAT_CACHE_DIR"
@@ -332,7 +332,7 @@ def _cmd_genus_same(args):
 
 
 @command("k3 unbounded", _PRIME, arg("--d0", type=int, default=1),
-         arg("--height-bound", type=int, default=10,
+         arg("--height-bound", type=int, default=HEIGHT_BOUND,
              help="largest level |z| the witness walk may reach"),
          arg("--out", help="also write the certificate to this file"))
 def _cmd_k3_unbounded(args):

@@ -1,4 +1,5 @@
-"""Exact arithmetic in small CM fields and the period-embedding machinery.
+"""Exact arithmetic in small CM fields and the period-embedding machinery
+of a rank-2 period lattice.
 
 A field is Q(zeta_k) of degree 2 or 4 or Q(sqrt(-m)) for squarefree m > 0,
 made by CMField.cyclotomic(k) or CMField.imaginary_quadratic(m): its monic
@@ -26,7 +27,7 @@ from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
                           vectors_of_norm)
 from .formulas import CMError, max_root_of_unity_order, twistor_fiber_bound  # the last re-exported
 from .lattice import Lattice
-from .linalg import inverse, rank, solve
+from .linalg import inverse, solve
 
 
 def _rationals(xs) -> tuple[Fraction, ...]:
@@ -196,9 +197,6 @@ class CMField(arith.Record):
     def one(self) -> "CMElement":
         return self.rational(1)
 
-    def gen(self) -> "CMElement":
-        return self.element(self._red[1])
-
     def from_integral(self, z) -> "CMElement":
         z = arith.integers(z, CMError)
         if len(z) != self.degree:
@@ -349,11 +347,12 @@ def _combine(coeffs, elems) -> CMElement:
 
 
 class PeriodVector(arith.Record):
-    """Isotropic positive class sigma = sum mu_i gamma_i defining a weight-two
-    Hodge structure on the lattice, with exact CM-field coordinates.  It keeps
-    mubar, (sigma.sigmabar) and the frame (i, j, 1 / (mu_i mubar_j - mu_j
-    mubar_i)) of its first nonzero minor; on its first solve it builds from
-    them the integer tables of _PeriodTables, which every later solve reuses."""
+    """Isotropic positive class sigma = mu_0 gamma_1 + mu_1 gamma_2 defining a
+    weight-two Hodge structure on a rank-2 lattice, with exact CM-field
+    coordinates; every other rank is refused.  It keeps mubar,
+    (sigma.sigmabar) and the frame (0, 1, 1 / (mu_0 mubar_1 - mu_1 mubar_0));
+    on its first solve it builds from them the integer tables of
+    _PeriodTables, which every later solve reuses."""
 
     lattice: Lattice
     mu: tuple[CMElement, ...]
@@ -366,7 +365,6 @@ class PeriodVector(arith.Record):
         if any(m.field != field for m in mu):
             raise CMError("coordinates must share one field")
         object.__setattr__(self, "mu", mu)
-        n = self.lattice.rank
         mub = tuple(m.conjugate() for m in mu)
         gmu = [_combine(row, mu) for row in self.lattice.gram]
         if sum((m * v for m, v in zip(mu, gmu)), field.zero()) != field.zero():
@@ -374,30 +372,23 @@ class PeriodVector(arith.Record):
         ssb = sum((m * v for m, v in zip(mub, gmu)), field.zero())
         if not _totally_nonneg(ssb, strict=True):
             raise CMError("(sigma.sigmabar) is not totally positive")
-        if rank([m.coords for m in mu]) != n:
-            raise CMError("period is not general: a proper primitive "
-                          "sublattice contains it")
-        if gmu[0] == field.zero():
-            raise CMError("(gamma_1.sigma) vanishes; permute the basis first")
-        # some minor is nonzero: mubar proportional to mu would make
-        # (sigma.sigmabar) vanish, which the positivity check refuses
-        frame = next((i, j, det.inverse()) for i in range(n) for j in range(i + 1, n)
-                     if (det := mu[i] * mub[j] - mu[j] * mub[i]) != field.zero())
+        if len(mu) != 2:
+            raise CMError("only rank-2 period lattices are supported")
+        # At rank 2, sigma.sigma = 0 and (sigma.sigmabar) != 0 exclude the
+        # rest.  sigma = c w for a rational w (a proper primitive sublattice
+        # holding sigma) gives (sigma.sigmabar) = c cbar (w.w), 0 with
+        # sigma.sigma = c^2 (w.w).  (gamma_1.sigma) = 0 leaves sigma.sigma =
+        # mu_1 (gamma_2.sigma) and (sigma.sigmabar) = mubar_1 (gamma_2.sigma),
+        # which vanish together.  A zero minor, mubar = t mu, would give
+        # (sigma.sigmabar) = t (sigma.sigma) = 0.
+        det = mu[0] * mub[1] - mu[1] * mub[0]
         object.__setattr__(self, "_conj", mub)
         object.__setattr__(self, "_ssb", ssb)
-        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_frame", (0, 1, det.inverse()))
 
     @property
     def field(self) -> CMField:
         return self.mu[0].field
-
-    def sigma1(self) -> CMElement:
-        return _combine(self.lattice.gram[0], self.mu)
-
-    def normalized(self) -> "PeriodVector":
-        """Rescale so that (gamma_1.sigma) = 1."""
-        inv = self.sigma1().inverse()
-        return PeriodVector(self.lattice, tuple(m * inv for m in self.mu))
 
     @arith.cached
     def _tables(self) -> "_PeriodTables":
@@ -414,21 +405,20 @@ class _PeriodTables:
     """Integer tables that solve phi(sigma) = lambda sigma + lambda' sigmabar
     + nu e for an integer matrix phi, built once per period.
 
-    With x[r n + c] = phi_rc (row n is e's) and the frame (i, j, 1/det),
-    Cramer's rule gives lambda = sum_c (phi_ic mu_c mubar_j - phi_jc mu_c
-    mubar_i) / det and lambda' = sum_c (phi_jc mu_i mu_c - phi_ic mu_j mu_c)
-    / det, and nu = sum_c phi_nc mu_c.  These and the residuals phi(sigma)_k
-    - lambda mu_k - lambda' mubar_k are linear in x, and the norm value
+    With x[r n + c] = phi_rc (n = 2, row n is e's) and the frame (i, j,
+    1/det), Cramer's rule gives lambda = sum_c (phi_ic mu_c mubar_j - phi_jc
+    mu_c mubar_i) / det and lambda' = sum_c (phi_jc mu_i mu_c - phi_ic mu_j
+    mu_c) / det, and nu = sum_c phi_nc mu_c; as (mu, mubar) is a K-basis of
+    K^2, these solve every phi.  They are linear in x, and the norm value
     (|lambda|^2 + |lambda'|^2)(sigma.sigmabar) + |nu|^2 d is a quadratic form
     in x, kept on its upper triangle.  With mu, mubar, (sigma.sigmabar) and
     1/det over one denominator B, and the field's reduction and conjugation
-    integral, their coefficients are integer products over B^3, B^4
-    (residuals) and B^7 (norm form), stored as integer rows over the least
-    common denominator, so a solve takes integer dot products only.  A
-    residual row that vanishes identically is left out; at rank 2 all do.
-    So is a norm-identity coordinate whose form and (sigma.sigmabar)
-    coordinate both vanish, as it reads 0 = 0 for every x: the value is
-    real, so the hexagonal period keeps 1 row of 2.  Only element makes
+    integral, their coefficients are integer products over B^3 and B^7
+    (norm form), stored as integer rows over the least common denominator,
+    so a solve takes integer dot products only.  A norm-identity coordinate
+    whose form and (sigma.sigmabar) coordinate both vanish is left out, as
+    it reads 0 = 0 for every x: the value is real, so the hexagonal period
+    keeps 1 row of 2.  Only element makes
     Fractions: one CMElement per numerator tuple, built on first sight
     together with its negation, which negated reads by id; any element
     built elsewhere it negates exactly.
@@ -448,16 +438,11 @@ class _PeriodTables:
             lam[i * n + c], lam[j * n + c] = pm(pm(m, mub[j]), v), pm(pm(m, mub[i]), nv)
             lam_p[i * n + c], lam_p[j * n + c] = pm(pm(mu[j], m), nv), pm(pm(mu[i], m), v)
         nu = [zero] * (n * n) + [tuple(b * b * t for t in m) for m in mu]
-        res = [[tuple(b ** 3 * e - p for e, p in zip(  # over B^4
-            mu[a % n] if a // n == k else zero, lin(pm(lam[a], mu[k]), pm(lam_p[a], mub[k]))))
-                for a in range(size)] for k in range(n)]
-        g = math.gcd(b ** 4, b * math.gcd(*(t for x in lam + lam_p + nu for t in x)),
-                     *(t for r in res for x in r for t in x))
+        g = math.gcd(b ** 4, b * math.gcd(*(t for x in lam + lam_p + nu for t in x)))
         self._field, self._deg, self._den = field, field.degree, b ** 4 // g
         self._elements, self._negatives = {}, {}
         self._lam, self._lam_p, self._nu = (_rows(x, b, g) for x in (lam, lam_p, nu))
         self._solve_rows = self._lam + self._lam_p + self._nu
-        self._res = [row for r in res for row in _rows(r, 1, g) if any(row)]
         def triangle(support, w):  # x_a x_b = x_b x_a: keep a form's upper triangle
             pairs = [(a, b) for k, a in enumerate(support) for b in support[k:]]
             return pairs, [lin(w(a, b), w(b, a)) if a < b else w(a, a) for a, b in pairs]
@@ -473,12 +458,9 @@ class _PeriodTables:
         self._lam_a, self._lam_b = (itemgetter(*p) for p in zip(*self._lam_pairs))
         self._nu_a, self._nu_b = (itemgetter(*p) for p in zip(*self._nu_pairs))
 
-    def solve(self, columns) -> tuple[tuple[int, ...], ...] | None:
-        """Numerators over the common denominator of lambda, lambda' and nu,
-        or None when a residual does not vanish."""
+    def solve(self, columns) -> tuple[tuple[int, ...], ...]:
+        """Numerators over the common denominator of lambda, lambda' and nu."""
         x = sum(zip(*columns), ())  # x[r n + c] = phi_rc
-        if self._res and any(sum(map(mul, row, x)) for row in self._res):
-            return None
         v, k = tuple([sum(map(mul, row, x)) for row in self._solve_rows]), self._deg
         return v[:k], v[k:2 * k], v[2 * k:]
 
@@ -514,32 +496,20 @@ def pairing_sigma_sigmabar(pv: PeriodVector) -> CMElement:
 
 def solve_lambda(pv: PeriodVector, phi: EmbeddingMatrix):
     """Coefficients (lambda, lambda', nu) with phi(sigma) = lambda sigma +
-    lambda' sigmabar + nu e, or None when phi admits no such expression.
+    lambda' sigmabar + nu e, which every phi has, as (mu, mubar) is a K-basis
+    of K^2.
 
     phi must map into lattice + Z e with e the final basis vector.  lambda,
     lambda' and nu are integer combinations of the entries of phi, weighted
     by the tables the period builds on its first solve (no division, no
-    field multiplication); lambda and lambda' are then checked in every
-    coordinate.  Fractions are made only for a value new to the period.
+    field multiplication).  Fractions are made only for a value new to the
+    period.
     """
     n = pv.lattice.rank
     if phi.target.rank != n + 1 or phi.source.rank != n:
         raise CMError("embedding must map rank n into rank n+1")
     tables = pv._tables
-    solved = tables.solve(phi.columns)
-    return None if solved is None else tuple(map(tables.element, solved))
-
-
-def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
-                         d: int, ssb: CMElement) -> bool:
-    """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1,
-    made without division as (|lambda|^2 + |lambda'|^2) (sigma.sigmabar) +
-    |nu|^2 d = (sigma.sigmabar).  (sigma.sigmabar) must be totally positive,
-    read from the signature of its trace form, so that it is nonzero."""
-    if not _totally_nonneg(ssb, strict=True):
-        raise CMError("(sigma.sigmabar) must be totally positive")
-    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
-            + nu * nu.conjugate() * d) == ssb
+    return tuple(map(tables.element, tables.solve(phi.columns)))
 
 
 class PeriodEmbedding(arith.Record):
@@ -554,8 +524,8 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     """Complete list of isometric embeddings of the period lattice into
     itself plus Z(d) that map sigma into the span of sigma, sigmabar and e.
 
-    At rank 2 that span condition holds for every embedding: a valid period
-    has det(mu, mubar) != 0, so (mu, mubar) is a K-basis of K^2 and any
+    That span condition holds for every embedding: a period has rank 2 and
+    det(mu, mubar) != 0, so (mu, mubar) is a K-basis of K^2 and any
     integral phi has phi(sigma) = lambda sigma + lambda' sigmabar + nu e with
     lambda and lambda' unique.  As sigma.sigma = 0, isometry then forces
     |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = k^2 for the
@@ -578,8 +548,6 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     if nn < 1:
         raise CMError("overlattice index must be positive")
     t = pv.lattice
-    if t.rank != 2:
-        raise CMError("only rank-2 period lattices are supported")
     target = t.direct_sum(Lattice([[d]]))
     source = t if nn == 1 else t.twist(nn * nn)
     tables, embs = pv._tables, embeddings(source, target)
@@ -587,8 +555,8 @@ def enumerate_period_embeddings(pv: PeriodVector, d: int,
     for k in range(len(embs) // 2):
         emb, neg = embs[-1 - k], embs[k]
         solved = solve_lambda(pv, emb)
-        if solved is None or not (tables.norm_holds(emb.columns, d, nn * nn)
-                                  and tables.norm_holds(neg.columns, d, nn * nn)):
+        if not (tables.norm_holds(emb.columns, d, nn * nn)
+                and tables.norm_holds(neg.columns, d, nn * nn)):
             raise CMError("embedding breaks the rank-2 period identity")
         out[-1 - k] = PeriodEmbedding(emb, *solved)
         out[k] = PeriodEmbedding(neg, *map(tables.negated, solved))

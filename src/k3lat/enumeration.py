@@ -133,12 +133,6 @@ class EmbeddingMatrix(Record):
         object.__setattr__(e, "columns", columns)
         return e
 
-    def apply(self, v) -> Vector:
-        v = self.source.check_vector(v)
-        m = self.target.rank
-        return tuple(sum(self.columns[i][r] * v[i] for i in range(len(v)))
-                     for r in range(m))
-
 
 def identity_embedding(lat: Lattice) -> EmbeddingMatrix:
     n = lat.rank

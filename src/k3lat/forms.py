@@ -1,4 +1,4 @@
-"""Binary quadratic forms: reduction, equivalence, composition, class groups.
+"""Binary quadratic forms: reduction, composition, class groups.
 
 Forms are triples (a, b, c) standing for aX^2 + bXY + cY^2.  The class-group
 machinery is restricted to positive definite forms (negative discriminant),
@@ -50,16 +50,6 @@ class BinaryForm(arith.Record):
     def is_primitive(self) -> bool:
         return math.gcd(self.a, math.gcd(self.b, self.c)) == 1
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not self.is_positive_definite():
-            return False
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -72,10 +62,6 @@ def matmul2(u: Transform, v: Transform) -> Transform:
         (u[0][0] * v[0][0] + u[0][1] * v[1][0], u[0][0] * v[0][1] + u[0][1] * v[1][1]),
         (u[1][0] * v[0][0] + u[1][1] * v[1][0], u[1][0] * v[0][1] + u[1][1] * v[1][1]),
     )
-
-
-def det2(u: Transform) -> int:
-    return u[0][0] * u[1][1] - u[0][1] * u[1][0]
 
 
 def apply_transform(f: BinaryForm, u: Transform) -> BinaryForm:
@@ -123,27 +109,6 @@ def reduce_form(f: BinaryForm):
     return BinaryForm._of(a, b, c), u
 
 
-def is_equivalent(f: BinaryForm, g: BinaryForm):
-    """A determinant-1 transform carrying f to g, or None.
-
-    Two positive definite forms are SL2(Z)-equivalent exactly when they share
-    a reduced representative.
-    """
-    _check_forms(f, g)
-    if not f.is_positive_definite() or not g.is_positive_definite():
-        raise FormError("equivalence test requires positive definite forms")
-    if f.discriminant() != g.discriminant():
-        return None
-    rf, uf = reduce_form(f)
-    rg, ug = reduce_form(g)
-    if rf != rg:
-        return None
-    (p, q), (r, s) = ug
-    v = matmul2(uf, ((s, -q), (-r, p)))  # ug has determinant 1: invert by its adjugate
-    assert apply_transform(f, v) == g
-    return v
-
-
 class FormClassGroup(arith.Record):
     """All reduced primitive positive definite forms of one discriminant."""
 
@@ -153,11 +118,6 @@ class FormClassGroup(arith.Record):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def principal(self) -> BinaryForm:
-        d = self.discriminant
-        b0 = d % 2
-        return BinaryForm(1, b0, (b0 * b0 - d) // 4)
 
 
 def class_group(d: int) -> FormClassGroup:
@@ -227,61 +187,3 @@ def form_to_lattice(f: BinaryForm) -> Lattice:
     """Rank-2 lattice with Gram matrix ((2a, b), (b, 2c)); det = -disc."""
     _check_forms(f)
     return Lattice._of(((2 * f.a, f.b), (f.b, 2 * f.c)))
-
-
-def lattice_to_form(lat: Lattice) -> BinaryForm:
-    """Binary form of a rank-2 Gram matrix, using the doubled convention.
-
-    For Gram ((g11, g12), (g12, g22)) this is (g11, 2*g12, g22), the integral
-    quadratic form the Gram matrix evaluates.
-    """
-    if not isinstance(lat, Lattice):
-        raise FormError("lattice must be a Lattice")
-    if lat.rank != 2:
-        raise FormError("lattice must have rank 2")
-    return BinaryForm._of(lat.gram[0][0], 2 * lat.gram[0][1], lat.gram[1][1])
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    (d,) = _integers((d,))
-    if d >= 0 or d % 4 not in (0, 1):
-        return False
-    if d % 4 == 1:
-        return arith.is_squarefree(-d)
-    m = d // 4
-    return m % 4 in (2, 3) and arith.is_squarefree(-m)
-
-
-_TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (x/2) = (2/x) by x mod 8
-
-
-def _kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n) for n > 0, by quadratic reciprocity."""
-    result = 1
-    while n % 2 == 0:
-        n //= 2
-        result *= _TWO[d % 8]
-    d %= n  # the Jacobi symbol (d/n) for odd n depends only on d mod n
-    while d:
-        while d % 2 == 0:
-            d //= 2
-            result *= _TWO[n % 8]
-        if d % 4 == 3 and n % 4 == 3:
-            result = -result
-        d, n = n % d, d
-    return result if n == 1 else 0
-
-
-def dirichlet_class_number(d: int) -> int:
-    """Class number of a fundamental discriminant d < 0 by the finite class
-    number formula h = -(w / 2|d|) sum_{0<a<|d|} chi_d(a) a, in integers
-    (Cohen, GTM 138, Prop. 5.3.12); independent of the reduced-form scan,
-    whose oracle it is."""
-    (d,) = _integers((d,))
-    if not is_fundamental_discriminant(d):
-        raise FormError("d must be a negative fundamental discriminant")
-    q = -d
-    w = 6 if d == -3 else 4 if d == -4 else 2
-    h, rem = divmod(-w * sum(_kronecker(d, a) * a for a in range(1, q)), 2 * q)
-    assert rem == 0
-    return h

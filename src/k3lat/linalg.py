@@ -1,7 +1,7 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
 a fraction-free symmetric LDL^T (the source of every determinant and
 signature, once per Lattice), Smith invariant factors, Hermite bases, and one
-rational row reduction behind solve, rank and inverse.  Only that reduction
+rational row reduction behind solve and inverse.  Only that reduction
 and solve import fractions, so the integer kernels under every CLI call
 load neither it nor the decimal module it pulls in.
 Two kernels have a closed form at the sizes the census uses: the Smith
@@ -158,10 +158,6 @@ def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
-
-
-def rank(rows) -> int:
-    return len(_row_reduce(rows)[1])
 
 
 def solve(rows, rhs) -> list[Fraction] | None:

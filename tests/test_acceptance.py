@@ -14,18 +14,17 @@ from sympy import isprime, nextprime, primefactors
 from k3lat.census import build_unbounded_family, fm_partner_count, tau
 from k3lat.cm import (CMField, PeriodVector, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
-                      pairing_sigma_sigmabar, twistor_fiber_bound,
-                      verify_norm_equation)
+                      pairing_sigma_sigmabar, twistor_fiber_bound)
 from k3lat.enumeration import (embeddings, is_isometric_definite,
                                vectors_of_norm)
 from k3lat.forms import (BinaryForm, apply_transform, class_group, compose,
-                         dirichlet_class_number, form_to_lattice, reduce_form,
-                         verify_principal_genus)
+                         form_to_lattice, reduce_form, verify_principal_genus)
 from k3lat.genus import same_genus
 from k3lat.lattice import Lattice
 from util import (box_embeddings, box_vectors_of_norm, change_basis,
-                  period_image_matches, random_nondegenerate,
-                  random_positive_definite, random_unimodular)
+                  dirichlet_class_number, period_image_matches, principal,
+                  random_nondegenerate, random_positive_definite, random_unimodular,
+                  verify_norm_equation)
 
 from fractions import Fraction
 
@@ -207,7 +206,7 @@ def test_criterion_10_property_suite():
         elems = list(cl.elements)
         idx = {f: i for i, f in enumerate(elems)}
         table = [[idx[compose(a, b)] for b in elems] for a in elems]
-        e = idx[cl.principal()]
+        e = idx[principal(cl)]
         for i in range(len(elems)):
             assert table[i][e] == i and table[e][i] == i
             assert any(table[i][j] == e for j in range(len(elems)))

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -11,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from k3lat import arith, census, enumeration, genus
+from k3lat import HEIGHT_BOUND, arith, census, enumeration, genus
 from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           build_unbounded_family, certificate_from_json,
                           certificate_to_json, count_integral_twistor_classes,
                           fm_partner_count, has_minus_two_class, tau,
                           verify_certificate, write_certificate)
+from k3lat.cli import build_parser
 from k3lat.enumeration import (indefinite_isometry_search, level_walk,
                                orbit_invariant, vectors_of_norm, _orbit_record)
 from k3lat.forms import class_group, form_to_lattice
@@ -101,6 +104,16 @@ class TestTauAndFm:
     def test_fm_count(self, d, expected):
         assert fm_partner_count(d) == expected
 
+    def test_fm_count_is_the_discriminant_isometry_count_up_to_sign(self):
+        # the discriminant form q of <d> has |O(q)| = #{u mod d : u^2 = 1
+        # (mod 2d)}; divided by the order of {+-1 mod d} it is the count for
+        # every even d, d = 2 included, where the formula is clamped
+        for d in range(2, 2001, 2):
+            isometries = sum(1 for u in range(d) if (u * u - 1) % (2 * d) == 0)
+            signs = len({1 % d, -1 % d})
+            assert isometries % signs == 0, d
+            assert fm_partner_count(d) == isometries // signs, d
+
     def test_degree_that_is_not_an_integer_rejected(self):
         with pytest.raises(CensusError, match="integers"):
             tau(12.7)
@@ -174,9 +187,15 @@ class TestMinusTwo:
             with pytest.raises(CensusError, match="integers"):
                 has_minus_two_class(lat, search_bound=search_bound)
 
-    def test_negative_search_bound_is_an_uncertified_miss(self):
-        res = has_minus_two_class(Lattice([[2, 0], [0, -2]]), search_bound=-1)
-        assert not res.found and not res.certified
+    def test_negative_search_bound_rejected(self):
+        # a negative bound searched nothing and called the miss uncertified,
+        # also where bound 6 finds (-3, -5); it is refused before the
+        # congruence and definiteness shortcuts
+        assert has_minus_two_class(Lattice([[2, 1], [1, -2]])).witness == (-3, -5)
+        for gram in ([[2, 1], [1, -2]], [[2, 0], [0, -2]], [[-4, 2], [2, -4]], [[2, 1], [1, 2]]):
+            for search_bound in (-1, -6):
+                with pytest.raises(CensusError, match="nonnegative"):
+                    has_minus_two_class(Lattice(gram), search_bound=search_bound)
 
     @pytest.mark.parametrize("gram", [[[2]], [[6, 1], [1, 6]], [[1, 1], [1, 1]]],
                              ids=["rank-one", "definite", "semidefinite"])
@@ -564,3 +583,25 @@ def test_orbit_script_totals_its_rows():
     gaps = sum(int(h) - int(f) for f, h in found)
     assert len(rows) == 9 and gaps == 6
     assert total.split()[:3] == ["total", str(gaps), "gaps"]
+
+
+def test_one_default_height_bound(monkeypatch, capsys):
+    # build_unbounded_family, k3 unbounded and the orbit script read their
+    # default height bound from k3lat.HEIGHT_BOUND
+    assert inspect.signature(build_unbounded_family).parameters["height_bound"].default \
+        == HEIGHT_BOUND
+    assert build_parser("k3 unbounded").parse_args(["-p", "23"]).height_bound == HEIGHT_BOUND
+    path = Path(__file__).resolve().parents[1] / "scripts" / "unbounded_orbits.py"
+    spec = importlib.util.spec_from_file_location("unbounded_orbits", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    asked = []
+
+    def refused(p, d0, height_bound):
+        asked.append(height_bound)
+        raise CensusError("not built")
+
+    monkeypatch.setattr(script, "build_unbounded_family", refused)
+    monkeypatch.setattr(sys, "argv", [str(path), "--max-prime", "3"])
+    script.main()
+    assert asked == [HEIGHT_BOUND] and "skipped: not built" in capsys.readouterr().out

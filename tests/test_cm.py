@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -12,18 +13,23 @@ from k3lat import arith, cm
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       _totally_nonneg, enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
-                      pairing_sigma_sigmabar, solve_lambda,
-                      twistor_fiber_bound, verify_norm_equation)
-from k3lat.enumeration import EmbeddingMatrix, embeddings, vectors_of_norm
+                      pairing_sigma_sigmabar, solve_lambda, twistor_fiber_bound)
+from k3lat.enumeration import EmbeddingMatrix, vectors_of_norm
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
 from util import (box_embeddings, cm_field_trace_form, field_period_tables,
                   field_solve_lambda, lazy_gram_compatible, min_poly_totally_nonneg,
-                  period_image_matches, scanned_max_root_of_unity_order)
+                  period_image_matches, period_refusal, scanned_max_root_of_unity_order,
+                  verify_norm_equation)
 
 GAUSS = CMField.imaginary_quadratic(1)
 EISEN = CMField.imaginary_quadratic(3)
 T_HEX = Lattice([[2, -1], [-1, 2]])
+
+
+def gen(field):
+    """The generator of the field's power basis, by its coordinates."""
+    return field.element([int(i == 1) for i in range(field.degree)])
 
 
 def zeta6():
@@ -52,7 +58,7 @@ class TestFieldArithmetic:
         assert omega.conjugate() == omega ** 2
 
     def test_sqrt_minus3_not_half_integral(self):
-        theta = EISEN.gen()
+        theta = gen(EISEN)
         assert theta.is_integral()
         assert not (theta / 2).is_integral()
 
@@ -64,7 +70,7 @@ class TestFieldArithmetic:
 
     def test_cyclotomic_degree4(self):
         z12 = CMField.cyclotomic(12)
-        z = z12.gen()
+        z = gen(z12)
         assert z ** 12 == z12.one() and z ** 6 != z12.one()
         assert z * z.conjugate() == z12.one()
         i = z ** 3
@@ -72,7 +78,7 @@ class TestFieldArithmetic:
 
     def test_zeta8_square_minpoly(self):
         z8 = CMField.cyclotomic(8)
-        sq = z8.gen() ** 2
+        sq = gen(z8) ** 2
         assert sq * sq == z8.rational(-1)
 
 
@@ -176,7 +182,7 @@ def test_totally_nonneg_on_real_quadratic_subfields(k, of_trace, expected):
     # with conjugates (-1 +- sqrt 5) / 2 for k = 5 and +- sqrt 2 for k = 8;
     # -2 - t has both conjugates negative
     field = CMField.cyclotomic(k)
-    y = of_trace(field.gen() + field.gen().conjugate())
+    y = of_trace(gen(field) + gen(field).conjugate())
     assert _totally_nonneg(y) is expected
     assert _sympy_totally_nonneg(y, k) is expected
 
@@ -265,7 +271,7 @@ def test_field_tables_are_integral_and_elements_stay_fractions(field):
     # the reduction table and the powers of conjugation hold ints, so period
     # tables multiply integers; elements made from them still hold Fractions
     assert all(type(t) is int for row in (*field._red, *field._conj_pows) for t in row)
-    x = field.gen()
+    x = gen(field)
     for y in (x * x, x.conjugate(), x.inverse(), x * x.conjugate(), x ** 3, field.one()):
         assert all(type(c) is Fraction for c in y.coords)
     assert type(x.trace()) is Fraction
@@ -275,7 +281,7 @@ class TestBoundedIntegers:
     def test_gaussian_unit_disk(self):
         got = enumerate_bounded_integers(GAUSS, 1)
         assert len(got) == 5
-        assert GAUSS.zero() in got and GAUSS.gen() in got
+        assert GAUSS.zero() in got and gen(GAUSS) in got
 
     def test_eisenstein_unit_disk(self):
         got = enumerate_bounded_integers(EISEN, 1)
@@ -302,7 +308,7 @@ class TestRootsOfUnity:
         assert is_root_of_unity(EISEN.element(coords)) == order
 
     def test_gaussian_i(self):
-        assert is_root_of_unity(GAUSS.gen()) == 4
+        assert is_root_of_unity(gen(GAUSS)) == 4
 
     @pytest.mark.parametrize("field,count", [
         *((CMField.cyclotomic(k), k if k % 2 == 0 else 2 * k) for k in sorted(_CYCLOTOMIC)),
@@ -372,10 +378,6 @@ class TestPeriodVector:
             PeriodVector(Lattice([[2, 0], [0, 2]]), (EISEN.one(), zeta6()))
         with pytest.raises(CMError, match="not isotropic"):
             PeriodVector(Lattice([[2]]), (zeta6(),))
-
-    def test_normalized_fixes_sigma1(self):
-        pv = hex_period().normalized()
-        assert pv.sigma1() == EISEN.one()
 
 
 class TestSolveLambda:
@@ -496,7 +498,7 @@ class TestPeriodEmbeddings:
         # exercises the e-direction reconstruction: here one third of the
         # maps have fractional lambda = +-1/2 and a nonzero e-component
         t = Lattice([[2, 0], [0, 2]])
-        pv = PeriodVector(t, (GAUSS.one(), GAUSS.gen()))
+        pv = PeriodVector(t, (GAUSS.one(), gen(GAUSS)))
         assert pairing_sigma_sigmabar(pv) == GAUSS.rational(4)
         found = assert_matches_box_oracle(pv, 2)
         assert len(found) == 24
@@ -515,31 +517,58 @@ class TestPeriodEmbeddings:
             assert_matches_box_oracle(_form_period(form, sign), d, index)
 
     def test_rank_restriction(self):
-        # rank 3 cannot even form a valid period over a quadratic field, so
-        # the guard is exercised with an unchecked stand-in
-        lat3 = Lattice([[2, -1, 0], [-1, 2, 0], [0, 0, 2]])
-        pv = object.__new__(PeriodVector)
-        object.__setattr__(pv, "lattice", lat3)
-        object.__setattr__(pv, "mu", (EISEN.one(), zeta6(), EISEN.one()))
-        with pytest.raises(CMError):
-            enumerate_period_embeddings(pv, 2)
+        # over Q(zeta_8), sigma = (1, i sqrt2, sqrt2 / 2) on <1> + <1> + <2> is
+        # isotropic with (sigma.sigmabar) = 4 and general, so only its rank
+        # refuses it, when it is built
+        z8 = CMField.cyclotomic(8)
+        lat3 = Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        mu = (z8.one(), z8.element((0, 1, 0, 1)),
+              z8.element((0, Fraction(1, 2), 0, Fraction(-1, 2))))
+        assert period_refusal(lat3, mu) is None
+        with pytest.raises(CMError, match="only rank-2 period lattices are supported"):
+            PeriodVector(lat3, mu)
 
 
-def test_normalized_inverts_the_first_pairing_once(monkeypatch):
-    # one inverse for (gamma_1.sigma), one for the solving minor of the
-    # rescaled period
-    calls = []
+_ORACLE_M = (1, 2, 3, 5, 6, 7, 11, 15)
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
 
-    inverse = CMElement.inverse
-    pv = hex_period()
-    monkeypatch.setattr(CMElement, "inverse", counted)
-    normed = pv.normalized()
-    assert normed.sigma1() == EISEN.one()
-    assert len(calls) == 2
+def _isotropic_rank_two_periods(rng, count):
+    """count (lattice, mu) pairs, isotropic by construction: for a | b^2 +
+    m s^2 and c = (b^2 + m s^2) / a, x = (-b +- s sqrt(-m)) / a is a root of
+    a x^2 + 2 b x + c, so mu = (k x, k) is isotropic on ((a, b), (b, c)) and
+    mu = (k, k x) on ((c, b), (b, a)).  Then (sigma.sigmabar) = 2 m s^2 k
+    kbar / a, which is totally positive exactly when a > 0, s != 0 and k !=
+    0; with s = 0, sigma is a multiple of a rational vector."""
+    fields = {m: CMField.imaginary_quadratic(m) for m in _ORACLE_M}
+    out = []
+    while len(out) < count:
+        m, s, b = rng.choice(_ORACLE_M), rng.randint(-3, 3), rng.randint(-6, 6)
+        n = b * b + m * s * s
+        if n == 0:
+            continue
+        a = rng.choice([q for q in range(1, n + 1) if n % q == 0]) * rng.choice((1, -1))
+        field, c = fields[m], n // a
+        x = field.element((Fraction(-b, a), Fraction(rng.choice((1, -1)) * s, a)))
+        k = field.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
+        out += [(Lattice([[a, b], [b, c]]), (k * x, k)), (Lattice([[c, b], [b, a]]), (k, k * x))]
+    return out
+
+
+def test_rank_two_periods_are_refused_as_the_every_rank_oracle_refuses():
+    # the oracle keeps the refusals "period is not general" and "(gamma_1.sigma)
+    # vanishes" after positivity; at rank 2 neither is ever reached
+    outcomes = collections.Counter()
+    for lattice, mu in _isotropic_rank_two_periods(random.Random(3838), 2000):
+        want = period_refusal(lattice, mu)
+        outcomes[want] += 1
+        if want is None:
+            assert PeriodVector(lattice, mu).mu == mu
+        else:
+            with pytest.raises(CMError) as refused:
+                PeriodVector(lattice, mu)
+            assert str(refused.value) == want
+    assert set(outcomes) == {None, "(sigma.sigmabar) is not totally positive"}, outcomes
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_one_frame_per_period(monkeypatch):
@@ -572,10 +601,10 @@ def test_field_construction_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(cm, "solve", counted)
     field = CMField.cyclotomic(12)
     assert calls == []
-    assert field.gen().is_integral() and not (field.gen() / 2).is_integral()
+    assert gen(field).is_integral() and not (gen(field) / 2).is_integral()
 
 
-_SQUARE = PeriodVector(Lattice([[2, 0], [0, 2]]), (GAUSS.one(), GAUSS.gen()))
+_SQUARE = PeriodVector(Lattice([[2, 0], [0, 2]]), (GAUSS.one(), gen(GAUSS)))
 _ZETA12 = CMField.cyclotomic(12)
 # the hexagonal period over Q(zeta_12), with zeta_6 = zeta_12^2
 _HEX_QUARTIC = PeriodVector(T_HEX, (_ZETA12.one(), _ZETA12.element((0, 0, 1, 0))))
@@ -596,28 +625,6 @@ def test_solve_matches_field_arithmetic(pv, d, index):
         assert (pe.lam, pe.lam_prime, pe.nu) == want
         assert solve_lambda(pv, pe.embedding) == want
         assert all(type(c) is Fraction for x in want for c in x.coords)
-
-
-def _rank_three_period():
-    # over Q(zeta_8), sigma = (1, i sqrt2, sqrt2 / 2) on <1> + <1> + <2> is
-    # isotropic with (sigma.sigmabar) = 4
-    z8 = CMField.cyclotomic(8)
-    return PeriodVector(Lattice([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
-                        (z8.one(), z8.element((0, 1, 0, 1)),
-                         z8.element((0, Fraction(1, 2), 0, Fraction(-1, 2)))))
-
-
-def test_rank_three_solve_matches_field_arithmetic():
-    # most embeddings of the lattice into itself plus Z(d) send sigma outside
-    # the span of sigma, sigmabar and e, so the residual rows decide there,
-    # and None must agree too
-    pv = _rank_three_period()
-    t = pv.lattice
-    for d, misses in ((1, 40), (2, 28), (3, 12)):
-        embs = embeddings(t, t.direct_sum(Lattice([[d]])))
-        got = [solve_lambda(pv, e) for e in embs]
-        assert got == [field_solve_lambda(pv, e) for e in embs]
-        assert sum(x is None for x in got) == misses < len(embs)
 
 
 @pytest.mark.parametrize("index", [1, 2])
@@ -741,8 +748,7 @@ def test_period_tables_are_built_once_on_the_first_solve():
     assert pv._tables is tables
 
 
-_TABLE_PERIODS = {"hex": hex_period(), "square": _SQUARE, "hex-zeta12": _HEX_QUARTIC,
-                  "rank3-zeta8": _rank_three_period()}
+_TABLE_PERIODS = {"hex": hex_period(), "square": _SQUARE, "hex-zeta12": _HEX_QUARTIC}
 
 
 def _assert_tables_match_field_arithmetic(pv):
@@ -754,8 +760,7 @@ def _assert_tables_match_field_arithmetic(pv):
 
 @pytest.mark.parametrize("name", _TABLE_PERIODS)
 def test_integer_tables_equal_the_field_arithmetic_build(name):
-    tables = _assert_tables_match_field_arithmetic(_TABLE_PERIODS[name])
-    assert bool(tables._res) == (name == "rank3-zeta8")
+    _assert_tables_match_field_arithmetic(_TABLE_PERIODS[name])
 
 
 def test_integer_tables_equal_the_field_arithmetic_build_on_rescaled_periods():

