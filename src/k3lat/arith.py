@@ -1,4 +1,4 @@
-"""Proven integer arithmetic: primality, factorization, Euler's phi; and
+"""Proven integer arithmetic: primality, factorization, squarefreeness; and
 Record, the immutable value every other module builds its results from.
 
 Miller-Rabin with the prime bases 2..41 is proven below PRIME_BOUND
@@ -141,16 +141,6 @@ def factor(n: int) -> dict[int, int]:
             d = _rho(m)
             todo += [d, m // d]
     return dict(sorted(out.items()))
-
-
-def totient(n: int) -> int:
-    """Euler's phi of a positive n."""
-    (n,) = integers((n,))
-    if n < 1:
-        raise ValueError("totient needs a positive integer")
-    for p in factor(n):
-        n = n // p * (p - 1)
-    return n
 
 
 def is_squarefree(n: int) -> bool:

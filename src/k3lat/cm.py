@@ -6,14 +6,14 @@ made by CMField.cyclotomic(k) or CMField.imaginary_quadratic(m): its monic
 integer minimal polynomial, the image of the generator under complex
 conjugation and its ring of integers, which hold by construction and are
 not re-proved at run time.  Elements live in the power basis with Fraction
-coordinates, so all arithmetic, conjugation, integrality and
+coordinates, so all arithmetic, conjugation, root-of-unity and
 total-positivity tests are exact; nothing here evaluates a complex
-embedding numerically.
+embedding numerically.  Only CMElement.inverse solves a linear system.
 
 Each field keeps its trace lattice T_K = (Tr(b_i conj(b_j))) on the integral
 basis, the positive definite form sum |g(x)|^2, whose vectors of norm [K:Q]
-are the roots of unity.  Every positivity test is the LDL^T signature of
-such a trace form, Tr(y x conj(x)).
+are the roots of unity; is_root_of_unity looks x up among them.  Every
+positivity test is the LDL^T signature of such a trace form, Tr(y x conj(x)).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from operator import itemgetter, mul
 from . import arith
 from .enumeration import (EmbeddingMatrix, embeddings, short_vectors_le,
                           vectors_of_norm)
-from .formulas import CMError, max_root_of_unity_order, twistor_fiber_bound  # the last re-exported
+from .formulas import CMError, max_root_of_unity_order, twistor_fiber_bound  # last two re-exported
 from .lattice import Lattice
-from .linalg import inverse, solve
+from .linalg import inverse
 
 
 def _rationals(xs) -> tuple[Fraction, ...]:
@@ -131,10 +131,7 @@ class CMField(arith.Record):
         for _ in range(n - 1):
             conj_pows.append(self._raw_mul(conj_pows[-1], tuple(map(int, conj))))
         object.__setattr__(self, "_conj_pows", conj_pows)
-        basis_cols = [[basis[j][i] for j in range(n)] for i in range(n)]
-        object.__setattr__(self, "_basis_cols", basis_cols)
-        # integral coordinates are power coordinates times this inverse
-        object.__setattr__(self, "_basis_inv", tuple(map(tuple, inverse(basis_cols))))
+        object.__setattr__(self, "_basis_cols", [[b[i] for b in basis] for i in range(n)])
         basis_elems = [self.element(row) for row in basis]
         conj_elems = [b.conjugate() for b in basis_elems]
         object.__setattr__(self, "_products", tuple(tuple((bi * bj).coords for bj in conj_elems)
@@ -210,9 +207,14 @@ class CMField(arith.Record):
         They are the trace-lattice vectors of norm n = [K:Q]: as |N(x)| >= 1,
         AM-GM gives sum |g(x)|^2 >= n, with equality exactly when every
         |g(x)| = 1, and Kronecker's theorem makes such an x a root of unity.
+        The field lists them once, on first use.
         """
+        return list(self._roots)
+
+    @arith.cached
+    def _roots(self) -> tuple["CMElement", ...]:
         roots = map(self.from_integral, vectors_of_norm(self._trace_lattice, self.degree))
-        return sorted(roots, key=lambda x: x.coords)
+        return tuple(sorted(roots, key=lambda x: x.coords))
 
 
 class CMElement(arith.Record):
@@ -230,16 +232,11 @@ class CMElement(arith.Record):
         o = self._lift(other)
         return CMElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CMElement(self.field, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -247,33 +244,16 @@ class CMElement(arith.Record):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> "CMElement":
-        n = self.field.degree
-        # columns of the multiplication-by-self matrix
-        cols = [self.field._raw_mul(self.coords, self.field._red[j]) for j in range(n)]
-        sol = solve(list(zip(*cols)), [1] + [0] * (n - 1))
-        if sol is None:
-            raise CMError("division by zero")
-        return CMElement(self.field, tuple(sol))
+        """1 / self: the first column of the inverse of multiplication by
+        self, whose columns are self theta^j, j < n."""
+        field = self.field
+        cols = [field._raw_mul(self.coords, field._red[j]) for j in range(field.degree)]
+        try:
+            inv = inverse(list(zip(*cols)))
+        except ZeroDivisionError:
+            raise CMError("division by zero") from None
+        return CMElement(self.field, tuple(row[0] for row in inv))
 
     def conjugate(self) -> "CMElement":
         out = [Fraction(0)] * self.field.degree
@@ -282,15 +262,6 @@ class CMElement(arith.Record):
                 for i in range(self.field.degree):
                     out[i] += a * pw[i]
         return CMElement(self.field, tuple(out))
-
-    def integral_coords(self) -> tuple[Fraction, ...]:
-        return tuple(sum(map(mul, row, self.coords)) for row in self.field._basis_inv)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.integral_coords())
-
-    def trace(self) -> Fraction:
-        return sum(c * t for c, t in zip(self.coords, self.field._traces))
 
     def __repr__(self) -> str:
         return f"CMElement({', '.join(str(c) for c in self.coords)})"
@@ -324,21 +295,17 @@ def enumerate_bounded_integers(field: CMField, bound: int) -> list[CMElement]:
 def is_root_of_unity(x: CMElement) -> int | None:
     """Least m with x^m = 1, or None.
 
-    An algebraic integer whose conjugates all have modulus 1 is a root of
-    unity, and x * conj(x) = 1 is exactly that modulus condition here, so
-    powering up to the cyclotomic bound for the degree decides the question.
+    x is a root of unity exactly when it is in the field's list of them
+    (CMField.roots_of_unity), and then its powers reach 1.  The list picks
+    out the integral x with x * conj(x) = 1: each such x has every |g(x)| = 1,
+    the list's own criterion.
     """
-    if not x.is_integral():
+    if x not in x.field.roots_of_unity():
         return None
-    if x * x.conjugate() != x.field.one():
-        return None
-    bound = max_root_of_unity_order(x.field.degree)
-    power = x
-    for m in range(1, bound + 1):
-        if power == x.field.one():
-            return m
-        power = power * x
-    return None
+    m, power, one = 1, x, x.field.one()
+    while power != one:
+        m, power = m + 1, power * x
+    return m
 
 
 def _combine(coeffs, elems) -> CMElement:
@@ -349,7 +316,8 @@ def _combine(coeffs, elems) -> CMElement:
 class PeriodVector(arith.Record):
     """Isotropic positive class sigma = mu_0 gamma_1 + mu_1 gamma_2 defining a
     weight-two Hodge structure on a rank-2 lattice, with exact CM-field
-    coordinates; every other rank is refused.  It keeps mubar,
+    coordinates.  Its refusals, in order: one coordinate per basis vector,
+    rank 2, one field, isotropy, total positivity.  It keeps mubar,
     (sigma.sigmabar) and the frame (0, 1, 1 / (mu_0 mubar_1 - mu_1 mubar_0));
     on its first solve it builds from them the integer tables of
     _PeriodTables, which every later solve reuses."""
@@ -361,6 +329,8 @@ class PeriodVector(arith.Record):
         mu = tuple(self.mu)
         if len(mu) != self.lattice.rank:
             raise CMError("need one coordinate per basis vector")
+        if len(mu) != 2:
+            raise CMError("only rank-2 period lattices are supported")
         field = mu[0].field
         if any(m.field != field for m in mu):
             raise CMError("coordinates must share one field")
@@ -372,8 +342,6 @@ class PeriodVector(arith.Record):
         ssb = sum((m * v for m, v in zip(mub, gmu)), field.zero())
         if not _totally_nonneg(ssb, strict=True):
             raise CMError("(sigma.sigmabar) is not totally positive")
-        if len(mu) != 2:
-            raise CMError("only rank-2 period lattices are supported")
         # At rank 2, sigma.sigma = 0 and (sigma.sigmabar) != 0 exclude the
         # rest.  sigma = c w for a rational w (a proper primitive sublattice
         # holding sigma) gives (sigma.sigmabar) = c cbar (w.w), 0 with

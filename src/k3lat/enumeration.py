@@ -1,10 +1,10 @@
 """Finite enumeration: fixed-norm vectors, isometric embeddings, isometry search.
 
-The short-vector kernel descends the fraction-free LDL^T elimination each
-Lattice holds, in integers alone (isqrt and floor division), and on a
-fixed-norm shell solves the last coordinate it fixes by an exact square test,
+The short-vector kernel lists one norm's vectors: it descends the
+fraction-free LDL^T elimination each Lattice holds, in integers alone (isqrt
+and floor division), and solves the last coordinate by an exact square test,
 so it is deterministic and never touches floating point or a Fraction: its
-Gram matrices and bounds are integers, and anything else is refused.
+Gram matrices and norms are integers, and anything else is refused.
 Naive box scans in the test suite are its oracle and the indefinite scan's.
 Isometries between block ternaries Q + (-k) come from one walk over the
 levels of the target (level_walk), and indefinite_isometry_search answers
@@ -31,25 +31,25 @@ class EnumerationError(DomainError):
     """A precondition of an enumeration routine was violated."""
 
 
-def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
-    """Vectors x of a positive definite lattice with x^T gram x <= bound
-    (== bound if shell), sorted, for an int bound.
+def _lattice_points(lat: Lattice, norm: int) -> list[Vector]:
+    """Vectors x of a positive definite lattice with x^T gram x == norm,
+    sorted, for an int norm.
 
     With the pivot minors P_k and scaled rows r_k of the lattice's LDL^T,
     x^T gram x = sum_k y_k^2 / (P_k P_{k+1}) where y_k = sum_j r_k[j] x_j =
     P_{k+1} x_k + c_k and c_k depends only on the later coordinates.  Scaled
-    by M = lcm(P_k P_{k+1}), the bound and every term m_k y_k^2 are integers.
+    by M = lcm(P_k P_{k+1}), the norm and every term m_k y_k^2 are integers.
     The descent fixes x from the last coordinate to the first: isqrt bounds
-    y_k and floor division turns that into an interval for x_k.  On a shell
-    the first coordinate is solved by an exact square test instead of
-    scanned, so only the shell is ever held in memory.  A negative bound
-    gives [] before definiteness is checked.  The minors, rows, the m_k and
-    M, and the definiteness check come from Lattice._descent, once per
-    lattice; a lattice that is not positive definite is refused on every
-    call.  Callers: short_vectors_le and vectors_of_norm after their
-    refusals, and level_walk, whose shell norms are non-negative ints.
+    y_k and floor division turns that into an interval for x_k.  The first
+    coordinate is solved by an exact square test instead of scanned, so
+    only the shell is ever held in memory.  A negative norm gives [] before
+    definiteness is checked.  The minors, rows, the m_k and M, and the
+    definiteness check come from Lattice._descent, once per lattice; a
+    lattice that is not positive definite is refused on every call.
+    Callers: short_vectors_le and vectors_of_norm after their refusals, and
+    level_walk, whose shell norms are non-negative ints.
     """
-    if bound < 0:
+    if norm < 0:
         return []
     descent = lat._descent
     if descent is None:
@@ -62,7 +62,7 @@ def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
     def descend(i: int, remaining: int) -> None:
         row, q, m = rows[i], minors[i + 1], ms[i]
         c = sum(row[j] * x[j] for j in range(i + 1, n))
-        if i == 0 and shell:
+        if i == 0:
             s, r = divmod(remaining, m)
             t = math.isqrt(s)
             if r or t * t != s:
@@ -79,19 +79,21 @@ def _lattice_points(lat: Lattice, bound: int, shell: bool) -> list[Vector]:
                 y = q * xi + c
                 descend(i - 1, remaining - m * y * y)
 
-    descend(n - 1, scale * bound)
+    descend(n - 1, scale * norm)
     out.sort()
     return out
 
 
 def short_vectors_le(gram, bound: int) -> list[Vector]:
-    """All integer vectors x with x^T gram x <= bound, lexicographically sorted.
+    """All integer vectors x with x^T gram x <= bound, lexicographically sorted:
+    the union of the shells of norm 0, 1, ..., bound.
 
     gram is an integer Gram matrix and bound an int; anything else is
     refused.  The zero vector is included.
     """
     (bound,) = integers((bound,), EnumerationError)
-    return _lattice_points(Lattice(gram), bound, shell=False)
+    lat = Lattice(gram)
+    return sorted(v for n in range(bound + 1) for v in _lattice_points(lat, n))
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
@@ -99,7 +101,7 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     (n,) = integers((n,), EnumerationError)
     if n < 0:
         raise EnumerationError("norm must be nonnegative")
-    return _lattice_points(lat, n, shell=True)
+    return _lattice_points(lat, n)
 
 
 class EmbeddingMatrix(Record):
@@ -425,7 +427,7 @@ def level_walk(sources, target: Lattice,
             "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
     # Q_0 is positive definite and k(z^2 - 1) >= 0 is an int (docstring)
     us = (v + (z,) for z in range(1, height_bound + 1)
-          for v in _lattice_points(blocks[0][0], k * (z * z - 1), shell=True))
+          for v in _lattice_points(blocks[0][0], k * (z * z - 1)))
     return _split_matches(sources, target, us, -k)
 
 

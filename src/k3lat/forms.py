@@ -47,9 +47,6 @@ class BinaryForm(arith.Record):
     def is_positive_definite(self) -> bool:
         return self.discriminant() < 0 and self.a > 0
 
-    def is_primitive(self) -> bool:
-        return math.gcd(self.a, math.gcd(self.b, self.c)) == 1
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -160,7 +157,7 @@ def compose(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise FormError("forms must share a discriminant")
     if d >= 0 or f.a <= 0 or g.a <= 0:
         raise FormError("composition requires positive definite forms")
-    if not f.is_primitive() or not g.is_primitive():
+    if math.gcd(*f.as_tuple()) != 1 or math.gcd(*g.as_tuple()) != 1:
         raise FormError("composition requires primitive forms")
     a1, b1, a2, b2 = f.a, f.b, g.a, g.b
     s = (b1 + b2) // 2

@@ -182,13 +182,6 @@ class Lattice(Record):
             raise LatticeError("twist by zero is degenerate")
         return Lattice._of([[a * x for x in row] for row in self.gram])
 
-    def is_primitive(self, v) -> bool:
-        """True iff v generates a saturated rank-1 sublattice (gcd of coords 1)."""
-        v = self.check_vector(v)
-        if all(x == 0 for x in v):
-            raise LatticeError("zero vector has no primitivity")
-        return math.gcd(*v) == 1
-
     def orthogonal_complement(self, v) -> tuple["Lattice", tuple[Vector, ...]]:
         """Saturated sublattice {x : (x.v) = 0} and its defining basis.
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over Z and Q, the one module that eliminates matrices:
 a fraction-free symmetric LDL^T (the source of every determinant and
 signature, once per Lattice), Smith invariant factors, Hermite bases, and one
-rational row reduction behind solve and inverse.  Only that reduction
-and solve import fractions, so the integer kernels under every CLI call
-load neither it nor the decimal module it pulls in.
+rational elimination, the Gauss-Jordan inverse.  Only inverse imports
+fractions, so the integer kernels under every CLI call load neither it nor
+the decimal module it pulls in.
 Two kernels have a closed form at the sizes the census uses: the Smith
 invariants of a square matrix of size at most 3 (gcds of minors) and the
 Hermite kernel basis of a row of length 3 (one xgcd).  Rectangular and larger
@@ -139,47 +139,24 @@ def smith_invariants(rows) -> list[int]:
             del row[j]
 
 
-def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q and the list of its pivot columns."""
-    from fractions import Fraction
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
-
-
-def solve(rows, rhs) -> list[Fraction] | None:
-    """A rational x with rows * x = rhs (free unknowns 0), or None if inconsistent."""
-    from fractions import Fraction
-    k = len(rows[0])
-    a, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
-    if k in pivots:
-        return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = a[i][k]
-    return x
-
-
 def inverse(rows) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix over Q."""
+    """Inverse of a nonsingular square matrix over Q, by Gauss-Jordan
+    elimination of (rows | I); a singular matrix raises ZeroDivisionError."""
+    from fractions import Fraction
     n = len(rows)
-    a, pivots = _row_reduce([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return [row[n:] for row in a]
 
 

@@ -8,6 +8,7 @@ from sympy.ntheory.primetest import mr
 
 from k3lat import arith, census, cm, enumeration, forms, genus
 from k3lat.lattice import Lattice
+from util import totient as util_totient
 
 # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 (Jaeschke 1993;
 # Sorenson and Webster 2017)
@@ -45,7 +46,7 @@ def test_factor_matches_sympy_on_random_large(rng):
 
 
 @pytest.mark.parametrize("fn,arg", [(arith.is_prime, 7.5), (arith.factor, 12.9),
-                                    (arith.totient, 6.0), (arith.is_prime, True)],
+                                    (util_totient, 6.0), (arith.is_prime, True)],
                          ids=["is_prime", "factor", "totient", "bool"])
 def test_refuses_arguments_that_are_not_integers(fn, arg):
     with pytest.raises(arith.DomainError, match="integers"):
@@ -81,10 +82,10 @@ def test_is_prime_rejects_carmichael_numbers():
 
 
 def test_totient_matches_sympy():
-    assert [arith.totient(n) for n in range(1, 10 ** 4 + 1)] == \
+    assert [util_totient(n) for n in range(1, 10 ** 4 + 1)] == \
         [int(totient(n)) for n in range(1, 10 ** 4 + 1)]
     with pytest.raises(ValueError):
-        arith.totient(0)
+        util_totient(0)
 
 
 def test_is_squarefree():

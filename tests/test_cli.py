@@ -728,6 +728,16 @@ def test_exit_code_property():
     assert CommandResult("input-error", {}, 0.0).exit_code == 2
 
 
+@pytest.mark.parametrize("gram, mu", [("2,0,0;0,2,0;0,0,2", "1,0;1,0;1,0"),
+                                      ("1,0,0;0,1,0;0,0,-1", "1,0;0,1;0,0")],
+                         ids=["not-isotropic", "isotropic"])
+def test_a_rank_three_period_is_refused_for_its_rank_alone(gram, mu):
+    res, payload = run_json(["cm", "fibers", "--gram", gram, "--mu", mu, "--disc", "1",
+                             "-d", "2"])
+    assert res.exit_code == 1
+    assert payload["error"] == "only rank-2 period lattices are supported"
+
+
 # 0, negatives, small values and values up to 10^30, far past PRIME_BOUND
 _FUZZ_INTS = st.one_of(st.integers(-10 ** 30, 1000), st.integers(0, 10 ** 30))
 _HEX_FIBERS = ["cm", "fibers", "--gram", "2,-1;-1,2", "--mu", "1,0;1/2,1/2",

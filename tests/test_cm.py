@@ -10,6 +10,7 @@ from sympy import (I, Poly, Rational, Symbol, cyclotomic_poly, exp,
                    minimal_polynomial, pi, real_roots)
 
 from k3lat import arith, cm
+from k3lat.cli import run
 from k3lat.cm import (_CYCLOTOMIC, CMElement, CMError, CMField, PeriodVector,
                       _totally_nonneg, enumerate_bounded_integers, enumerate_period_embeddings,
                       is_root_of_unity, max_root_of_unity_order,
@@ -18,8 +19,9 @@ from k3lat.enumeration import EmbeddingMatrix, vectors_of_norm
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice
 from util import (box_embeddings, cm_field_trace_form, field_period_tables,
-                  field_solve_lambda, lazy_gram_compatible, min_poly_totally_nonneg,
-                  period_image_matches, period_refusal, scanned_max_root_of_unity_order,
+                  field_solve_lambda, is_integral, lazy_gram_compatible,
+                  min_poly_totally_nonneg, period_image_matches, period_refusal,
+                  root_of_unity_order, scanned_max_root_of_unity_order,
                   verify_norm_equation)
 
 GAUSS = CMField.imaginary_quadratic(1)
@@ -30,6 +32,14 @@ T_HEX = Lattice([[2, -1], [-1, 2]])
 def gen(field):
     """The generator of the field's power basis, by its coordinates."""
     return field.element([int(i == 1) for i in range(field.degree)])
+
+
+def power(x, k):
+    """x^k for k >= 0, by k multiplications."""
+    out = x.field.one()
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 def zeta6():
@@ -52,33 +62,33 @@ class TestFieldArithmetic:
 
     def test_omega_is_integral_cube_root(self):
         omega = EISEN.element((Fraction(-1, 2), Fraction(1, 2)))
-        assert omega.is_integral()
-        assert omega ** 3 == EISEN.one()
+        assert is_integral(omega) and omega in EISEN.roots_of_unity()
+        assert power(omega, 3) == EISEN.one()
         assert omega * omega.conjugate() == EISEN.one()
-        assert omega.conjugate() == omega ** 2
+        assert omega.conjugate() == omega * omega
 
     def test_sqrt_minus3_not_half_integral(self):
         theta = gen(EISEN)
-        assert theta.is_integral()
-        assert not (theta / 2).is_integral()
+        assert is_integral(theta)
+        assert not is_integral(theta * EISEN.rational(Fraction(1, 2)))
 
     def test_inverse_and_division(self):
         x = GAUSS.element((3, 2))
         assert x * x.inverse() == GAUSS.one()
-        with pytest.raises(CMError):
+        with pytest.raises(CMError, match="division by zero"):
             GAUSS.zero().inverse()
 
     def test_cyclotomic_degree4(self):
         z12 = CMField.cyclotomic(12)
         z = gen(z12)
-        assert z ** 12 == z12.one() and z ** 6 != z12.one()
+        assert power(z, 12) == z12.one() and power(z, 6) != z12.one()
         assert z * z.conjugate() == z12.one()
-        i = z ** 3
+        i = power(z, 3)
         assert i * i == z12.rational(-1)
 
     def test_zeta8_square_minpoly(self):
         z8 = CMField.cyclotomic(8)
-        sq = gen(z8) ** 2
+        sq = gen(z8) * gen(z8)
         assert sq * sq == z8.rational(-1)
 
 
@@ -173,8 +183,8 @@ def _sympy_totally_nonneg(y: CMElement, k: int) -> bool:
 
 @pytest.mark.parametrize("k", [5, 8])
 @pytest.mark.parametrize("of_trace,expected", [
-    (lambda t: t, False), (lambda t: 1 + t, False), (lambda t: t * t, True),
-    (lambda t: 2 + t, True), (lambda t: -2 - t, False)],
+    (lambda t: t, False), (lambda t: t + 1, False), (lambda t: t * t, True),
+    (lambda t: t + 2, True), (lambda t: -t - 2, False)],
     ids=["trace", "one-plus-trace", "trace-squared", "two-plus-trace",
          "minus-two-minus-trace"])
 def test_totally_nonneg_on_real_quadratic_subfields(k, of_trace, expected):
@@ -272,9 +282,8 @@ def test_field_tables_are_integral_and_elements_stay_fractions(field):
     # tables multiply integers; elements made from them still hold Fractions
     assert all(type(t) is int for row in (*field._red, *field._conj_pows) for t in row)
     x = gen(field)
-    for y in (x * x, x.conjugate(), x.inverse(), x * x.conjugate(), x ** 3, field.one()):
+    for y in (x * x, x.conjugate(), x.inverse(), x * x.conjugate(), x * x * x, field.one()):
         assert all(type(c) is Fraction for c in y.coords)
-    assert type(x.trace()) is Fraction
 
 
 class TestBoundedIntegers:
@@ -296,7 +305,7 @@ class TestBoundedIntegers:
         for x in got:
             assert -x in as_set
             assert x.conjugate() in as_set
-            assert x.is_integral()
+            assert is_integral(x)
 
 
 class TestRootsOfUnity:
@@ -356,6 +365,36 @@ class TestRootsOfUnity:
             twistor_fiber_bound(22)
 
 
+_ROOT_FIELDS = {name: field for name, field in _FIELDS.items() if name != "sqrt-1000003"}
+
+
+def _root_grid(field):
+    """Power coordinates in (1/2)Z and [-2, 2], at most two of them not integers."""
+    halves = [Fraction(k, 2) for k in range(-4, 5)]
+    return [c for c in itertools.product(halves, repeat=field.degree)
+            if sum(x.denominator == 2 for x in c) <= 2]
+
+
+def test_root_orders_match_the_integrality_oracle():
+    # the full grid in process, and through cm roots --element --json each
+    # root in it and 10 seeded other elements per field
+    rng, total = random.Random(3939), 0
+    for name, field in _ROOT_FIELDS.items():
+        grid = _root_grid(field)
+        total += len(grid)
+        want = {c: root_of_unity_order(field.element(c)) for c in grid}
+        assert {c: is_root_of_unity(field.element(c)) for c in grid} == want, name
+        roots = [c for c in grid if want[c] is not None]
+        assert len(roots) == len(field.roots_of_unity()), name
+        flag = ["--cyclotomic", name[4:]] if name.startswith("zeta") else ["--disc", name[5:]]
+        others = rng.sample(grid, 10)
+        assert any(not is_integral(field.element(c)) for c in others), name
+        for c in roots + others:
+            res = run(["cm", "roots", *flag, f"--element={','.join(map(str, c))}", "--json"])
+            assert res.payload["result"] == {"element": list(map(str, c)), "order": want[c]}
+    assert total == 20991
+
+
 class TestPeriodVector:
     def test_hex_pairing_is_three(self):
         assert pairing_sigma_sigmabar(hex_period()) == EISEN.rational(3)
@@ -368,16 +407,14 @@ class TestPeriodVector:
     def test_rational_period_rejected(self):
         with pytest.raises(CMError):
             PeriodVector(T_HEX, (EISEN.one(), EISEN.rational(2)))
-        # rank 1 has no coordinate minor: an isotropic period there has
-        # (sigma.sigmabar) = 0, which the positivity check refuses first
+        # sigma = 2 gamma_1 is rational and isotropic on the hyperbolic
+        # plane, so (sigma.sigmabar) = sigma.sigma = 0
         with pytest.raises(CMError, match="totally positive"):
-            PeriodVector(Lattice([[0]]), (zeta6(),))
+            PeriodVector(Lattice([[0, 1], [1, 0]]), (EISEN.rational(2), EISEN.zero()))
 
     def test_non_isotropic_rejected(self):
-        with pytest.raises(CMError):
-            PeriodVector(Lattice([[2, 0], [0, 2]]), (EISEN.one(), zeta6()))
         with pytest.raises(CMError, match="not isotropic"):
-            PeriodVector(Lattice([[2]]), (zeta6(),))
+            PeriodVector(Lattice([[2, 0], [0, 2]]), (EISEN.one(), zeta6()))
 
 
 class TestSolveLambda:
@@ -445,8 +482,8 @@ def assert_matches_box_oracle(pv, d, index=1):
     ssb = pairing_sigma_sigmabar(pv)
     for pe in found:
         assert period_image_matches(pv, pe)
-        assert verify_norm_equation(pe.lam / index, pe.lam_prime / index,
-                                    pe.nu / index, d, ssb)
+        k = pv.field.rational(Fraction(1, index))
+        assert verify_norm_equation(pe.lam * k, pe.lam_prime * k, pe.nu * k, d, ssb)
     return found
 
 
@@ -529,6 +566,34 @@ class TestPeriodEmbeddings:
             PeriodVector(lat3, mu)
 
 
+# periods of rank 1 and 3, isotropic or not, with the refusal of the every-
+# rank oracle: (1, i, 0) is isotropic on <1> + <1> + <-1> but not general
+_OTHER_RANKS = {
+    "rank1-isotropic": (Lattice([[0]]), (zeta6(),), "(sigma.sigmabar) is not totally positive"),
+    "rank1-not-isotropic": (Lattice([[2]]), (zeta6(),), "period is not isotropic"),
+    "rank3-isotropic": (Lattice([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                        (GAUSS.one(), gen(GAUSS), GAUSS.zero()),
+                        "period is not general: a proper primitive sublattice contains it"),
+    "rank3-not-isotropic": (Lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), (GAUSS.one(),) * 3,
+                            "period is not isotropic"),
+    "rank3-two-fields": (Lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+                         (GAUSS.one(), EISEN.one(), GAUSS.one()),
+                         "coordinates must share one field"),
+}
+
+
+@pytest.mark.parametrize("lattice, mu, oracle", _OTHER_RANKS.values(), ids=_OTHER_RANKS.keys())
+def test_other_ranks_are_refused_before_mu_is_read(lattice, mu, oracle):
+    # the rank refusal follows the coordinate count at once, so its message
+    # does not depend on mu
+    assert period_refusal(lattice, mu) == oracle
+    with pytest.raises(CMError) as refused:
+        PeriodVector(lattice, mu)
+    assert str(refused.value) == "only rank-2 period lattices are supported"
+    with pytest.raises(CMError, match="one coordinate per basis vector"):
+        PeriodVector(lattice, mu[:-1] if len(mu) > 1 else mu * 2)
+
+
 _ORACLE_M = (1, 2, 3, 5, 6, 7, 11, 15)
 
 
@@ -588,20 +653,20 @@ def test_one_frame_per_period(monkeypatch):
 
 
 def test_field_construction_solves_no_linear_system(monkeypatch):
-    # integrality reads the inverse of the integral basis that the field
-    # computes once; each of the 16 basis products of Q(zeta_12) used to
-    # solve its own system (18 solves per construction)
+    # a field keeps no inverse table: the roots of unity come from its trace
+    # lattice, and only CMElement.inverse inverts a matrix, once per call
     calls = []
-    solve = cm.solve
+    inverse = cm.inverse
 
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
+    def counted(rows):
+        calls.append(rows)
+        return inverse(rows)
 
-    monkeypatch.setattr(cm, "solve", counted)
+    monkeypatch.setattr(cm, "inverse", counted)
     field = CMField.cyclotomic(12)
     assert calls == []
-    assert gen(field).is_integral() and not (gen(field) / 2).is_integral()
+    assert is_root_of_unity(gen(field)) == 12 and calls == []
+    assert gen(field) * gen(field).inverse() == field.one() and len(calls) == 1
 
 
 _SQUARE = PeriodVector(Lattice([[2, 0], [0, 2]]), (GAUSS.one(), gen(GAUSS)))

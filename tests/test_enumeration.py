@@ -77,14 +77,14 @@ class TestVectorsOfNorm:
         ids=["hyperbolic", "indefinite", "negative", "degenerate", "degenerate-rank3"])
     def test_a_refused_lattice_is_refused_on_every_call(self, gram, error, match):
         # the definiteness answer is kept on the lattice, so the same object
-        # must be refused again on every later call, shell and ball alike (a
+        # must be refused again on every later call, checked or not (a
         # degenerate Gram matrix keeps the LatticeError of signature())
         lat = Lattice(gram)
         for n in (2, 2, 0, 5):
             with pytest.raises(error, match=match):
                 vectors_of_norm(lat, n)
             with pytest.raises(error, match=match):
-                _lattice_points(lat, n, shell=False)
+                _lattice_points(lat, n)
 
     def test_rank4_root_system_counts(self):
         z4 = Lattice([[1 if i == j else 0 for j in range(4)] for i in range(4)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -90,7 +91,7 @@ def test_class_group_small(disc, forms):
     cl = class_group(disc)
     assert [f.as_tuple() for f in cl.elements] == forms
     assert cl.order == len(forms)
-    assert all(is_reduced(f) and f.is_primitive() for f in cl.elements)
+    assert all(is_reduced(f) and math.gcd(*f.as_tuple()) == 1 for f in cl.elements)
 
 
 def test_class_group_rejects_bad_discriminant():

@@ -73,8 +73,7 @@ def test_refuses_vectors_that_are_not_integral(v):
         A2.norm(v)
 
 
-@pytest.mark.parametrize("method", ["inner", "norm", "is_primitive",
-                                    "orthogonal_complement"])
+@pytest.mark.parametrize("method", ["inner", "norm", "orthogonal_complement"])
 @pytest.mark.parametrize("v", [(1.0, 0), (Fraction(1), 0), (True, 0)],
                          ids=["float", "Fraction", "bool"])
 def test_public_vector_methods_keep_their_checks(method, v):
@@ -171,15 +170,6 @@ def test_twist_refuses_a_factor_that_is_not_an_integer():
         Lattice([[2]]).twist(2.5)
 
 
-def test_is_primitive():
-    l3 = A2.direct_sum(Lattice([[2]]))
-    assert l3.is_primitive((1, -2, 0))
-    assert not A2.is_primitive((2, 4))
-    assert l3.is_primitive((0, 0, 1))
-    with pytest.raises(LatticeError):
-        A2.is_primitive((0, 0))
-
-
 def test_orthogonal_complement_rank20_example():
     # rank-3 lattice entering the twistor-fibre construction: splitting at the
     # last vector recovers the binary part, splitting at the first yields a
@@ -223,7 +213,7 @@ def test_orthogonal_complement_exactness(rng):
         assert comp.rank == lat.rank - 1
         for b in basis:
             assert lat.inner(b, v) == 0
-            assert lat.is_primitive(b)
+            assert math.gcd(*b) == 1
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 assert lat.inner(bi, bj) == comp.gram[i][j]
@@ -379,12 +369,6 @@ def test_linalg_matches_sympy_on_symmetric_grams(rng):
         # row additions are unimodular, so the last minor is the determinant
         assert minors[0] == 1 and minors[-1] == m.det(), g
         assert linalg.smith_invariants(g) == _sympy_invariants(g), g
-        b = [rng.randint(-5, 5) for _ in g]
-        x = linalg.solve(g, b)
-        if m.rank() == Matrix([row + [bi] for row, bi in zip(g, b)]).rank():
-            assert x is not None and m * Matrix(x) == Matrix(b), g
-        else:
-            assert x is None, g
         if m.det() != 0:
             inv = linalg.inverse(g)
             assert Matrix(inv) == m.inv(), g

@@ -1,6 +1,7 @@
 """Shared helpers: random generators and independent brute-force oracles."""
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -10,11 +11,11 @@ from sympy import QQ, ZZ, Matrix, Poly, Rational, Symbol
 from sympy.polys.numberfields.basis import round_two
 
 from k3lat import arith
-from k3lat.arith import totient
 from k3lat.cm import CMElement, CMError, _totally_nonneg
 from k3lat.forms import BinaryForm, FormError, apply_transform, reduce_form
+from k3lat.formulas import max_root_of_unity_order
 from k3lat.lattice import Lattice, _integers
-from k3lat.linalg import solve, xgcd
+from k3lat.linalg import xgcd
 
 
 def random_unimodular(n, rng, steps=12, special=False):
@@ -216,8 +217,9 @@ def field_solve_lambda(pv, phi):
         for m, entry in zip(mu, row):
             value = value + m * entry
         cvals.append(value)
-    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) / det
-    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) / det
+    inv = det.inverse()
+    lam = (cvals[i] * mub[j] - cvals[j] * mub[i]) * inv
+    lam_p = (mu[i] * cvals[j] - mu[j] * cvals[i]) * inv
     if any(cvals[k] != lam * mu[k] + lam_p * mub[k] for k in range(n)):
         return None
     return lam, lam_p, cvals[n]
@@ -280,9 +282,20 @@ def field_period_tables(pv):
     }
 
 
+def rational_solve(rows, rhs):
+    """The rational x with rows * x = rhs, by sympy's row reduction of
+    (rows | rhs), or None if there is none; the columns of rows must be
+    independent."""
+    k = len(rows[0])
+    reduced, pivots = Matrix([[*row, b] for row, b in zip(rows, rhs)]).rref()
+    if k in pivots:
+        return None
+    return [Fraction(int(reduced[i, k].p), int(reduced[i, k].q)) for i in range(k)]
+
+
 def min_poly_coeffs(y):
     """Ascending monic coefficients of the minimal polynomial of y over Q:
-    the first power of y that solves (k3lat.linalg.solve) as a rational
+    the first power of y that solves (rational_solve) as a rational
     combination of the lower ones."""
     field = y.field
     powers = [field.one()]
@@ -290,10 +303,41 @@ def min_poly_coeffs(y):
         powers.append(powers[-1] * y)
     for deg in range(1, field.degree + 1):
         rows = list(zip(*(p.coords for p in powers[:deg])))
-        sol = solve(rows, powers[deg].coords)
+        sol = rational_solve(rows, powers[deg].coords)
         if sol is not None:
             return tuple(-c for c in sol) + (Fraction(1),)
     raise AssertionError("no minimal polynomial found")
+
+
+@functools.cache
+def _to_integral_basis(field):
+    """The matrix taking power-basis coordinates to integral-basis ones: the
+    inverse, by sympy, of the matrix whose columns are the integral basis."""
+    inv = Matrix([list(col) for col in zip(*field.integral_basis)]).inv()
+    return [[Fraction(int(c.p), int(c.q)) for c in row] for row in inv.tolist()]
+
+
+def is_integral(x):
+    """Whether x is in the field's ring of integers: its coordinates on the
+    integral basis are integers."""
+    return all(sum(map(operator.mul, row, x.coords)).denominator == 1
+               for row in _to_integral_basis(x.field))
+
+
+def root_of_unity_order(x):
+    """Oracle for cm.is_root_of_unity, without the field's list of roots:
+    None unless x is integral (is_integral) and x * conj(x) = 1, which make
+    every |g(x)| = 1; then the least m up to the cyclotomic bound with
+    x^m = 1."""
+    field = x.field
+    if not is_integral(x) or x * x.conjugate() != field.one():
+        return None
+    power = x
+    for m in range(1, max_root_of_unity_order(field.degree) + 1):
+        if power == field.one():
+            return m
+        power = power * x
+    return None
 
 
 def min_poly_totally_nonneg(y, strict=False):
@@ -355,6 +399,16 @@ def cm_field_trace_form(min_poly, conj_gen, integral_basis):
     assert all(c.is_integer for c in change) and abs(change.det()) == 1, \
         "the basis does not span the ring of integers"
     return [[int(t) for t in row] for row in gram.tolist()]
+
+
+def totient(n: int) -> int:
+    """Euler's phi of a positive n."""
+    (n,) = arith.integers((n,))
+    if n < 1:
+        raise ValueError("totient needs a positive integer")
+    for p in arith.factor(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def scanned_max_root_of_unity_order(degree):
