@@ -136,11 +136,12 @@ def _family(p: int, d0: int, height_bound: int):
     Returns the reduced forms, the ternaries Q_j + (-d0), T_0(-4) and the
     invariants of (0, 0, 1) in each T_j(-4), taken by
     enumeration._orbit_record without orbit_invariant's refusals, which the
-    shape of T_j already proves.  A record is taken once per mirror pair:
-    the sorted list puts (a, -b, c) before (a, b, c), and F = diag(1, -1, 1)
-    maps the first ternary onto the second, fixing e_3 and reversing the
-    orientation of e_3^perp, so the second gets OrbitInvariant.mirrored()
-    of the first's record.
+    shape of T_j already proves; G e_3 = (0, 0, 4*d0), so e_3^perp is the
+    block Q_j(-4) on e_1, e_2, the basis orthogonal_complement returns.  A
+    record is taken once per mirror pair: the sorted list puts (a, -b, c)
+    before (a, b, c), and F = diag(1, -1, 1) maps the first ternary onto the
+    second, fixing e_3 and reversing the orientation of e_3^perp, so the
+    second gets OrbitInvariant.mirrored() of the first's record.
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
@@ -156,14 +157,14 @@ def _family(p: int, d0: int, height_bound: int):
     # T_j = Q_j + (-d0) with Q_j reduced positive definite, so T_j(-4) is
     # nondegenerate of signature (1, 2), and e_3 is primitive of square
     # 4*d0 > 0: orbit_invariant's refusals cannot fire, and no LDL^T of the
-    # twist is needed to say so; a mirror of an earlier T_k takes its record
-    # from T_k's (docstring)
+    # twist is needed to say so; e_3^perp is the block, and a mirror of an
+    # earlier T_k takes its record from T_k's (docstring)
     first: dict[tuple, int] = {}
     invariants: list[OrbitInvariant] = []
     for j, t in enumerate(ternaries):
         k = first.get(_flip(t.gram))
-        invariants.append(_orbit_record(t.twist(-4), (0, 0, 1)) if k is None
-                          else invariants[k].mirrored())
+        invariants.append(_orbit_record(t.twist(-4), (0, 0, 1), t._block[0].twist(-4))
+                          if k is None else invariants[k].mirrored())
         first[t.gram] = j
     return forms, ternaries, ternaries[0].twist(-4), tuple(invariants)
 
@@ -274,8 +275,9 @@ def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     field, and then runs the claim checks that build_unbounded_family runs
     on what it assembled before returning.  Raises CensusError on the first
     failed check; returns True otherwise.  Every pair of ternaries is proven
-    to share a genus, by same_genus against T_0 or, for the second member of
-    a mirror pair, by the unimodular F = diag(1, -1, 1) onto the first; and
+    to share a genus, by same_genus of the blocks Q_0 and Q_j (the identity
+    on (-d0) extends their isometries) or, for the second member of a
+    mirror pair, by the unimodular F = diag(1, -1, 1) onto the first; and
     every record matches the rederived one, which _family takes for that
     member by mirroring, as F also maps e_3 to itself.
     """
@@ -304,23 +306,27 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
     """Checks of a certificate whose family is the one _family derives: one
     genus row, each witness's ends and class W e_3 (whose square, primitivity
     and record follow from W), distinct invariants and the (-2) certification.
-    The row runs same_genus(T_0, T_j) for every ternary except one whose
-    flip F T_j F, F = diag(1, -1, 1), is exactly T_0 or an earlier compared
-    ternary: F is unimodular, so that T_j is isometric to a member of T_0's
-    genus.  Raises CensusError on the first failed check."""
+    The row runs same_genus(Q_0, Q_j) on the blocks (Lattice._block) of
+    T_j = Q_j + (k), refusing a T_j that does not split with T_0's k: an
+    isometry Q_0 -> Q_j over R and every Z_p extends by the identity on (k).
+    It skips a T_j whose flip F T_j F, F = diag(1, -1, 1), is exactly T_0 or
+    an earlier compared ternary: F is unimodular, so that T_j is isometric
+    to a member of T_0's genus.  Raises CensusError on the first failed check."""
     ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants, because a p-adic symbol at p | det has a
     # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
     # over the same primes, and equality of symbols is transitive.  T_0 ~ T_0
-    # holds by reflexivity and is not compared.  T_0 keeps its symbols, so
+    # holds by reflexivity and is not compared.  Q_0 keeps its symbols, so
     # the row computes them once, not h - 1 times.  The flips it skips
     # (docstring) are the second members of the mirror pairs.
+    q0, k = ternaries[0]._block
     in_genus = {ternaries[0].gram}
     for t in ternaries[1:]:
         if _flip(t.gram) in in_genus:
             continue
-        if not same_genus(ternaries[0], t):
+        block = t._block
+        if block is None or block[1] != k or not same_genus(q0, block[0]):
             raise CensusError("genus check does not reproduce")
         in_genus.add(t.gram)
     for t, w, alpha in zip(ternaries, cert.isometry_witnesses, cert.classes):

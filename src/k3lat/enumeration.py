@@ -275,14 +275,6 @@ def _box_witness(l1: Lattice, l2: Lattice, height_bound: int):
     return None if cols is None else EmbeddingMatrix(l1, l2, cols)
 
 
-def _block(lat: Lattice):
-    """(Q, k) if lat = Q + (k) with Q of rank 2, else None."""
-    g = lat.gram
-    if lat.rank != 3 or g[0][2] or g[1][2]:
-        return None
-    return Lattice._of((g[0][:2], g[1][:2])), g[2][2]
-
-
 def _splits(lat: Lattice, us, k: int):
     """(u, u^perp, basis of u^perp in lat) for each u in us, all of norm k,
     with u^perp + Zu all of lat.  That sum has determinant det(u^perp) k =
@@ -329,7 +321,7 @@ def _split_matches(sources, target: Lattice, us, k: int):
     mirror pair shares its hits, since is_isometric_definite also returns
     improper isometries.  The match stops once every source has a witness.
     """
-    blocks = [_block(lat)[0] for lat in sources]
+    blocks = [lat._block[0] for lat in sources]
     open_by_class: dict[tuple[int, int, int], list[int]] = {}
     for j, q in enumerate(blocks):
         a, b, c = _reduced_class(q)
@@ -350,7 +342,7 @@ def _split_witness(l1: Lattice, l2: Lattice, height_bound: int):
     level walk's matcher run on the norm-k vectors of l2 in the box.
     indefinite_isometry_search has read det(l2) = det(l1) = det(Q) k != 0,
     so k != 0 and every u of norm k is nonzero."""
-    block = _block(l1)
+    block = l1._block
     if block is None or 0 not in block[0].signature():
         return None
     k = block[1]
@@ -416,11 +408,12 @@ def level_walk(sources, target: Lattice,
     The shells are taken by _lattice_points directly: Q_0 has passed the
     definiteness test below, and k(z^2 - 1) is a non-negative int, so the
     refusals of vectors_of_norm cannot fire; Q_0 keeps its descent constants
-    (Lattice._descent) across the levels.
+    (Lattice._descent) across the levels.  Each split is a Lattice._block
+    memo; the census genus row reuses the eliminations of the block tests.
     """
     height_bound = _height_bound(height_bound)
     k = -target.gram[-1][-1]
-    blocks = [_block(lat) for lat in (target, *sources)]
+    blocks = [lat._block for lat in (target, *sources)]
     if k <= 0 or any(b is None or b[1] != -k or not b[0].is_positive_definite()
                      for b in blocks):
         raise EnumerationError(
@@ -475,9 +468,10 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     signature (1, m) lattice, m <= 2 (v^perp is then negative definite).
 
     Its refusals imply those of Lattice.orthogonal_complement (v nonzero,
-    rank at least 2, nondegenerate), so _orbit_record takes the complement
-    unchecked; census._family, which has proven them all, calls
-    _orbit_record itself."""
+    rank at least 2, nondegenerate), so it takes the complement unchecked
+    (Lattice._complement) and hands it to _orbit_record; census._family,
+    which has proven them all, calls _orbit_record itself with the block
+    of each T_j(-4) as the complement of e_3."""
     sig = lat.signature()
     if lat.rank < 2 or lat.rank > 3 or sig != (1, lat.rank - 1):
         raise EnumerationError("lattice must have signature (1, m) with 1 <= m <= 2")
@@ -486,15 +480,14 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
         raise EnumerationError("vector must have positive norm")
     if math.gcd(*v) != 1:
         raise EnumerationError("vector must be primitive")
-    return _orbit_record(lat, v)
+    return _orbit_record(lat, v, lat._complement(v)[0])
 
 
-def _orbit_record(lat: Lattice, v: Vector) -> OrbitInvariant:
+def _orbit_record(lat: Lattice, v: Vector, comp: Lattice) -> OrbitInvariant:
     """orbit_invariant without its refusals, for an int vector v that the
     caller has proven primitive of positive norm in a lattice of signature
-    (1, m), 1 <= m <= 2."""
+    (1, m), 1 <= m <= 2, and comp = v^perp, taken by the caller."""
     # signature (1, m) and v.v > 0 leave v^perp of signature (0, m)
-    comp, _ = lat._complement(v)
     if comp.rank == 1:
         cls: tuple[int, ...] = (-comp.gram[0][0],)
     else:

@@ -4,14 +4,15 @@ Everything here works over Z, or over Q internally, with no floating point,
 so results are exact for arbitrarily large entries.  Lattices are immutable
 values and all operations are pure functions.  A lattice computes its
 elimination, its Smith invariants, the constants of the short-vector
-descent, the primes and each p-adic symbol that genus.same_genus compares
-at most once, and keeps them on the object by arith.cached, which takes no
-lock; a memo write stores the one value the Gram matrix determines, so
-concurrent use stays safe.  Lattice(...) checks each Gram matrix where it
-enters; the lattices built from checked ones (sums, twists, complements)
-use Lattice._of.  orthogonal_complement keeps its refusals and delegates to
+descent, its split Q + (k) with Q of rank 2 (if it has one), the primes and
+each p-adic symbol that genus.same_genus compares at most once, and keeps
+them on the object by arith.cached, which takes no lock; a memo write
+stores the one value the Gram matrix determines, so concurrent use stays
+safe.  Lattice(...) checks each Gram matrix where it enters; the lattices
+built from checked ones (sums, twists, complements, blocks) use
+Lattice._of.  orthogonal_complement keeps its refusals and delegates to
 _complement, which only callers that have proven those refusals take:
-enumeration._orbit_record and enumeration._splits.
+enumeration.orbit_invariant and enumeration._splits.
 Lattice is an arith.Record, an immutable value equal and hashed by its Gram
 matrix; this module, on the path of every CLI call with linalg and arith,
 imports neither dataclasses nor fractions.
@@ -38,7 +39,8 @@ def _integers(xs) -> Vector:
 
 class Lattice(Record):
     """Free Z-module of finite rank with pairing (v.w) = v^T gram w; an
-    immutable value, equal and hashed by its Gram matrix."""
+    immutable value, equal and hashed by its Gram matrix.  The memo _block
+    holds (Q, k) when the lattice is Q + (k) with Q of rank 2, else None."""
 
     gram: tuple[tuple[int, ...], ...]
 
@@ -144,6 +146,15 @@ class Lattice(Record):
         weights = [p * q for p, q in zip(minors, minors[1:])]
         scale = math.lcm(*weights)
         return minors, rows, tuple(scale // w for w in weights), scale
+
+    @cached
+    def _block(self) -> tuple["Lattice", int] | None:
+        """(Q, k) if the lattice is Q + (k) with Q of rank 2, else None,
+        split at most once per lattice."""
+        g = self.gram
+        if self.rank != 3 or g[0][2] or g[1][2]:
+            return None
+        return Lattice._of((g[0][:2], g[1][:2])), g[2][2]
 
     @cached
     def _genus_primes(self) -> tuple[int, ...]:

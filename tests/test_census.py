@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           verify_certificate, write_certificate)
 from k3lat.cli import build_parser
 from k3lat.enumeration import (indefinite_isometry_search, level_walk,
-                               orbit_invariant, vectors_of_norm, _orbit_record)
+                               orbit_invariant, vectors_of_norm)
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
 
@@ -381,8 +382,8 @@ class TestUnboundedFamily:
         assert build_unbounded_family(23, 1) == cert and checked == [cert]
         assert verify_certificate(cert) and checked == [cert, cert]
         # T_1 = (2, -1, 3) + (-1) is the compared member of p = 23's mirror
-        # pair; T_2, its flip, is not compared
-        compared = cert.ternaries[1]
+        # pair; T_2, its flip, is not compared.  The row compares blocks.
+        compared = cert.ternaries[1]._block[0]
         genus = census.same_genus
         monkeypatch.setattr(census, "same_genus",
                             lambda a, b: compared not in (a, b) and genus(a, b))
@@ -427,9 +428,10 @@ class TestUnboundedFamily:
         monkeypatch.setattr(genus, "_jordan_decomposition",
                             lambda gram, p: calls.append(p) or jordan(gram, p))
         census._check_claims(cert)
-        # every ternary has determinant -239: T_0 is compared at 2 and 239
-        # with the 7 classes that come before their mirrors (the 7 mirrors
-        # are not compared), and each lattice's two symbols are computed once
+        # every block Q_j of T_j = Q_j + (-1) has determinant 239: Q_0 is
+        # compared at 2 and 239 with the blocks of the 7 classes that come
+        # before their mirrors (the 7 mirrors are not compared), and each
+        # block's two symbols are computed once
         assert cert.h == 15 and len(mirror_firsts(cert.forms)) == 8
         assert len(calls) == 2 * 8
 
@@ -437,9 +439,13 @@ class TestUnboundedFamily:
         # one k3bench census operation: build, a JSON round trip and verify.
         # The public refusals of orthogonal_complement and padic_symbol are
         # proven by their census callers, so neither is called; each genus
-        # row factors det T_0 once (census._family's cube test of p*d0 is
+        # row factors det Q_0 once (census._family's cube test of p*d0 is
         # not a row); each lattice the descent runs in builds its constants
-        # (the lcm of its pivot products) once, the walked block Q_0 too
+        # (the lcm of its pivot products) once, the walked block Q_0 too.
+        # Only the level walk takes complements, one per level vector it
+        # walks: a record's complement is the block of T_j(-4).  The genus
+        # rows split rank-2 blocks only, and no lattice splits off its
+        # block twice
         calls = {"orthogonal_complement": 0, "padic_symbol": 0}
         for owner, name in [(Lattice, "orthogonal_complement"), (genus, "padic_symbol")]:
             def counted(*args, _name=name, _fn=getattr(owner, name)):
@@ -462,14 +468,46 @@ class TestUnboundedFamily:
             descended.append(lat)
             return points(lat, norm)
 
+        complemented, walked, split_ranks, blocked = [], [], [], []
+        complement, splits = Lattice._complement, enumeration._splits
+        jordan, block = genus._jordan_decomposition, Lattice.__dict__["_block"]
+
+        def counted_complement(lat, v):
+            complemented.append((lat, v))
+            return complement(lat, v)
+
+        def counted_splits(lat, us, k):
+            def pulled():
+                for u in us:
+                    walked.append(u)
+                    yield u
+            return splits(lat, pulled(), k)
+
+        def counted_jordan(gram, p):
+            split_ranks.append(len(gram))
+            return jordan(gram, p)
+
+        def counted_block(lat, _split=block.func):
+            blocked.append(lat)
+            return _split(lat)
+
         monkeypatch.setattr(arith, "factor", counted_factor)
         monkeypatch.setattr(math, "lcm", counted_lcm)
         monkeypatch.setattr(enumeration, "_lattice_points", counted_points)
+        monkeypatch.setattr(Lattice, "_complement", counted_complement)
+        monkeypatch.setattr(enumeration, "_splits", counted_splits)
+        monkeypatch.setattr(genus, "_jordan_decomposition", counted_jordan)
+        monkeypatch.setattr(block, "func", counted_block)
         cert = build_unbounded_family(239, 1)
         doc = json.loads(json.dumps(certificate_to_json(cert)))
         assert verify_certificate(certificate_from_json(doc))
         assert calls == {"orthogonal_complement": 0, "padic_symbol": 0}
-        # two genus rows, build's and verify's, each comparing T_0 first
+        t0 = cert.ternaries[0]
+        assert walked and complemented == [(t0, u) for u in walked]
+        # two rows, each taking the symbols at 2 and 239 of 8 blocks
+        assert split_ranks == [2] * (2 * 2 * 8)
+        assert blocked and len({id(lat) for lat in blocked}) == len(blocked)
+        # two genus rows, build's and verify's, each comparing Q_0 first
         assert factored == [239, 239]
         distinct = {id(lat): lat for lat in descended}
         t0_block = Lattice([list(row[:2]) for row in cert.ternaries[0].gram[:2]])
@@ -486,21 +524,31 @@ class TestUnboundedFamily:
                 cert = build_unbounded_family(p, 1)
                 compared.clear()
                 census._check_claims(cert)
-                t0 = cert.ternaries[0]
-                want = [(t0, cert.ternaries[j]) for j in mirror_firsts(cert.forms)[1:]]
+                # the row compares the blocks Q_0 and Q_j of T_0 and T_j
+                q0 = cert.ternaries[0]._block[0]
+                want = [(q0, cert.ternaries[j]._block[0])
+                        for j in mirror_firsts(cert.forms)[1:]]
                 assert compared == want, p
 
     def test_the_genus_row_refuses_a_compared_ternary_outside_the_genus(self):
         # ((2, 1), (1, 1)) + (-23) is I_2 + (-23): determinant -23 and
         # signature (2, 1), as T_0, but another genus; its flip, taken after
-        # it, would be skipped only had it passed
+        # it, would be skipped only had it passed.  The row compares blocks,
+        # so it must also refuse a ternary that does not split (a nonzero
+        # (1, 3) entry) and one whose block is Q_1 but whose last entry is
+        # not T_0's: both lie outside T_0's genus, as their determinants say
         cert = build_unbounded_family(23, 1)
+        t0, t1 = cert.ternaries[:2]
         outside = Lattice([[2, 1, 0], [1, 1, 0], [0, 0, -23]])
         flipped = Lattice([[2, -1, 0], [-1, 1, 0], [0, 0, -23]])
-        assert not genus.same_genus(cert.ternaries[0], outside)
-        for ternaries in [(cert.ternaries[0], outside, flipped),
-                          (cert.ternaries[0], flipped, outside),
-                          (cert.ternaries[0], cert.ternaries[1], outside)]:
+        unsplit = Lattice([[4, -1, 1], [-1, 6, 0], [1, 0, -1]])
+        other_k = t1._block[0].direct_sum(Lattice([[-3]]))
+        assert t1._block[0] == Lattice([[4, -1], [-1, 6]]) and unsplit._block is None
+        assert genus.same_genus(t0._block[0], other_k._block[0])
+        for forged_t in (outside, unsplit, other_k):
+            assert not genus.same_genus(t0, forged_t)
+        for ternaries in [(t0, outside, flipped), (t0, flipped, outside),
+                          (t0, t1, outside), (t0, unsplit, t1), (t0, other_k, t1)]:
             forged = UnboundedFamilyCertificate(**{
                 **{name: getattr(cert, name) for name in cert._fields},
                 "ternaries": ternaries})
@@ -508,14 +556,31 @@ class TestUnboundedFamily:
                 census._check_claims(forged)
 
     @pytest.mark.parametrize("d0", [1, 3, 5])
+    def test_the_block_row_agrees_with_the_ternary_row(self, d0):
+        # the genus row compares the blocks Q_j of T_j = Q_j + (-d0); on
+        # every pair of a family that answers as same_genus of the ternaries
+        pairs = 0
+        for p in range(3, 2000):
+            if isprime(p) and p % 4 == 3:
+                ternaries = [form_to_lattice(f).direct_sum(Lattice([[-d0]]))
+                             for f in class_group(-p).elements]
+                for a, b in itertools.combinations(ternaries, 2):
+                    assert (genus.same_genus(a._block[0], b._block[0])
+                            == genus.same_genus(a, b)), (p, a, b)
+                    pairs += 1
+        assert pairs > 20000
+
+    @pytest.mark.parametrize("d0", [1, 3, 5])
     def test_each_family_record_is_the_direct_record(self, d0):
-        # _family mirrors the record of the first member of each mirror pair
-        # onto the second; each must equal the record taken directly
+        # _family takes the block of T_j(-4) as the complement of e_3 and
+        # mirrors the record of the first member of each mirror pair onto
+        # the second; each must equal the public record, whose complement
+        # is the kernel basis of orthogonal_complement
         mirrored = 0
         for p in range(3, 2000):
             if isprime(p) and p % 4 == 3:
                 forms, ternaries, _, records = census._family(p, d0, 10)
-                assert records == tuple(_orbit_record(t.twist(-4), (0, 0, 1))
+                assert records == tuple(orbit_invariant(t.twist(-4), (0, 0, 1))
                                         for t in ternaries), p
                 mirrored += len(forms) - len(mirror_firsts(forms))
         assert mirrored > 1000

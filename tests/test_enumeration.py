@@ -572,8 +572,9 @@ class TestOrbitInvariant:
 
     def test_the_record_without_refusals_is_the_public_record(self):
         # on lattices whose caches are empty, as census twists are: the
-        # private record reads no elimination, and it equals the record of
-        # orbit_invariant, which reads the signature and checks everything
+        # private record, given the unchecked complement, reads no
+        # elimination, and it equals the record of orbit_invariant, which
+        # reads the signature and checks everything
         rng = random.Random(31)
         seen = {2: 0, 3: 0}
         while min(seen.values()) < 500:
@@ -586,7 +587,8 @@ class TestOrbitInvariant:
             if math.gcd(*v) != 1 or lat.norm(v) <= 0:
                 continue
             fresh = Lattice(gram)
-            assert _orbit_record(fresh, v) == orbit_invariant(Lattice(gram), v), (gram, v)
+            record = _orbit_record(fresh, v, fresh._complement(v)[0])
+            assert record == orbit_invariant(Lattice(gram), v), (gram, v)
             assert "_elimination" not in vars(fresh)
             seen[n] += 1
 

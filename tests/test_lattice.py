@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from k3lat import linalg
 from k3lat.census import MinusTwoResult, has_minus_two_class
-from k3lat.enumeration import _block, embeddings, vectors_of_norm
+from k3lat.enumeration import embeddings, vectors_of_norm
 from k3lat.genus import same_genus
 from k3lat.lattice import Lattice, LatticeError
 from util import (change_basis, pairwise_gram, random_nondegenerate,
@@ -504,9 +504,9 @@ def test_built_lattices_equal_their_checked_construction(rng):
             v = [rng.randint(-3, 3) for _ in range(lat.rank)]
             if any(v):
                 _trusted(lat.orthogonal_complement(v)[0])
-        if _block(total) is not None:
-            _trusted(_block(total)[0])
-    block = _block(A2.direct_sum(Lattice([[-1]])))
+        if total._block is not None:
+            _trusted(total._block[0])
+    block = A2.direct_sum(Lattice([[-1]]))._block
     assert _trusted(block[0]) == A2 and block[1] == -1
 
 

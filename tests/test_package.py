@@ -188,7 +188,7 @@ def _use_sites(tree, name):
 UNCHECKED_CALLERS = {
     "_orbit_record": {("enumeration.py", "orbit_invariant"), ("census.py", "_family")},
     "_complement": {("lattice.py", "orthogonal_complement"),
-                    ("enumeration.py", "_orbit_record"), ("enumeration.py", "_splits")},
+                    ("enumeration.py", "orbit_invariant"), ("enumeration.py", "_splits")},
     "_padic_symbol": {("genus.py", "padic_symbol"), ("genus.py", "_symbol")},
     "_lattice_points": {("enumeration.py", "short_vectors_le"),
                         ("enumeration.py", "vectors_of_norm"),
