@@ -10,17 +10,21 @@ in one genus (squares fill the class group), their rank-3 extensions by a
 and the complements of the distinguished vectors recover the original binary
 forms.  Forgetting orientations merges each mirror pair of classes, and the
 merged records are what separate full orthogonal-group orbits; certificates
-carry both counts.
+carry both counts.  A certificate stores only p, d0, its height bound and
+its witnesses, derives the rest from them, and a document is read by
+rebuilding it and comparing the two field by field.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 from . import HEIGHT_BOUND, SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
                           vectors_of_norm, _bounded_norm_vectors, _orbit_record)
-from .forms import BinaryForm, class_group, form_to_lattice
+from .forms import class_group, form_to_lattice
 from .formulas import CensusError, fm_partner_count, tau  # the last two re-exported
 from .genus import same_genus
 from .lattice import Lattice, Vector, _gram_json, _integers
@@ -93,6 +97,11 @@ class UnboundedFamilyCertificate(arith.Record):
     """Certified degree-4*d0 family with h(-p) distinct oriented complement
     classes inside one rank-3 ambient lattice free of (-2)-classes.
 
+    A certificate is its parameters and its witnesses W_j: T_j -> T_0, None
+    for a gap; the class of T_j is W_j e_3.  The rest is read from the
+    family _family(p, d0, height_bound), derived at most once per
+    certificate (arith.cached; build and certificate_from_json store theirs).
+
     height_bound is the largest level the witness walk may reach, a level
     being |z| for the image u = (v, z) of the (-d0)-generator; so every
     class found has |classes[j][2]| <= height_bound.
@@ -100,17 +109,21 @@ class UnboundedFamilyCertificate(arith.Record):
 
     p: int
     d0: int
-    degree: int
-    h: int
-    forms: tuple[BinaryForm, ...]
-    ternaries: tuple[Lattice, ...]
-    genus_checks: tuple[tuple[bool, ...], ...]
-    isometry_witnesses: tuple[EmbeddingMatrix | None, ...]
-    ns_lattice: Lattice
-    classes: tuple[Vector | None, ...]
-    complement_invariants: tuple[OrbitInvariant, ...]
-    minus_two_free: bool
     height_bound: int
+    isometry_witnesses: tuple[EmbeddingMatrix | None, ...]
+
+    @arith.cached
+    def _derived(self):
+        return _family(self.p, self.d0, self.height_bound)
+
+    forms = property(lambda self: self._derived[0])
+    ternaries = property(lambda self: self._derived[1])
+    ns_lattice = property(lambda self: self._derived[2])
+    complement_invariants = property(lambda self: self._derived[3])
+    degree = property(lambda self: 4 * self.d0)
+    h = property(lambda self: len(self._derived[0]))
+    classes = property(lambda self: tuple(
+        None if w is None else w.columns[2] for w in self.isometry_witnesses))
 
     @property
     def witness_gaps(self) -> tuple[int, ...]:
@@ -133,15 +146,16 @@ def _family(p: int, d0: int, height_bound: int):
     p must be a prime = 3 mod 4 and d0 positive and odd with p*d0 cube free
     (the ternary classification needs it: Conway and Sloane, SPLAG, ch. 15,
     section 9); p, d0 and height_bound must be ints, the bound at least 1.
-    Returns the reduced forms, the ternaries Q_j + (-d0), T_0(-4) and the
-    invariants of (0, 0, 1) in each T_j(-4), taken by
-    enumeration._orbit_record without orbit_invariant's refusals, which the
-    shape of T_j already proves; G e_3 = (0, 0, 4*d0), so e_3^perp is the
-    block Q_j(-4) on e_1, e_2, the basis orthogonal_complement returns.  A
-    record is taken once per mirror pair: the sorted list puts (a, -b, c)
-    before (a, b, c), and F = diag(1, -1, 1) maps the first ternary onto the
-    second, fixing e_3 and reversing the orientation of e_3^perp, so the
-    second gets OrbitInvariant.mirrored() of the first's record.
+    Returns the reduced forms Q_j, the ternaries T_j = Q_j + (-d0), T_0(-4)
+    and the records of e_3 in each T_j(-4), taken by _orbit_record without
+    orbit_invariant's refusals: Q_j is reduced positive definite, so T_j(-4)
+    is nondegenerate of signature (1, 2) and e_3 primitive of square
+    4*d0 > 0.  G e_3 = (0, 0, 4*d0), so e_3^perp is the block Q_j(-4) on
+    e_1, e_2, the basis orthogonal_complement returns.  A record is taken
+    once per mirror pair: the sorted list puts (a, -b, c) before (a, b, c),
+    and F = diag(1, -1, 1) maps the first ternary onto the second, fixing
+    e_3 and reversing the orientation of e_3^perp, so the second gets
+    OrbitInvariant.mirrored() of the first's record.
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
@@ -154,11 +168,6 @@ def _family(p: int, d0: int, height_bound: int):
     forms = class_group(-p).elements
     zd0 = Lattice([[-d0]])
     ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in forms)
-    # T_j = Q_j + (-d0) with Q_j reduced positive definite, so T_j(-4) is
-    # nondegenerate of signature (1, 2), and e_3 is primitive of square
-    # 4*d0 > 0: orbit_invariant's refusals cannot fire, and no LDL^T of the
-    # twist is needed to say so; e_3^perp is the block, and a mirror of an
-    # earlier T_k takes its record from T_k's (docstring)
     first: dict[tuple, int] = {}
     invariants: list[OrbitInvariant] = []
     for j, t in enumerate(ternaries):
@@ -181,30 +190,24 @@ def build_unbounded_family(p: int, d0: int = 1,
                            height_bound: int = HEIGHT_BOUND) -> UnboundedFamilyCertificate:
     """Run the full degree-4*d0 orbit pipeline for a prime p = 3 mod 4.
 
-    Parameters, forms, ternaries, ambient lattice and invariants come from
-    one _family call.  Build adds the witnesses T_j -> T_0 from one level
-    walk over T_0 (enumeration.level_walk), which stops once every class is
-    reached or after level height_bound; a class without a witness is
-    recorded as a gap with no ambient class, never faked.  genus_checks is
-    the all-true claim the checker proves.  Before returning, build runs the
-    claim checks of verify_certificate on what it assembled; only
-    verify_certificate also rederives the family.
+    One _family call checks the parameters and derives the family.  Build
+    adds the witnesses T_j -> T_0 from one level walk over T_0
+    (enumeration.level_walk), which stops once every class is reached or
+    after level height_bound; a class without a witness is recorded as a
+    gap with no ambient class, never faked.  Before returning, build runs
+    the checks of verify_certificate on what it assembled.
     """
-    forms, ternaries, ambient, invariants = _family(p, d0, height_bound)
-    witnesses = level_walk(ternaries, ternaries[0], height_bound)
-    h = len(forms)
-    cert = UnboundedFamilyCertificate(
-        p=p, d0=d0, degree=4 * d0, h=h, forms=forms, ternaries=ternaries,
-        genus_checks=((True,) * h,) * h, isometry_witnesses=witnesses,
-        ns_lattice=ambient,
-        classes=tuple(None if w is None else w.columns[2] for w in witnesses),
-        complement_invariants=invariants, minus_two_free=True,
-        height_bound=height_bound)
+    family = _family(p, d0, height_bound)
+    cert = UnboundedFamilyCertificate(p, d0, height_bound,
+                                      level_walk(family[1], family[1][0], height_bound))
+    object.__setattr__(cert, "_derived", family)
     _check_claims(cert)
     return cert
 
 
 def certificate_to_json(cert: UnboundedFamilyCertificate) -> dict:
+    """The certificate document.  genus_checks and minus_two_free state, all
+    true, the claims that verify_certificate proves."""
     return {
         "schema": SCHEMA,
         "kind": "unbounded_family_certificate",
@@ -214,7 +217,7 @@ def certificate_to_json(cert: UnboundedFamilyCertificate) -> dict:
         "h": cert.h,
         "forms": [list(f.as_tuple()) for f in cert.forms],
         "ternaries": [_gram_json(t) for t in cert.ternaries],
-        "genus_checks": [list(row) for row in cert.genus_checks],
+        "genus_checks": [[True] * cert.h for _ in range(cert.h)],
         "isometry_witnesses": [
             None if w is None else [list(c) for c in w.columns]
             for w in cert.isometry_witnesses],
@@ -225,101 +228,85 @@ def certificate_to_json(cert: UnboundedFamilyCertificate) -> dict:
              "complement_disc": list(i.complement_disc),
              "complement_class": list(i.complement_class)}
             for i in cert.complement_invariants],
-        "minus_two_free": cert.minus_two_free,
+        "minus_two_free": True,
         "witness_gaps": list(cert.witness_gaps),
         "height_bound": cert.height_bound,
     }
 
 
+# The scalars of the document fields that == compares loosely (it takes 3.0
+# for 3 and 1 for true) and their JSON type.  == pins strings, and _family
+# and EmbeddingMatrix refuse parameters and witness entries that are not ints.
+_flat = chain.from_iterable
+_one = lambda v: (v,)
+_RECORD_LISTS = itemgetter("ambient_disc", "complement_disc", "complement_class")
+_SCALARS = {
+    "degree": (int, _one), "h": (int, _one), "forms": (int, _flat),
+    "ternaries": (int, lambda v: _flat(_flat(v))), "genus_checks": (bool, _flat),
+    "ns_lattice": (int, _flat), "classes": (int, lambda v: _flat(filter(None, v))),
+    "complement_invariants": (int, lambda v: chain(
+        map(itemgetter("norm"), v), _flat(_flat(map(_RECORD_LISTS, v))))),
+    "minus_two_free": (bool, _one), "witness_gaps": (int, iter),
+}
+
+
 def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
-    """Read a certificate document, raising CensusError on any document that
-    does not parse as one; verify_certificate checks its claims."""
+    """Read a certificate document by rebuilding it from its p, d0,
+    height_bound and witnesses (built on the rebuilt ternaries by the
+    checking EmbeddingMatrix constructor).  Each key of the rebuilt document
+    must equal the document's, by value and then by JSON type; other keys
+    are ignored.  Raises CensusError, naming the first field that differs."""
     if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA
             or doc.get("kind") != "unbounded_family_certificate"):
         raise CensusError("not an unbounded-family certificate document")
     try:
-        ternaries = tuple(Lattice(g) for g in doc["ternaries"])
+        p, d0, height_bound = doc["p"], doc["d0"], doc["height_bound"]
+        family = _family(p, d0, height_bound)
+        ternaries = family[1]
         if len(doc["isometry_witnesses"]) != len(ternaries):
             raise CensusError("witness count differs from ternary count")
-        witnesses = tuple(
-            None if w is None else EmbeddingMatrix(
-                ternaries[j], ternaries[0], tuple(tuple(c) for c in w))
-            for j, w in enumerate(doc["isometry_witnesses"]))
-        return UnboundedFamilyCertificate(
-            p=doc["p"], d0=doc["d0"], degree=doc["degree"], h=doc["h"],
-            forms=tuple(BinaryForm(*f) for f in doc["forms"]), ternaries=ternaries,
-            genus_checks=tuple(tuple(x is True for x in row)
-                               for row in doc["genus_checks"]),
-            isometry_witnesses=witnesses,
-            ns_lattice=Lattice(doc["ns_lattice"]),
-            classes=tuple(None if a is None else tuple(a) for a in doc["classes"]),
-            complement_invariants=tuple(
-                OrbitInvariant(i["norm"], tuple(i["ambient_disc"]),
-                               tuple(i["complement_disc"]),
-                               tuple(i["complement_class"]))
-                for i in doc["complement_invariants"]),
-            minus_two_free=doc["minus_two_free"] is True,
-            height_bound=doc["height_bound"],
-        )
+        cert = UnboundedFamilyCertificate(p, d0, height_bound, tuple(
+            None if w is None else EmbeddingMatrix(t, ternaries[0], tuple(map(tuple, w)))
+            for t, w in zip(ternaries, doc["isometry_witnesses"])))
+        object.__setattr__(cert, "_derived", family)
+        for key, value in certificate_to_json(cert).items():
+            if value != doc[key]:
+                raise CensusError(f"{key} differs from the rebuilt certificate")
+        for key, (kind, scalars) in _SCALARS.items():
+            for x in scalars(doc[key]):
+                if type(x) is not kind:
+                    raise CensusError(f"{key} differs in JSON type from the rebuilt certificate")
     except CensusError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CensusError(f"malformed certificate document: {exc!r}") from exc
+    return cert
 
 
 def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
-    """Recheck every claim in a certificate from scratch.
-
-    This is the only public checker of a certificate.  It rederives the
-    family from (p, d0) with the helper build uses, compares it field by
-    field, and then runs the claim checks that build_unbounded_family runs
-    on what it assembled before returning.  Raises CensusError on the first
-    failed check; returns True otherwise.  Every pair of ternaries is proven
-    to share a genus, by same_genus of the blocks Q_0 and Q_j (the identity
-    on (-d0) extends their isometries) or, for the second member of a
-    mirror pair, by the unimodular F = diag(1, -1, 1) onto the first; and
-    every record matches the rederived one, which _family takes for that
-    member by mirroring, as F also maps e_3 to itself.
-    """
-    h = cert.h
-    forms, ternaries, ambient, invariants = _family(cert.p, cert.d0, cert.height_bound)
-    if forms != cert.forms or type(h) is not int or len(forms) != h:
-        raise CensusError("form list disagrees with the reduced-form scan")
-    if type(cert.degree) is not int or cert.degree != 4 * cert.d0:
-        raise CensusError("degree is not 4*d0")
-    if not (len(cert.ternaries) == len(cert.isometry_witnesses) == len(cert.classes)
-            == len(cert.complement_invariants) == h):
-        raise CensusError("ternaries, witnesses, classes and invariants must number h")
-    if cert.genus_checks != ((True,) * h,) * h:
-        raise CensusError("recorded genus checks are not all true")
-    if ternaries != cert.ternaries:
-        raise CensusError("ternary lattice was not built from its form")
-    if cert.ns_lattice != ambient:
-        raise CensusError("ambient lattice is not the twisted first ternary")
-    if invariants != cert.complement_invariants:
-        raise CensusError("complement invariant does not reproduce")
+    """Recheck every claim of a certificate: the checks of _check_claims on
+    its family.  This is the only public checker of a certificate.  Raises
+    CensusError on the first failed check; returns True otherwise."""
     _check_claims(cert)
     return True
 
 
 def _check_claims(cert: UnboundedFamilyCertificate) -> None:
-    """Checks of a certificate whose family is the one _family derives: one
-    genus row, each witness's ends and class W e_3 (whose square, primitivity
-    and record follow from W), distinct invariants and the (-2) certification.
-    The row runs same_genus(Q_0, Q_j) on the blocks (Lattice._block) of
-    T_j = Q_j + (k), refusing a T_j that does not split with T_0's k: an
-    isometry Q_0 -> Q_j over R and every Z_p extends by the identity on (k).
-    It skips a T_j whose flip F T_j F, F = diag(1, -1, 1), is exactly T_0 or
-    an earlier compared ternary: F is unimodular, so that T_j is isometric
-    to a member of T_0's genus.  Raises CensusError on the first failed check."""
+    """One genus row, each witness's ends, distinct records and the (-2)
+    certification; raises CensusError on the first failed check.  The row
+    compares the blocks Q_0, Q_j (Lattice._block) of T_j = Q_j + (k): an
+    isometry Q_0 -> Q_j over R and every Z_p extends by the identity on (k),
+    and a T_j that does not split with T_0's k is refused.  It skips a T_j
+    whose flip F T_j F, F = diag(1, -1, 1), is T_0 or an earlier compared
+    ternary, as the unimodular F makes the two isometric.  A witness W is
+    built by the checking EmbeddingMatrix constructor, and W^T T_0 W = T_j
+    with equal determinants makes W unimodular: W e_3 is primitive of square
+    4*d0 in T_0(-4) and has the unoriented record of e_3 in T_j(-4)."""
     ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
-    # to divide both determinants, because a p-adic symbol at p | det has a
-    # block of positive scale.  So A ~ B, B ~ C and A ~ C all compare symbols
-    # over the same primes, and equality of symbols is transitive.  T_0 ~ T_0
-    # holds by reflexivity and is not compared.  Q_0 keeps its symbols, so
-    # the row computes them once, not h - 1 times.  The flips it skips
-    # (docstring) are the second members of the mirror pairs.
+    # to divide both determinants (a p-adic symbol at p | det has a block of
+    # positive scale), so all pairs compare symbols over the same primes, and
+    # equality of symbols is transitive.  Q_0 computes its symbols once.
     q0, k = ternaries[0]._block
     in_genus = {ternaries[0].gram}
     for t in ternaries[1:]:
@@ -329,25 +316,15 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
         if block is None or block[1] != k or not same_genus(q0, block[0]):
             raise CensusError("genus check does not reproduce")
         in_genus.add(t.gram)
-    for t, w, alpha in zip(ternaries, cert.isometry_witnesses, cert.classes):
-        if w is None:
-            if alpha is not None:
-                raise CensusError("class present without an isometry witness")
-            continue
-        # no Gram re-test: level_walk's lift and certificate_from_json build
-        # witnesses by the checking EmbeddingMatrix constructor, never by _of
-        if (w.source, w.target) != (t, ternaries[0]):
+    if len(cert.isometry_witnesses) != len(ternaries):
+        raise CensusError("witness count differs from ternary count")
+    for t, w in zip(ternaries, cert.isometry_witnesses):
+        if w is not None and (w.source, w.target) != (t, ternaries[0]):
             raise CensusError("witness does not map its ternary to the first one")
-        if alpha != w.columns[2]:
-            raise CensusError("class is not the witness image of the generator")
-        # W^T T_0 W = T_j with equal nonzero determinants makes W unimodular,
-        # so alpha = W e_3 is primitive of square 4*d0 in T_0(-4), and W maps
-        # e_3 and e_3^perp in T_j(-4) isometrically onto alpha and alpha^perp:
-        # alpha has the unoriented record of e_3, which _family computes.
     if len(set(cert.complement_invariants)) != cert.h:
         raise CensusError("complement invariants are not pairwise distinct")
     m2 = has_minus_two_class(cert.ns_lattice)
-    if m2.found or not m2.certified or not cert.minus_two_free:
+    if m2.found or not m2.certified:
         raise CensusError("(-2)-class certification failed")
 
 

@@ -157,8 +157,7 @@ RECORDS = {
                        "found certified witness"),
     "UnboundedFamilyCertificate": (
         lambda: census.build_unbounded_family(23, 1),
-        "p d0 degree h forms ternaries genus_checks isometry_witnesses ns_lattice"
-        " classes complement_invariants minus_two_free height_bound"),
+        "p d0 height_bound isometry_witnesses"),
     "CMField": (lambda: EISEN, "min_poly conj_gen integral_basis"),
     "CMElement": (lambda: EISEN.one(), "field coords"),
     "PeriodVector": (lambda: PERIOD, "lattice mu"),
