@@ -11,8 +11,9 @@ and the complements of the distinguished vectors recover the original binary
 forms.  Forgetting orientations merges each mirror pair of classes, and the
 merged records are what separate full orthogonal-group orbits; certificates
 carry both counts.  A certificate stores only p, d0, its height bound and
-its witnesses, derives the rest from them, and a document is read by
-rebuilding it and comparing the two field by field.
+its witnesses, derives the rest from them (records read off the reduced
+forms), and a document is read by rebuilding it and comparing the two
+field by field; verify_certificate tests each witness's Gram matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import itemgetter
 
 from . import HEIGHT_BOUND, SCHEMA, arith
 from .enumeration import (EmbeddingMatrix, OrbitInvariant, level_walk,
-                          vectors_of_norm, _bounded_norm_vectors, _orbit_record)
+                          vectors_of_norm, _bounded_norm_vectors)
 from .forms import class_group, form_to_lattice
 from .formulas import CensusError, fm_partner_count, tau  # the last two re-exported
 from .genus import same_genus
@@ -147,15 +148,15 @@ def _family(p: int, d0: int, height_bound: int):
     (the ternary classification needs it: Conway and Sloane, SPLAG, ch. 15,
     section 9); p, d0 and height_bound must be ints, the bound at least 1.
     Returns the reduced forms Q_j, the ternaries T_j = Q_j + (-d0), T_0(-4)
-    and the records of e_3 in each T_j(-4), taken by _orbit_record without
-    orbit_invariant's refusals: Q_j is reduced positive definite, so T_j(-4)
-    is nondegenerate of signature (1, 2) and e_3 primitive of square
-    4*d0 > 0.  G e_3 = (0, 0, 4*d0), so e_3^perp is the block Q_j(-4) on
-    e_1, e_2, the basis orthogonal_complement returns.  A record is taken
-    once per mirror pair: the sorted list puts (a, -b, c) before (a, b, c),
-    and F = diag(1, -1, 1) maps the first ternary onto the second, fixing
-    e_3 and reversing the orientation of e_3^perp, so the second gets
-    OrbitInvariant.mirrored() of the first's record.
+    and the records of e_3 in each T_j(-4), read off the reduced form
+    f = (a, b, c) of Q_j: (4*d0, 4*Smith(T_j), 4*Smith(Q_j), (8a, 8b, 8c)).
+    Scaling a nondegenerate matrix by -4 multiplies each invariant factor
+    by 4, so none of them is 1; G e_3 = (0, 0, 4*d0), so e_3^perp is the
+    block Q_j(-4) on e_1, e_2, the basis orthogonal_complement returns; and
+    8f is reduced as f is.  The second member of a mirror pair (the sorted
+    list puts (a, -b, c) before (a, b, c)) reuses its partner's Smith
+    tuples: F = diag(1, -1, 1) is unimodular and maps the first ternary
+    onto the second, fixing e_3.
     """
     if type(p) is not int or not arith.is_prime(p) or p % 4 != 3:
         raise CensusError("p must be a prime congruent to 3 mod 4")
@@ -168,13 +169,13 @@ def _family(p: int, d0: int, height_bound: int):
     forms = class_group(-p).elements
     zd0 = Lattice([[-d0]])
     ternaries = tuple(form_to_lattice(f).direct_sum(zd0) for f in forms)
-    first: dict[tuple, int] = {}
-    invariants: list[OrbitInvariant] = []
-    for j, t in enumerate(ternaries):
-        k = first.get(_flip(t.gram))
-        invariants.append(_orbit_record(t.twist(-4), (0, 0, 1), t._block[0].twist(-4))
-                          if k is None else invariants[k].mirrored())
-        first[t.gram] = j
+    discs: dict[tuple, tuple] = {}
+    invariants = []
+    for f, t in zip(forms, ternaries):
+        disc = discs.get(_flip(t.gram)) or (tuple(4 * x for x in t._smith),
+                                            tuple(4 * x for x in t._block[0]._smith))
+        discs[t.gram] = disc
+        invariants.append(OrbitInvariant(4 * d0, *disc, tuple(8 * x for x in f.as_tuple())))
     return forms, ternaries, ternaries[0].twist(-4), tuple(invariants)
 
 
@@ -285,9 +286,17 @@ def certificate_from_json(doc: dict) -> UnboundedFamilyCertificate:
 
 def verify_certificate(cert: UnboundedFamilyCertificate) -> bool:
     """Recheck every claim of a certificate: the checks of _check_claims on
-    its family.  This is the only public checker of a certificate.  Raises
+    its family, then W^T T_0 W = T_j for each witness W (the checking
+    EmbeddingMatrix constructor), as one built in memory may hold any
+    columns.  This is the only public checker of a certificate.  Raises
     CensusError on the first failed check; returns True otherwise."""
     _check_claims(cert)
+    try:
+        for t, w in zip(cert.ternaries, cert.isometry_witnesses):
+            if w is not None:
+                EmbeddingMatrix(t, cert.ternaries[0], w.columns)
+    except arith.DomainError as exc:
+        raise CensusError(f"witness is not an isometry: {exc}") from None
     return True
 
 
@@ -298,10 +307,11 @@ def _check_claims(cert: UnboundedFamilyCertificate) -> None:
     isometry Q_0 -> Q_j over R and every Z_p extends by the identity on (k),
     and a T_j that does not split with T_0's k is refused.  It skips a T_j
     whose flip F T_j F, F = diag(1, -1, 1), is T_0 or an earlier compared
-    ternary, as the unimodular F makes the two isometric.  A witness W is
-    built by the checking EmbeddingMatrix constructor, and W^T T_0 W = T_j
-    with equal determinants makes W unimodular: W e_3 is primitive of square
-    4*d0 in T_0(-4) and has the unoriented record of e_3 in T_j(-4)."""
+    ternary, as the unimodular F makes the two isometric.  Build's witnesses
+    are checked or the identity; verify_certificate tests each one's Gram:
+    W^T T_0 W = T_j with equal determinants makes W unimodular, so W e_3 is
+    primitive of square 4*d0 in T_0(-4) with the unoriented record of e_3
+    in T_j(-4)."""
     ternaries = cert.ternaries
     # One row proves every pair: same_genus(A, B) forces the same odd primes
     # to divide both determinants (a p-adic symbol at p | det has a block of

@@ -315,25 +315,30 @@ def _split_matches(sources, target: Lattice, us, k: int):
     """Isometries sources[j] -> target of blocks Q_j + (k), Q_j definite of
     rank 2, sending the last basis vector to the first u in us (all of norm
     k) that splits off (_splits) with u^perp isometric to Q_j; else None.
-    Definite binary lattices are isometric exactly when their reduced forms
-    agree up to the sign of b, so the unoriented class of u^perp names the
-    sources u reaches, and is_isometric_definite runs only on a hit.  A
-    mirror pair shares its hits, since is_isometric_definite also returns
-    improper isometries.  The match stops once every source has a witness.
+    A source equal to target gets the identity, the first witness at u = e_3
+    (complement basis (e_1, e_2)), and opens no class; us is pulled only
+    while a class is open.  Definite binary lattices are isometric exactly
+    when their reduced forms agree up to the sign of b, so the unoriented
+    class of u^perp names the sources u reaches, and is_isometric_definite
+    runs only on a hit.  A mirror pair shares its hits, since
+    is_isometric_definite also returns improper isometries.
     """
-    blocks = [lat._block[0] for lat in sources]
     open_by_class: dict[tuple[int, int, int], list[int]] = {}
-    for j, q in enumerate(blocks):
-        a, b, c = _reduced_class(q)
-        open_by_class.setdefault((a, abs(b), c), []).append(j)
-    witnesses: list[EmbeddingMatrix | None] = [None] * len(blocks)
-    for u, comp, basis in _splits(target, us, k):
-        a, b, c = _reduced_class(comp)
-        for j in open_by_class.pop((a, abs(b), c), ()):
-            w = is_isometric_definite(blocks[j], comp)
-            witnesses[j] = _lift_split(sources[j], target, basis, w, u)
-        if not open_by_class:
-            break
+    witnesses: list[EmbeddingMatrix | None] = [None] * len(sources)
+    for j, lat in enumerate(sources):
+        if lat == target:
+            witnesses[j] = identity_embedding(target)
+        else:
+            a, b, c = _reduced_class(lat._block[0])
+            open_by_class.setdefault((a, abs(b), c), []).append(j)
+    if open_by_class:
+        for u, comp, basis in _splits(target, us, k):
+            a, b, c = _reduced_class(comp)
+            for j in open_by_class.pop((a, abs(b), c), ()):
+                w = is_isometric_definite(sources[j]._block[0], comp)
+                witnesses[j] = _lift_split(sources[j], target, basis, w, u)
+            if not open_by_class:
+                break
     return tuple(witnesses)
 
 
@@ -402,10 +407,14 @@ def level_walk(sources, target: Lattice,
     primitive u = (v, z) with u.u = -k.  As -u has the same complement and
     z = 0 would need v.v = -k < 0, the walk takes z = 1, ..., height_bound,
     lets v run over the vectors of Q_0-norm k(z^2 - 1) and matches each u
-    (_split_matches).  It takes every u with |z| up to the bound, so it
+    (_split_matches).  It reaches every u with |z| up to the bound, so it
     reaches whatever the forward box search of indefinite_isometry_search
-    reaches at the same bound.  height_bound must be an int of at least 1.
-    The shells are taken by _lattice_points directly: Q_0 has passed the
+    reaches at the same bound.  (x, y, z) -> (-x, -y, z) is an automorphism
+    of target, so (-v, z) splits as (v, z) does, with an isometric
+    complement, and matches no class (v, z) left open: the walk tests the
+    first half of each sorted shell (negation reverses it), the earlier v of
+    each pair.  height_bound must be an int of at least 1.  The shells,
+    pulled lazily, are taken by _lattice_points directly: Q_0 has passed the
     definiteness test below, and k(z^2 - 1) is a non-negative int, so the
     refusals of vectors_of_norm cannot fire; Q_0 keeps its descent constants
     (Lattice._descent) across the levels.  Each split is a Lattice._block
@@ -420,7 +429,8 @@ def level_walk(sources, target: Lattice,
             "lattices must be Q + (-k), Q positive definite of rank 2, one k > 0")
     # Q_0 is positive definite and k(z^2 - 1) >= 0 is an int (docstring)
     us = (v + (z,) for z in range(1, height_bound + 1)
-          for v in _lattice_points(blocks[0][0], k * (z * z - 1)))
+          for shell in (_lattice_points(blocks[0][0], k * (z * z - 1)),)
+          for v in shell[:(len(shell) + 1) // 2])
     return _split_matches(sources, target, us, -k)
 
 
@@ -448,20 +458,6 @@ class OrbitInvariant(Record):
         return OrbitInvariant(self.norm, self.ambient_disc,
                               self.complement_disc, cls)
 
-    def mirrored(self) -> "OrbitInvariant":
-        """The record with the orientation of the complement reversed, as
-        for the image of v under an isometry that reverses it (census:
-        F = diag(1, -1, 1) fixes e_3 and maps T(-4) onto its mirror): the
-        same norm and discriminant groups, and the class (A, -B, C) reduced
-        again, which is (A, B, C) itself when B = 0, |B| = A or A = C.  A
-        rank-1 complement has no orientation and is kept."""
-        cls = self.complement_class
-        if len(cls) == 3:
-            a, b, c = cls
-            cls = reduce_form(BinaryForm._of(a, -b, c))[0].as_tuple()
-        return OrbitInvariant(self.norm, self.ambient_disc,
-                              self.complement_disc, cls)
-
 
 def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
     """Invariant record for the orbit of a primitive positive-norm v in a
@@ -469,9 +465,7 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
 
     Its refusals imply those of Lattice.orthogonal_complement (v nonzero,
     rank at least 2, nondegenerate), so it takes the complement unchecked
-    (Lattice._complement) and hands it to _orbit_record; census._family,
-    which has proven them all, calls _orbit_record itself with the block
-    of each T_j(-4) as the complement of e_3."""
+    (Lattice._complement)."""
     sig = lat.signature()
     if lat.rank < 2 or lat.rank > 3 or sig != (1, lat.rank - 1):
         raise EnumerationError("lattice must have signature (1, m) with 1 <= m <= 2")
@@ -480,17 +474,8 @@ def orbit_invariant(lat: Lattice, v) -> OrbitInvariant:
         raise EnumerationError("vector must have positive norm")
     if math.gcd(*v) != 1:
         raise EnumerationError("vector must be primitive")
-    return _orbit_record(lat, v, lat._complement(v)[0])
-
-
-def _orbit_record(lat: Lattice, v: Vector, comp: Lattice) -> OrbitInvariant:
-    """orbit_invariant without its refusals, for an int vector v that the
-    caller has proven primitive of positive norm in a lattice of signature
-    (1, m), 1 <= m <= 2, and comp = v^perp, taken by the caller."""
+    comp = lat._complement(v)[0]
     # signature (1, m) and v.v > 0 leave v^perp of signature (0, m)
-    if comp.rank == 1:
-        cls: tuple[int, ...] = (-comp.gram[0][0],)
-    else:
-        cls = _reduced_class(comp)
+    cls = (-comp.gram[0][0],) if comp.rank == 1 else _reduced_class(comp)
     return OrbitInvariant(lat._inner(v, v), lat.discriminant_group(),
                           comp.discriminant_group(), cls)

@@ -9,7 +9,8 @@ to the standard canonical representative before comparison (Conway and
 Sloane, SPLAG, ch. 15, section 7).  Constituents share a train only where no
 two adjacent scales are both type II, a missing scale counting as an empty
 type II constituent.  One record per scale, [dim, unit, odd, oddity],
-carries each constituent from the Jordan split to the symbol.
+carries each constituent from the Jordan split to the symbol.  Lattices
+keep symbols as tuples of GenusBlock field tuples, which same_genus compares.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _jordan_decomposition(gram, p: int) -> dict[int, list]:
     return records
 
 
-def _canonical_2adic(records) -> tuple[GenusBlock, ...]:
+def _canonical_2adic(records) -> tuple[tuple, ...]:
     """Oddity fusion and sign walking, producing the canonical 2-adic symbol.
 
     records: (scale, [dim, unit, odd, oddity]) sorted by scale; the sign is
@@ -158,7 +159,7 @@ def _canonical_2adic(records) -> tuple[GenusBlock, ...]:
             blocks[k - 1][2] *= -1
             for h in {head[k], head[k - 1]} - {None}:
                 blocks[h][4] = (blocks[h][4] + 4) % 8
-    return tuple(GenusBlock(scale, dim, sign, "I" if odd else "II", oddity)
+    return tuple((scale, dim, sign, "I" if odd else "II", oddity)
                  for scale, dim, sign, odd, oddity in blocks)
 
 
@@ -166,8 +167,8 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
     """Canonical p-adic genus symbol of a nondegenerate lattice.
 
     Refuses a p that is not an integer prime and a degenerate Gram matrix,
-    then computes by _padic_symbol, which same_genus reads directly (through
-    _symbol) once it has proven both."""
+    then wraps the blocks of _symbol, which same_genus compares directly
+    once it has proven both, in records (_padic_symbol)."""
     (p,) = _integers((p,))
     if not arith.is_prime(p):
         raise GenusError(f"{p} is not prime")
@@ -179,19 +180,19 @@ def padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
 def _padic_symbol(lat: Lattice, p: int) -> GenusSymbol:
     """padic_symbol without its refusals, for an int prime p and a
     nondegenerate lattice, as its caller has proven."""
-    records = sorted(_jordan_decomposition(lat.gram, p).items())
-    if p == 2:
-        return GenusSymbol(2, _canonical_2adic(records))
-    return GenusSymbol(p, tuple(GenusBlock(scale, dim, _legendre(unit, p))
-                                for scale, (dim, unit, _, _) in records))
+    return GenusSymbol(p, tuple(GenusBlock(*block) for block in _symbol(lat, p)))
 
 
-def _symbol(lat: Lattice, p: int) -> GenusSymbol:
-    """_padic_symbol(lat, p), computed at most once per lattice and prime;
-    same_genus has proven p prime and lat nondegenerate."""
+def _symbol(lat: Lattice, p: int) -> tuple[tuple, ...]:
+    """The canonical p-adic blocks as GenusBlock field tuples, computed at
+    most once per lattice and prime, for an int prime p and a nondegenerate
+    lattice, as both callers have proven."""
     memo = lat._symbols
     if p not in memo:
-        memo[p] = _padic_symbol(lat, p)
+        records = sorted(_jordan_decomposition(lat.gram, p).items())
+        memo[p] = (_canonical_2adic(records) if p == 2 else
+                   tuple((scale, dim, _legendre(unit, p))
+                         for scale, (dim, unit, _, _) in records))
     return memo[p]
 
 
@@ -202,9 +203,9 @@ def same_genus(l1: Lattice, l2: Lattice) -> bool:
     2 and at every prime dividing the determinant; agreement elsewhere is
     automatic.  signature() has refused a degenerate Gram matrix and the
     primes come from Lattice._genus_primes, so the symbols skip
-    padic_symbol's refusals (_padic_symbol).  Each lattice keeps its primes
-    and the symbols it was compared by, so a lattice compared with many
-    others factors its determinant and computes each symbol once.
+    padic_symbol's refusals (_symbol).  Each lattice keeps its primes and
+    the symbols (block tuples) it was compared by, so a lattice compared
+    with many others factors its determinant and computes each symbol once.
     """
     try:
         s1, s2 = l1.signature(), l2.signature()

@@ -5,7 +5,7 @@ so results are exact for arbitrarily large entries.  Lattices are immutable
 values and all operations are pure functions.  A lattice computes its
 elimination, its Smith invariants, the constants of the short-vector
 descent, its split Q + (k) with Q of rank 2 (if it has one), the primes and
-each p-adic symbol that genus.same_genus compares at most once, and keeps
+each p-adic symbol that the genus module computes at most once, and keeps
 them on the object by arith.cached, which takes no lock; a memo write
 stores the one value the Gram matrix determines, so concurrent use stays
 safe.  Lattice(...) checks each Gram matrix where it enters; the lattices
@@ -165,7 +165,8 @@ class Lattice(Record):
 
     @cached
     def _symbols(self) -> dict:
-        """p-adic genus symbols by prime, filled by genus.same_genus."""
+        """p-adic genus symbols by prime, as GenusBlock field tuples,
+        filled by genus._symbol."""
         return {}
 
     def discriminant_group(self) -> tuple[int, ...]:

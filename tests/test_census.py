@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib.util
 import inspect
@@ -14,17 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from k3lat import HEIGHT_BOUND, arith, census, enumeration, genus
+from k3lat import HEIGHT_BOUND, arith, census, enumeration, forms, genus
 from k3lat.census import (CensusError, UnboundedFamilyCertificate,
                           build_unbounded_family, certificate_from_json,
                           certificate_to_json, count_integral_twistor_classes,
                           fm_partner_count, has_minus_two_class, tau,
                           verify_certificate, write_certificate)
 from k3lat.cli import build_parser
-from k3lat.enumeration import (indefinite_isometry_search, level_walk,
+from k3lat.enumeration import (EmbeddingMatrix, indefinite_isometry_search, level_walk,
                                orbit_invariant, vectors_of_norm)
 from k3lat.forms import class_group, form_to_lattice
 from k3lat.lattice import Lattice, LatticeError
+from util import full_level_walk
 
 A2 = Lattice([[2, 1], [1, 2]])
 
@@ -380,6 +382,23 @@ class TestUnboundedFamily:
         with pytest.raises(CensusError, match="witness does not map"):
             verify_certificate(swapped)
 
+    def test_witness_must_be_an_isometry(self):
+        # a certificate built in memory may hold any columns: the identity,
+        # taken unchecked as a witness T_1 -> T_0, has the right ends and
+        # passes the claim checks build runs, but not verify_certificate's
+        # Gram test, nor the reader's checking constructor
+        cert = build_unbounded_family(23, 1)
+        t0, t1 = cert.ternaries[:2]
+        identity = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+        w0, _, w2 = cert.isometry_witnesses
+        forged = UnboundedFamilyCertificate(
+            23, 1, cert.height_bound, (w0, EmbeddingMatrix._of(t1, t0, identity), w2))
+        census._check_claims(forged)
+        with pytest.raises(CensusError, match="witness is not an isometry"):
+            verify_certificate(forged)
+        with pytest.raises(CensusError, match="not Gram compatible"):
+            certificate_from_json(certificate_to_json(forged))
+
     def test_build_goes_through_the_checker(self, monkeypatch):
         # build runs the claim checks verify_certificate ends with, on the
         # family it derived itself, and never the public checker
@@ -411,7 +430,7 @@ class TestUnboundedFamily:
         # verify_certificate checks the family its certificate keeps
         cert = build_unbounded_family(23, 1)
         doc = json.loads(json.dumps(certificate_to_json(cert)))
-        calls = dict.fromkeys(["_family", "same_genus", "_orbit_record"], 0)
+        calls = dict.fromkeys(["_family", "same_genus"], 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(census, name)):
                 calls[_name] += 1
@@ -419,16 +438,15 @@ class TestUnboundedFamily:
             monkeypatch.setattr(census, name, counted)
         run(doc)
         # the genus row compares T_0 with each later class whose mirror
-        # (a, -b, c) is not earlier in the form list, and _family takes a
-        # record for each such class and for T_0; every class is witnessed,
-        # and a witnessed class's record is implied, not derived again
+        # (a, -b, c) is not earlier in the form list; every class is
+        # witnessed, and a witnessed class's record is implied, not derived
+        # again
         firsts = mirror_firsts(cert.forms)
         assert cert.witness_gaps == () and len(firsts) == 2 < cert.h
-        assert calls == {"_family": 1, "same_genus": len(firsts) - 1,
-                         "_orbit_record": len(firsts)}
+        assert calls == {"_family": 1, "same_genus": len(firsts) - 1}
         calls.update(dict.fromkeys(calls, 0))
         assert verify_certificate(cert)
-        assert calls == {"_family": 0, "same_genus": len(firsts) - 1, "_orbit_record": 0}
+        assert calls == {"_family": 0, "same_genus": len(firsts) - 1}
 
     def test_certificate_documents_are_pinned(self):
         for p, want in CERTIFICATE_DIGESTS.items():
@@ -530,6 +548,71 @@ class TestUnboundedFamily:
         t0_block = Lattice([list(row[:2]) for row in cert.ternaries[0].gram[:2]])
         assert t0_block in distinct.values() and len(descended) > len(distinct)
         assert len(builds) == len(distinct)
+
+    def test_a_census_pass_makes_the_pinned_kernel_calls(self, monkeypatch):
+        # one k3bench census pass: build, a JSON round trip, read and verify
+        # for the 29 primes p = 3 mod 4 below 260 at d0 = 1 and bound 10.
+        # The records are read off the reduced forms (no discriminant
+        # group, no twist but T_0(-4) per family, no reduction past the
+        # class groups'), T_0 gets the identity and each level tests one
+        # vector of each +-pair: 58 complements, one per tested vector, and
+        # 4 block isometries.  The genus rows are the parent's.
+        calls = collections.Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        for owner, name in [(Lattice, "discriminant_group"), (Lattice, "twist"),
+                            (Lattice, "_complement"), (enumeration, "is_isometric_definite"),
+                            (enumeration, "_lift_split"), (enumeration, "_lattice_points"),
+                            (genus, "_jordan_decomposition"), (census, "same_genus")]:
+            count(owner, name)
+        reduce = forms.reduce_form
+        counted_reduce = lambda f: calls.update(["reduce_form"]) or reduce(f)
+        monkeypatch.setattr(forms, "reduce_form", counted_reduce)
+        monkeypatch.setattr(enumeration, "reduce_form", counted_reduce)
+        primes = [p for p in range(3, 260) if isprime(p) and p % 4 == 3]
+        for p in primes:
+            cert = build_unbounded_family(p, 1, 10)
+            doc = json.loads(json.dumps(certificate_to_json(cert)))
+            assert verify_certificate(certificate_from_json(doc))
+        assert len(primes) == 29
+        assert calls == {"twist": 58, "reduce_form": 168, "is_isometric_definite": 4,
+                         "_lift_split": 4, "_complement": 58, "_lattice_points": 224,
+                         "_jordan_decomposition": 308, "same_genus": 110}
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 43, 67, 163])
+    def test_a_class_number_one_family_pulls_no_shell(self, monkeypatch, p):
+        # T_0 is the only source and gets the identity: the walk opens no
+        # class, so it takes no shell and no complement
+        monkeypatch.setattr(enumeration, "_lattice_points", None)
+        monkeypatch.setattr(Lattice, "_complement", None)
+        cert = build_unbounded_family(p, 1)
+        t0 = cert.ternaries[0]
+        assert cert.h == 1
+        assert cert.isometry_witnesses == (enumeration.identity_embedding(t0),)
+
+    def test_the_walk_finds_the_full_walks_witnesses(self):
+        # level_walk gives T_0 the identity and tests one vector of each
+        # +-pair of a shell; the full walk of tests/util.py (every class
+        # opened, whole shells) must find the same witnesses and gaps
+        found = gaps = 0
+        for d0 in (1, 3, 5, 7):
+            for p in range(3, 1000):
+                if isprime(p) and p % 4 == 3:
+                    ts = [form_to_lattice(f).direct_sum(Lattice([[-d0]]))
+                          for f in class_group(-p).elements]
+                    for bound in (10, 100):
+                        ws = level_walk(ts, ts[0], bound)
+                        assert ws == full_level_walk(ts, ts[0], bound), (p, d0, bound)
+                        found += sum(w is not None for w in ws[1:])
+                        gaps += ws.count(None)
+        # non-identity witnesses and gaps, over the 8 (d0, bound) settings
+        assert (found, gaps) == (524, 5492)
 
     def test_the_genus_row_skips_exactly_the_later_mirrors(self, monkeypatch):
         compared = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat.arith import DomainError
+from k3lat.census import _flip
 from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, OrbitInvariant,
                                _bounded_norm_vectors,
                                _box_witness, _gram_compatible, _lattice_points,
@@ -14,7 +15,7 @@ from k3lat.enumeration import (EmbeddingMatrix, EnumerationError, OrbitInvariant
                                indefinite_isometry_search,
                                is_isometric_definite, level_walk,
                                orbit_invariant, short_vectors_le,
-                               vectors_of_norm, _orbit_record)
+                               vectors_of_norm)
 from k3lat.forms import BinaryForm, class_group, form_to_lattice, reduce_form
 from k3lat.lattice import Lattice, LatticeError
 from util import (box_embeddings, box_vectors_of_norm, change_basis,
@@ -570,49 +571,57 @@ class TestOrbitInvariant:
         # taken unchecked
         assert len(calls) == 1
 
-    def test_the_record_without_refusals_is_the_public_record(self):
-        # on lattices whose caches are empty, as census twists are: the
-        # private record, given the unchecked complement, reads no
-        # elimination, and it equals the record of orbit_invariant, which
-        # reads the signature and checks everything
+    def test_the_record_is_read_from_the_checked_complement(self):
+        # orbit_invariant takes the complement unchecked once its own
+        # refusals have passed; its record must be the one read from the
+        # checked complement, the class being the reduced form of -v^perp
         rng = random.Random(31)
         seen = {2: 0, 3: 0}
         while min(seen.values()) < 500:
             n = rng.choice((2, 3))
-            gram = random_symmetric(n, rng)
-            lat = Lattice(gram)
+            lat = Lattice(random_symmetric(n, rng))
             if lat.determinant() == 0 or lat.signature() != (1, n - 1):
                 continue
             v = tuple(rng.randint(-4, 4) for _ in range(n))
             if math.gcd(*v) != 1 or lat.norm(v) <= 0:
                 continue
-            fresh = Lattice(gram)
-            record = _orbit_record(fresh, v, fresh._complement(v)[0])
-            assert record == orbit_invariant(Lattice(gram), v), (gram, v)
-            assert "_elimination" not in vars(fresh)
+            comp, _ = lat.orthogonal_complement(v)
+            if n == 2:
+                cls = (-comp.gram[0][0],)
+            else:
+                (a, b), (_, c) = comp.gram
+                cls = reduce_form(BinaryForm(-a, -2 * b, -c))[0].as_tuple()
+            want = OrbitInvariant(lat.norm(v), lat.discriminant_group(),
+                                  comp.discriminant_group(), cls)
+            assert orbit_invariant(lat, v) == want, (lat, v)
             seen[n] += 1
 
     def test_mirrored_is_an_involution_that_keeps_the_unoriented_record(self):
+        # census._family gives the second member of a mirror pair its
+        # partner's Smith tuples, as F = diag(1, -1, 1) is unimodular.
+        # census._flip, g -> F g F, is an involution, and the record of F v
+        # in the flipped lattice keeps the record of v up to orientation
         rng = random.Random(34)
-        records = [orbit_invariant(form_to_lattice(f).direct_sum(Lattice([[-k]])).twist(-4),
-                                   (0, 0, 1))
-                   for d in range(-3, -400, -4) for f in class_group(d).elements
-                   for k in (1, 3)]
-        while len(records) < 2000:
-            n = rng.choice((2, 3))
-            lat = Lattice(random_symmetric(n, rng))
-            v = tuple(rng.randint(-4, 4) for _ in range(n))
-            if (lat.determinant() and lat.signature() == (1, n - 1)
+        cases = [(form_to_lattice(f).direct_sum(Lattice([[-k]])).twist(-4), (0, 0, 1))
+                 for d in range(-3, -400, -4) for f in class_group(d).elements
+                 for k in (1, 3)]
+        while len(cases) < 2000:
+            lat = Lattice(random_symmetric(3, rng))
+            v = tuple(rng.randint(-4, 4) for _ in range(3))
+            if (lat.determinant() and lat.signature() == (1, 2)
                     and math.gcd(*v) == 1 and lat.norm(v) > 0):
-                records.append(orbit_invariant(lat, v))
+                cases.append((lat, v))
+        sign = (1, -1, 1)
         flipped = 0
-        for inv in records:
-            mirror = inv.mirrored()
-            assert mirror.mirrored() == inv
-            assert mirror.unoriented() == inv.unoriented()
-            if len(mirror.complement_class) == 3:
-                reduced, _ = reduce_form(BinaryForm(*mirror.complement_class))
-                assert reduced.as_tuple() == mirror.complement_class
+        for lat, v in cases:
+            g = lat.gram
+            mirror_gram = _flip(g)
+            assert mirror_gram == tuple(tuple(sign[i] * g[i][j] * sign[j] for j in range(3))
+                                        for i in range(3))
+            assert _flip(mirror_gram) == g
+            inv = orbit_invariant(lat, v)
+            mirror = orbit_invariant(Lattice(mirror_gram), (v[0], -v[1], v[2]))
+            assert mirror.unoriented() == inv.unoriented(), (lat, v)
             flipped += mirror != inv
         assert flipped > 500
 
@@ -625,10 +634,22 @@ class TestOrbitInvariant:
         ((6,), (6,)),  # a rank-1 complement has no orientation
     ])
     def test_mirrored_flips_only_interior_classes(self, cls, mirror):
-        inv = OrbitInvariant(4, (4, 4, 92), (8, 184), cls)
-        assert inv.mirrored() == OrbitInvariant(4, (4, 4, 92), (8, 184), mirror)
-        if len(cls) == 3:
+        # the record of e_1 (rank 2) or e_3 (the block ternary Q + (-1) of
+        # the reduced form cls, twisted by -4) in a lattice and in its flip
+        # F g F: the same norm and discriminant groups, and the class of the
+        # flip is the mirror of cls, scaled by 8 in the ternary
+        if len(cls) == 1:
+            lat, v, scale = Lattice([[2, 2], [2, -4]]), (1, 0), 1
+            flip = Lattice([[2, -2], [-2, -4]])
+        else:
             assert reduce_form(BinaryForm(*cls))[0].as_tuple() == cls
+            t = form_to_lattice(BinaryForm(*cls)).direct_sum(Lattice([[-1]]))
+            lat, v, scale = t.twist(-4), (0, 0, 1), 8
+            flip = Lattice(_flip(t.gram)).twist(-4)
+        inv, flipped = orbit_invariant(lat, v), orbit_invariant(flip, v)
+        assert inv.complement_class == tuple(scale * x for x in cls)
+        assert flipped == OrbitInvariant(inv.norm, inv.ambient_disc, inv.complement_disc,
+                                         tuple(scale * x for x in mirror))
 
     @pytest.mark.parametrize("v,error,message", [
         ((1, 0, 0), LatticeError, "does not match rank"),

@@ -298,6 +298,37 @@ class TestSameGenus:
                 same += is_same
         assert same == 482
 
+    def test_the_tuple_memo_answers_as_the_records_do(self):
+        # same_genus compares the block tuples each lattice keeps; on fresh
+        # copies, a comparison of the padic_symbol records at 2 and every
+        # prime of the determinant must give the same answer.  Pairs of
+        # rank 2 to 4 with equal determinant and signature: sums of <+-1>,
+        # <+-3>, U and A2 scaled by 1, 2, 4 or 8 (2-adic trains and
+        # compartments), and random lattices against a change of basis
+        rng = random.Random(43)
+        blocks = [lat.twist(k) for lat in (U, A2, *(Lattice([[x]]) for x in (1, -1, 3, -3)))
+                  for k in (1, 2, 4, 8)]
+        groups = collections.defaultdict(list)
+        for n in (1, 2, 3):
+            for summands in itertools.combinations(blocks, n):
+                lat = functools.reduce(Lattice.direct_sum, summands)
+                if 2 <= lat.rank <= 4:
+                    groups[lat.rank, lat.determinant(), lat.signature()].append(lat)
+        groups = [lats for lats in groups.values() if len(lats) > 1]
+        pairs = [rng.sample(rng.choice(groups), 2) for _ in range(3000)]
+        for _ in range(300):
+            lat = random_nondegenerate(rng.randint(2, 4), rng, scale=4, two_power_bias=True)
+            pairs.append((lat, change_basis(lat, random_unimodular(lat.rank, rng))))
+        answers = collections.Counter()
+        for x, y in pairs:
+            x1, y1 = Lattice(x.gram), Lattice(y.gram)
+            records = all(padic_symbol(x1, p) == padic_symbol(y1, p)
+                          for p in {2, *primefactors(abs(x1.determinant()))})
+            answer = same_genus(Lattice(x.gram), Lattice(y.gram))
+            assert answer == records, (x, y)
+            answers[answer] += 1
+        assert min(answers.values()) > 500, answers
+
     def test_same_genus_implies_matching_invariants(self, rng):
         pairs = 0
         while pairs < 10:

@@ -183,13 +183,14 @@ def _use_sites(tree, name):
     return {site for site, used in _uses(tree) if used == name}
 
 
-# the unchecked orbit record, complement, p-adic symbol and short-vector
-# descent, by the callers that have proven the public refusals they skip
+# the unchecked complement, p-adic symbol (as records and as the tuples
+# same_genus compares) and short-vector descent, by the callers that have
+# proven the public refusals they skip
 UNCHECKED_CALLERS = {
-    "_orbit_record": {("enumeration.py", "orbit_invariant"), ("census.py", "_family")},
     "_complement": {("lattice.py", "orthogonal_complement"),
                     ("enumeration.py", "orbit_invariant"), ("enumeration.py", "_splits")},
-    "_padic_symbol": {("genus.py", "padic_symbol"), ("genus.py", "_symbol")},
+    "_padic_symbol": {("genus.py", "padic_symbol")},
+    "_symbol": {("genus.py", "_padic_symbol"), ("genus.py", "same_genus")},
     "_lattice_points": {("enumeration.py", "short_vectors_le"),
                         ("enumeration.py", "vectors_of_norm"),
                         ("enumeration.py", "level_walk")},

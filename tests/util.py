@@ -12,6 +12,8 @@ from sympy.polys.numberfields.basis import round_two
 
 from k3lat import arith
 from k3lat.cm import CMElement, CMError, _totally_nonneg
+from k3lat.enumeration import (_lattice_points, _lift_split, _reduced_class,
+                               is_isometric_definite)
 from k3lat.forms import BinaryForm, FormError, apply_transform, reduce_form
 from k3lat.formulas import max_root_of_unity_order
 from k3lat.lattice import Lattice, _integers
@@ -136,6 +138,34 @@ def lazy_gram_compatible(source, target, vectors, paired=False):
 
     return extend((), ())
 
+
+
+def full_level_walk(sources, target, height_bound):
+    """Oracle: enumeration.level_walk without its shortcuts.  Every source,
+    T_0 included, opens its unoriented class, and each level tests its
+    whole shell, v and -v both; the first u = (v, z) whose complement has a
+    source's class gives that source its witness, lifted from
+    is_isometric_definite on the blocks."""
+    k = -target.gram[-1][-1]
+    q0 = target._block[0]
+    open_by_class = {}
+    for j, lat in enumerate(sources):
+        a, b, c = _reduced_class(lat._block[0])
+        open_by_class.setdefault((a, abs(b), c), []).append(j)
+    witnesses = [None] * len(sources)
+    for z in range(1, height_bound + 1):
+        for v in _lattice_points(q0, k * (z * z - 1)):
+            if not open_by_class:
+                return tuple(witnesses)
+            u = v + (z,)
+            comp, basis = target.orthogonal_complement(u)
+            if comp.determinant() * -k != target.determinant():
+                continue
+            a, b, c = _reduced_class(comp)
+            for j in open_by_class.pop((a, abs(b), c), ()):
+                w = is_isometric_definite(sources[j]._block[0], comp)
+                witnesses[j] = _lift_split(sources[j], target, basis, w, u)
+    return tuple(witnesses)
 
 def period_image_matches(pv, pe):
     """Whether phi(sigma) = lambda sigma + lambda' sigmabar + nu e holds in
